@@ -114,9 +114,7 @@ def _assignment(cfg: RunConfig) -> dict:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_coeffs(args) -> int:
-    cfg = build_config(args)
-    mp.mp.dps = cfg.precision
+def cmd_coeffs(args, cfg: RunConfig) -> int:
     from . import bound, scatter
     from .emit import emit_coeffs
     p_max = args.pmax if args.pmax is not None else 4
@@ -140,9 +138,7 @@ def cmd_coeffs(args) -> int:
     return EXIT_OK
 
 
-def cmd_groundstate(args) -> int:
-    cfg = build_config(args)
-    mp.mp.dps = cfg.precision
+def cmd_groundstate(args, cfg: RunConfig) -> int:
     from .bound import (beta_transseries, build_ground_state_condition,
                         ground_state_transseries)
     from .emit import emit_groundstate
@@ -163,9 +159,7 @@ def cmd_groundstate(args) -> int:
     return EXIT_OK
 
 
-def cmd_beta(args) -> int:
-    cfg = build_config(args)
-    mp.mp.dps = cfg.precision
+def cmd_beta(args, cfg: RunConfig) -> int:
     from .emit import emit_beta
     rows = []
     tol_fail = False
@@ -209,9 +203,7 @@ def cmd_beta(args) -> int:
     return EXIT_TOLERANCE if tol_fail else EXIT_OK
 
 
-def cmd_contour(args) -> int:
-    cfg = build_config(args)
-    mp.mp.dps = cfg.precision
+def cmd_contour(args, cfg: RunConfig) -> int:
     from .emit import emit_contour
     from .rgnumeric import contour_grid
     branches = _parse_branches(args.branches) if args.branches else cfg.branches
@@ -229,9 +221,7 @@ def _parse_branches(text: str) -> list:
     return [int(b) for b in text.split(",")]
 
 
-def cmd_phase(args) -> int:
-    cfg = build_config(args)
-    mp.mp.dps = cfg.precision
+def cmd_phase(args, cfg: RunConfig) -> int:
     from .emit import emit_phase
     from .rgnumeric import phase_shift
     rows = []
@@ -246,8 +236,7 @@ def cmd_phase(args) -> int:
     return EXIT_OK
 
 
-def cmd_divergence(args) -> int:
-    cfg = build_config(args)
+def cmd_divergence(args, cfg: RunConfig) -> int:
     from .emit import emit_divergence
     from .tmatrix import EXPECTED_TABLES, divergence_table
     reports = divergence_table(args.d)
@@ -265,9 +254,7 @@ def cmd_divergence(args) -> int:
     return EXIT_OK
 
 
-def cmd_crosscheck(args) -> int:
-    cfg = build_config(args)
-    mp.mp.dps = cfg.precision
+def cmd_crosscheck(args, cfg: RunConfig) -> int:
     failures = []
 
     from .bound import (beta_transseries, bound_resummation_report,
@@ -402,7 +389,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        cfg = build_config(args)
+        with mp.workdps(cfg.precision):
+            return args.func(args, cfg)
     except (ValueError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -7,8 +7,11 @@ coupling g, has the shape
 
 where x is the small momentum ratio of the sector (xi = Lambda_IR/Lambda or
 sigma = p/Lambda) and rho = 1/ln(Lambda/...) tracks the reciprocal log.
-The ansatz g = sum c_{p,l} x^p rho^l is fixed linearly: the unknown c_{p,l}
-enters the (x^p, rho^(l-1)) cell only through -g/rho, with coefficient -1.
+Writing the rho-free part as C(g, x), the condition reads g = rho C(g, x),
+so Lagrange-Buermann inversion gives the ansatz g = sum c_{p,l} x^p rho^l
+in closed form:
+
+    c_{p,l} = (1/l) [g^(l-1) x^p] C(g, x)^l .
 
 The solved tables resum into powers of D = 1/rho - ladder + s x^2 (ladder is
 gamma in the bound sector, gamma + K pi in the scattering sector; s = +1 and
@@ -24,8 +27,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .constexpr import ConstExpr, GRat
-from .series import INF_ORDER, SeriesError, TruncSeries
+from .constexpr import ConstExpr
+from .series import SeriesError, TruncSeries, lagrange_coefficients
 
 N_PI = ConstExpr.monomial(1, n=1, pi=1)
 GAMMA_LADDER = ConstExpr.generator("gamma")
@@ -73,11 +76,12 @@ class CouplingTable:
 
 def solve_coupling_table(condition: TruncSeries, p_max: int, l_max: int,
                          sector_tag: str) -> CouplingTable:
-    """Triangular solve of the ansatz coefficients.
+    """Closed-form coefficients c_{p,l} = (1/l) [g^(l-1) x^p] C^l.
 
-    ``condition`` is the rho-free part of the cutoff condition as a series
-    in (g, x); the -g/rho term is supplied here.  Requires the condition's
-    g-truncation >= l_max - 1 and x-truncation >= p_max.
+    ``condition`` is the rho-free part C(g, x) of the cutoff condition; the
+    -g/rho term is supplied here.  Requires the condition's g-truncation
+    >= l_max - 1 and x-truncation >= p_max.  Every cell of the box (even
+    p <= p_max, 1 <= l <= l_max) is stored, zero cells included.
     """
     g_trunc, x_trunc = condition.trunc_order
     if g_trunc < l_max - 1:
@@ -86,12 +90,10 @@ def solve_coupling_table(condition: TruncSeries, p_max: int, l_max: int,
     if x_trunc < p_max:
         raise SeriesError(f"condition x-order {x_trunc} too low for "
                           f"p_max={p_max}")
-    x_var = condition.variables[1]
-    entries = {}
-    for l in range(1, l_max + 1):
-        resid = _condition_residual(condition, entries, x_var, p_max, l_max)
-        for p in range(0, p_max + 1, 2):
-            entries[(p, l)] = resid.coefficient((p, l - 1))
+    lagrange = lagrange_coefficients(
+        condition.truncate((l_max - 1, p_max)), "g", l_max)
+    entries = {(p, l): lagrange[l].coefficient((p,))
+               for l in range(1, l_max + 1) for p in range(0, p_max + 1, 2)}
     table = CouplingTable(sector_tag, entries, p_max, l_max)
     table.check_base_invariants()
     return table

@@ -8,8 +8,9 @@ Everything here is a formal series with exact coefficients:
 * the odd-coefficient families a_1, a_3, a_5, ... obtained by
   exponentiating (1/g) Arg eta,
 * the phase-shift branch offset arctan(-2 K tanh(pi g / 2)),
-* the generic sector-by-sector solver for transseries ansaetze of the form
-  -E(g) eps + sum_i a_{2i+1} X^{2i+1} = 0.
+* the generic solver for transseries ansaetze of the form
+  -E(g) eps + sum_i a_{2i+1} X^{2i+1} = 0, whose sectors are rational
+  prefactors R_l(g) times E(g)^l.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .constexpr import ConstExpr, GRat
-from .series import (SeriesError, TruncSeries, arctan_series, tanh_series)
+from .series import (SeriesError, TruncSeries, arctan_series,
+                     lagrange_coefficients, tanh_series)
 from .transseries import Transseries
 
 # Arg Gamma(1+ig) needs zeta(2k+1); the ring carries them through zeta19,
@@ -157,27 +159,39 @@ def solve_sector_ansatz(e_series: TruncSeries, a_odd: dict, max_sector: int,
                         flavor: str, branch: int = 0) -> Transseries:
     """Solve  -E(g) eps + sum_{i>=0} a_{2i+1} X^{2i+1} = 0  for the transseries
 
-        X = sum_{l odd} S_l(g) eps^l ,
+        X = sum_{l odd} S_l(g) eps^l ,   S_l = R_l(g) E(g)^l .
 
-    sector by sector.  a_1 must be exactly 1, which makes each S_l enter its
-    own sector linearly with unit coefficient; the solve fails loudly if the
-    residual at an already-fixed sector does not vanish.
+    With u = E eps and A(g, X) = sum a_{2i+1} X^(2i) the condition reads
+    X = u / A(g, X), so Lagrange inversion gives the rational prefactors
+    R_l = (1/l) [X^(l-1)] A^(-l).  The a_{2i+1} carry no transcendental
+    generator, so the R_l are computed over Q[g] and each sector is then
+    multiplied by E^l once.  a_1 must be exactly 1.  The solve fails loudly
+    if the R_l, plugged back into the condition with E = 1, leave a nonzero
+    sector.
     """
     if 0 not in a_odd or a_odd[0] != TruncSeries.const(
             1, ("g",), a_odd[0].trunc_order):
         raise SeriesError("a_1 must be exactly 1")
-    x = Transseries({1: e_series}, branch, flavor, max_sector)
-    for l in range(3, max_sector + 1, 2):
-        resid = _ansatz_residual(e_series, a_odd, x)
-        for m in range(1, l, 2):
-            if m in resid.sectors and not resid.sectors[m].is_zero():
-                raise SeriesError(f"sector {m} residual should vanish before "
-                                  f"solving sector {l}")
-        r = resid.sectors.get(l)
-        if r is None:
-            continue
-        x = x + Transseries({l: -r}, branch, flavor, max_sector)
-    return x
+    terms = {(t, 2 * i): c for i, a in a_odd.items() if 2 * i < max_sector
+             for (t,), c in a.coeffs.items()}
+    g_trunc = min(a.trunc_order[0] for a in a_odd.values())
+    a_series = TruncSeries(("g", "X"), terms, None, (g_trunc, max_sector - 1))
+    prefactors = lagrange_coefficients(a_series.inverse(), "X", max_sector)
+    rational = Transseries({l: prefactors[l]
+                            for l in range(1, max_sector + 1, 2)},
+                           branch, flavor, max_sector)
+    unit = TruncSeries.const(1, ("g",), e_series.trunc_order)
+    resid = _ansatz_residual(unit, a_odd, rational)
+    if resid.sectors:
+        raise SeriesError(f"sectors {sorted(resid.sectors)} of the rational "
+                          "prefactor residual do not vanish")
+    sectors = {}
+    e_pow, e_sq = e_series, e_series * e_series
+    for l in range(1, max_sector + 1, 2):
+        if l > 1:
+            e_pow = e_pow * e_sq
+        sectors[l] = prefactors[l] * e_pow
+    return Transseries(sectors, branch, flavor, max_sector)
 
 
 def _ansatz_residual(e_series: TruncSeries, a_odd: dict,

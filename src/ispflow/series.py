@@ -133,21 +133,6 @@ class TruncSeries:
         to = tuple(min(a, b) for a, b in zip(self.trunc_order, trunc_order))
         return TruncSeries(self.variables, self.coeffs, self.min_degree, to)
 
-    def with_min_degree(self, min_degree):
-        return TruncSeries(self.variables, self.coeffs, min_degree,
-                           self.trunc_order)
-
-    def drop_variable(self, name):
-        """Remove a variable no term uses."""
-        i = self._vidx(name)
-        if any(e[i] for e in self.coeffs):
-            raise SeriesError(f"variable {name} still appears")
-        variables = self.variables[:i] + self.variables[i + 1:]
-        coeffs = {e[:i] + e[i + 1:]: c for e, c in self.coeffs.items()}
-        md = self.min_degree[:i] + self.min_degree[i + 1:]
-        to = self.trunc_order[:i] + self.trunc_order[i + 1:]
-        return TruncSeries(variables, coeffs, md, to)
-
     # -- arithmetic -----------------------------------------------------------
 
     def _aligned(self, other):
@@ -390,12 +375,6 @@ class TruncSeries:
                                   "error by total degree")
         return result
 
-    def compose(self, substitutions: dict):
-        out = self
-        for name, inner in substitutions.items():
-            out = out.substitute_var(name, inner)
-        return out
-
     def exp(self):
         """exp of a series with zero constant term (exact, terminating)."""
         if self.constant_term():
@@ -453,29 +432,26 @@ class TruncSeries:
 
     def revert(self):
         """Compositional inverse of a univariate series with f(0)=0 and
-        invertible linear coefficient."""
+        invertible linear coefficient.
+
+        h = f^(-1) solves h = t phi(h) with phi(y) = y / f(y), so by Lagrange
+        inversion [t^l] h = (1/l) [y^(l-1)] phi^l.
+        """
         if len(self.variables) != 1:
             raise SeriesError("reversion is univariate")
         v = self.variables[0]
         if self.constant_term() or self.min_degree[0] < 0 and any(
                 e[0] < 0 for e in self.coeffs):
             raise SeriesError("reversion requires f(0) = 0")
-        c1 = self.coeffs.get((1,))
-        if c1 is None:
+        if (1,) not in self.coeffs:
             raise SeriesError("reversion requires a nonzero linear term")
         N = self.trunc_order[0]
         if N >= INF_ORDER:
             raise SeriesError("reversion needs a finite truncation order")
-        c1_inv = c1.inverse_monomial()
-        # h_1 = v / c1; raise order one power at a time
-        h = TruncSeries((v,), {(1,): c1_inv}, (0,), (N,))
-        for order in range(2, N + 1):
-            err = self.substitute_var(v, h).truncate((order,))
-            delta = err.coeffs.get((order,), ConstExpr.zero())
-            if delta:
-                h = h + TruncSeries((v,), {(order,): -(delta * c1_inv)},
-                                    (0,), (N,))
-        return h
+        phi = self.shift(v, -1).inverse()
+        coeffs = {(l,): c.constant_term()
+                  for l, c in lagrange_coefficients(phi, v, N).items()}
+        return TruncSeries((v,), coeffs, (0,), (N,))
 
     # -- evaluation / output ---------------------------------------------------
 
@@ -574,6 +550,36 @@ def _geometric_inverse(w: TruncSeries) -> TruncSeries:
         if k > 10000:
             raise SeriesError("series inverse did not terminate; "
                               "is some truncation order infinite?")
+    return out
+
+
+def lagrange_coefficients(phi: TruncSeries, var: str, n: int) -> dict:
+    """Coefficients of t^l, l = 1..n, in the solution y(t) of y = t phi(y).
+
+    By Lagrange-Buermann inversion (Flajolet & Sedgewick, Analytic
+    Combinatorics, Thm A.2) they are {l: [var^(l-1)] phi^l / l}, each a
+    TruncSeries in phi's other variables.  phi must be a power series in
+    ``var`` known through var^(n-1); the cost is n-1 truncated products.
+    """
+    i = phi._vidx(var)
+    if phi.trunc_order[i] < n - 1:
+        raise SeriesError(f"phi known through {var}^{phi.trunc_order[i]}, "
+                          f"needs {var}^{n - 1}")
+    if any(e[i] < 0 for e in phi.coeffs):
+        raise SeriesError(f"phi has a negative power of {var}")
+    to = phi.trunc_order[:i] + (n - 1,) + phi.trunc_order[i + 1:]
+    phi = phi.truncate(to)
+    rest = phi.variables[:i] + phi.variables[i + 1:]
+    out = {}
+    power = phi
+    for l in range(1, n + 1):
+        if l > 1:
+            power = (power * phi).truncate(to)
+        coeffs = {e[:i] + e[i + 1:]: c.scalar_mul(Fraction(1, l))
+                  for e, c in power.coeffs.items() if e[i] == l - 1}
+        out[l] = TruncSeries(rest, coeffs,
+                             power.min_degree[:i] + power.min_degree[i + 1:],
+                             power.trunc_order[:i] + power.trunc_order[i + 1:])
     return out
 
 

@@ -150,10 +150,6 @@ class Transseries:
         return Transseries({l: s / other for l, s in self.sectors.items()},
                            self.branch, self.flavor, self.max_sector)
 
-    def map_sectors(self, fn) -> "Transseries":
-        return Transseries({l: fn(l, s) for l, s in self.sectors.items()},
-                           self.branch, self.flavor, self.max_sector)
-
     # -- evaluation -----------------------------------------------------------
 
     def unit_value(self, g, assignment: dict | None = None):

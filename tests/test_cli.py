@@ -90,9 +90,27 @@ def test_single_contour_point_matches_solver(tmp_path):
     line = (tmp_path / "contour.csv").read_text().splitlines()[1]
     import mpmath as mp
     from ispflow.rgnumeric import solve_running_coupling
-    g_csv = mp.mpf(line.split(",")[2])
-    sol = solve_running_coupling(100, 0)
-    assert abs(g_csv - sol.g) < mp.mpf(10) ** -25
+    # main leaves the global precision as it found it: parse the 60-digit
+    # CSV value at the precision it was written with
+    with mp.workdps(60):
+        g_csv = mp.mpf(line.split(",")[2])
+        sol = solve_running_coupling(100, 0)
+        assert abs(g_csv - sol.g) < mp.mpf(10) ** -25
+
+
+def test_main_leaves_global_precision_unchanged(tmp_path):
+    import mpmath as mp
+    with mp.workdps(20):
+        assert main(["coeffs", "--sector", "bound", "--pmax", "0",
+                     "--lmax", "3", "--precision", "42",
+                     "--out", str(tmp_path)]) == 0
+        assert mp.mp.dps == 20
+        assert main(["phase", "--g", "0.8", "--points", "2",
+                     "--out", str(tmp_path)]) == 0
+        assert mp.mp.dps == 20
+        assert main(["coeffs", "--precision", "10",
+                     "--out", str(tmp_path)]) == 4
+        assert mp.mp.dps == 20
 
 
 def test_crosscheck_battery():

@@ -64,6 +64,12 @@ def test_table_solves_condition(table):
     assert condition_residual_box(cond, table) == []
 
 
+def test_table_stores_every_cell_of_the_box(table):
+    # zero cells (c_(2,1), c_(4,1), ...) included: the emitters read them
+    assert set(table.entries) == {(p, l) for p in range(0, 5, 2)
+                                  for l in range(1, 8)}
+
+
 def test_sign_map_against_bound_at_k_zero(table):
     """With the phase datum switched off, scattering entries match bound
     entries up to a sign flip of the sigma^2 column: (-1)^(p/2)."""

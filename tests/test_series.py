@@ -9,7 +9,8 @@ import pytest
 from ispflow.constexpr import ConstExpr, GRat
 from ispflow.expansions import arg_gamma_series
 from ispflow.series import (SeriesError, TruncSeries, arctan_series,
-                            coth_series, tan_series, tanh_series)
+                            coth_series, exp_series, lagrange_coefficients,
+                            tan_series, tanh_series)
 
 mp.mp.dps = 50
 GV = ("g",)
@@ -176,6 +177,54 @@ def test_reversion_roundtrip_randomized():
 def test_reversion_requires_linear_term():
     with pytest.raises(SeriesError):
         (g_series(4) * g_series(4)).revert()
+
+
+def test_lagrange_catalan():
+    # y = t (1 + y)^2 is solved by the Catalan numbers
+    y = TruncSeries.var("y", ("y",), (8,))
+    phi = (TruncSeries.const(1, ("y",), (8,)) + y) ** 2
+    coeffs = lagrange_coefficients(phi, "y", 8)
+    catalan = [1, 2, 5, 14, 42, 132, 429, 1430]
+    assert sorted(coeffs) == list(range(1, 9))
+    for l, c in zip(range(1, 9), catalan):
+        assert coeffs[l].variables == ()
+        assert coeffs[l].constant_term() == ConstExpr.number(c)
+
+
+def test_lagrange_tree_function():
+    # y = t e^y counts rooted labelled trees: [t^l] y = l^(l-1) / l!
+    from math import factorial
+    coeffs = lagrange_coefficients(exp_series("y", 9), "y", 10)
+    for l in range(1, 11):
+        assert coeffs[l].constant_term() == ConstExpr.number(
+            Fraction(l ** (l - 1), factorial(l)))
+
+
+def test_lagrange_two_variables_plug_back():
+    # y = t phi(y, x) with ring coefficients, checked by substitute_var
+    n = 6
+    vs = ("y", "x")
+    y = TruncSeries.var("y", vs, (n - 1, 4))
+    x = TruncSeries.var("x", vs, (n - 1, 4))
+    phi = (TruncSeries.const(1, vs, (n - 1, 4)) + x * y
+           + y * y * ConstExpr.monomial(Fraction(-1, 2), pi=1)
+           + x * x * y ** 3)
+    coeffs = lagrange_coefficients(phi, "y", n)
+    ts = ("x", "t")
+    sol = TruncSeries.zero(ts, (4, n))
+    for l, c in coeffs.items():
+        assert c.variables == ("x",)
+        sol = sol + c.extend_to(ts, (4, n)) * TruncSeries.var("t", ts, (4, n),
+                                                                power=l)
+    resid = sol - phi.substitute_var("y", sol).shift("t", 1)
+    assert resid.trunc_order == (4, n)
+    assert resid.is_zero()
+    assert coeffs[2].coefficient((1,)) == ConstExpr.one()
+
+
+def test_lagrange_needs_enough_orders():
+    with pytest.raises(SeriesError):
+        lagrange_coefficients(one(3), "g", 6)
 
 
 def test_derivative_and_shift():
