@@ -1,15 +1,23 @@
 """Numerical renormalization: exact-condition root solving, contour data,
-finite-difference beta, phase shifts, and S-matrix pole checks.
+implicit-differentiation beta, phase shifts, and S-matrix pole checks.
 
 The running coupling g_b(Lambda) on branch b solves
 
     g ln(Lambda_IR/Lambda) + Arg I-tilde_{ig}(2 Lambda_IR/Lambda)
         + (2b+1) pi = 0 ,
 
-with Arg I-tilde = -Arg Gamma(1+ig) + Arg eta(Lambda_IR/Lambda).  All
-numerics run at a configurable mpmath precision (default 60 digits); root
-brackets are seeded from the first-order running formula and widened
-geometrically, then bisected, so robustness wins over speed.
+with Arg I-tilde = -Arg Gamma(1+ig) + Arg eta(Lambda_IR/Lambda).  Both it
+and the scattering phase condition read F(g, L) = 0, L = ln(cutoff ratio),
+
+    F = n pi - g L - Im ln Gamma(1+ig) + Arg eta_+-(e^-L) + extra(g),
+
+with eta_+ = eta, extra = 0 (bound) or the alternating eta_- = eta~,
+extra = -arctan(-2K tanh(pi g/2)) (scattering).  All numerics run at a
+configurable mpmath precision (default 60 digits).  Root brackets are
+seeded from the first-order running formula, widened geometrically, then
+refined by Anderson-Bjorck regula falsi (BIT 13 (1973) 253) inside the
+bracket.  beta = -(dF/dL)/(dF/dg) comes from the exact partials of F at
+the root, never from the series expansions it is checked against.
 """
 
 from __future__ import annotations
@@ -18,8 +26,12 @@ from dataclasses import dataclass, field
 
 import mpmath as mp
 
-from .specfun import (DEFAULT_DPS, SpecFunError, arg_i_unwrapped,
-                      bessel_i_imag, hankel1_imag, hankel2_imag)
+from .specfun import (DEFAULT_DPS, arg_i_unwrapped, hankel1_imag,
+                      hankel2_imag)
+
+# residual evaluations that regula falsi may spend after the bracket; a
+# simple root takes about seven at 60 digits, bisection alone about 200
+MAX_REFINE_EVALS = 100
 
 
 class SolverError(RuntimeError):
@@ -33,7 +45,7 @@ class QuantizationSolution:
     ratio: mp.mpf          # Lambda / Lambda_IR
     residual: mp.mpf
     n_level: int = 1
-    iterations: int = 0
+    iterations: int = 0    # residual evaluations, bracket included
 
 
 @dataclass
@@ -47,57 +59,69 @@ class ContourGrid:
         return [self.solutions[(branch, i)] for i in range(len(self.ratios))]
 
 
-def _arg_eta_num(g, xi, terms_tol=None):
-    """Principal argument of eta_{ig}(xi) = 1 + sum_m c_m(g) xi^{2m}."""
-    tol = terms_tol or mp.mpf(10) ** (-(mp.mp.dps + 5))
-    total = mp.mpc(1)
-    term = mp.mpc(1)
+def _eta(g, z, sign, dps):
+    """(eta, d eta/dg, z d eta/dz) for eta = 1 + sum_m sign^m c_m z^{2m},
+    c_m = prod_{k<=m} 1/(k(k+ig)): eta_{ig} for sign = +1, the alternating
+    eta~_{ig} for sign = -1, summed until a term is below 10^-(dps+5).
+    d log c_m/dg = -sum_{k<=m} i/(k+ig), and z d/dz of the m-th term is 2m
+    times the term."""
+    tol = mp.mpf(10) ** (-(dps + 5))
+    w = sign * z * z
+    g2 = g * g
+    term = eta = mp.mpc(1)
+    eta_g = z_eta_z = dlog = mp.mpc(0)
     m = 0
     while True:
         m += 1
-        term = term * (xi ** 2) / (m * (m + mp.mpc(0, 1) * g))
-        total += term
-        if mp.fabs(term) < tol and m > 3:
-            break
+        d = m * m + g2
+        term *= mp.mpc(m / d, -g / d) * (w / m)     # 1/(m+ig) = (m-ig)/d
+        dlog -= mp.mpc(g / d, m / d)                # i/(m+ig)
+        eta += term
+        eta_g += term * dlog
+        z_eta_z += (2 * m) * term
+        if m > 3 and abs(term.real) + abs(term.imag) < tol:
+            return eta, eta_g, z_eta_z
         if m > 20000:
             raise SolverError("eta series did not converge")
-    return mp.arg(total)
+
+
+def _residual(g, ratio, n, sign, k_value):
+    """F(g, ln ratio) of the module docstring at the working precision."""
+    g = mp.mpf(g)
+    ratio = mp.mpf(ratio)
+    eta = _eta(g, 1 / ratio, sign, mp.mp.dps)[0]
+    f = (n * mp.pi - g * mp.log(ratio) - mp.im(mp.loggamma(mp.mpc(1, g)))
+         + mp.arg(eta))
+    if k_value:
+        f += mp.atan(2 * mp.mpf(k_value) * mp.tanh(mp.pi * g / 2))
+    return f
+
+
+def _implicit_beta(g, ratio, sign, k_value, dps):
+    """-(dF/dL)/(dF/dg) at (g, ln ratio); see numeric_beta*."""
+    with mp.workdps(dps + 10):
+        eta, eta_g, z_eta_z = _eta(g, 1 / ratio, sign, dps + 10)
+        f_g = (-mp.log(ratio) - mp.re(mp.digamma(mp.mpc(1, g)))
+               + mp.im(eta_g / eta))
+        if k_value:
+            k = mp.mpf(k_value)
+            th = mp.tanh(mp.pi * g / 2)
+            f_g += k * mp.pi * (1 - th ** 2) / (1 + 4 * k ** 2 * th ** 2)
+        f_l = -g - mp.im(z_eta_z / eta)
+        return +(-f_l / f_g)
 
 
 def quantization_residual(g, ratio, b, n_level: int = 1):
-    """Residual of the running-coupling condition at coupling g."""
-    g = mp.mpf(g)
-    ratio = mp.mpf(ratio)
-    xi = 1 / ratio
-    arg_tilde = (-mp.im(mp.loggamma(1 + mp.mpc(0, 1) * g))
-                 + _arg_eta_num(g, xi))
-    return -g * mp.log(ratio) + arg_tilde + (2 * b + n_level) * mp.pi
+    """Residual of the running-coupling condition at coupling g, at the
+    working precision."""
+    return _residual(g, ratio, 2 * b + n_level, 1, 0)
 
 
-def solve_running_coupling(ratio, b: int = 0, dps: int = DEFAULT_DPS,
-                           n_level: int = 1) -> QuantizationSolution:
-    """Solve the quantization condition for g at cutoff ratio Lambda/Lambda_IR."""
-    if b < 0:
-        raise ValueError("branches are labelled b >= 0")
-    with mp.workdps(dps + 10):
-        ratio = mp.mpf(ratio)
-        if ratio <= 1:
-            raise ValueError("ratio = Lambda/Lambda_IR must exceed 1")
-        target = (2 * b + n_level) * mp.pi
-        seed = target / (mp.log(ratio) - mp.euler) if \
-            mp.log(ratio) > mp.euler + mp.mpf("0.5") else mp.mpf(1)
-        if seed <= 0:
-            seed = mp.mpf(1)
-
-        def f(g):
-            return quantization_residual(g, ratio, b, n_level)
-
-        lo, hi, iters = _bracket(f, seed)
-        g, more = _bisect(f, lo, hi, dps)
-        resid = f(g)
-        sol = QuantizationSolution(+g, b, +ratio, +mp.fabs(resid), n_level,
-                                   iters + more)
-    return sol
+def scattering_residual(g, lam_over_p, k_value, n_level: int = 1):
+    """Branch-resolved residual of the scattering phase condition:
+    n pi + g ln(p/Lambda) - Arg Gamma(1+ig) + Arg eta~(p/Lambda)
+    - arctan(-2K tanh(pi g/2)), at the working precision."""
+    return _residual(g, lam_over_p, n_level, -1, k_value)
 
 
 def _bracket(f, seed):
@@ -117,56 +141,70 @@ def _bracket(f, seed):
         if iters > 200 or hi > 50:
             raise SolverError(f"no sign change found near seed {seed}; "
                               f"bracket [{lo}, {hi}]")
-    return lo, hi, iters
+    return lo, flo, hi, fhi
 
 
-def _bisect(f, lo, hi, dps):
-    flo = f(lo)
+def _solve(f, seed, dps):
+    """(g, f(g), evaluations) at a root of f: a sign-change bracket grown
+    around seed, refined by Anderson-Bjorck regula falsi until the bracket
+    or the secant step is below 10^-(dps+2) of the last point evaluated.
+    The secant step also ends a run where one end has converged and the far
+    end is stale; a secant point that rounding puts outside the bracket is
+    replaced by the midpoint."""
+    evals = 0
+
+    def counted(g):
+        nonlocal evals
+        evals += 1
+        return f(g)
+
+    a, fa, b, fb = _bracket(counted, seed)
+    if mp.fabs(fa) < mp.fabs(fb):
+        a, fa, b, fb = b, fb, a, fa
+    cap = evals + MAX_REFINE_EVALS
     tol = mp.mpf(10) ** (-(dps + 2))
-    iters = 0
-    while hi - lo > tol * hi:
-        mid = (lo + hi) / 2
-        fm = f(mid)
-        iters += 1
-        if fm == 0:
-            return mid, iters
-        if flo * fm < 0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-        if iters > 20000:
-            raise SolverError("bisection stalled")
-    return (lo + hi) / 2, iters
-
-
-def _arg_eta_alt_num(g, sig):
-    """Principal argument of eta~_{ig}(sigma) (alternating series)."""
-    tol = mp.mpf(10) ** (-(mp.mp.dps + 5))
-    total = mp.mpc(1)
-    term = mp.mpc(1)
-    m = 0
-    while True:
-        m += 1
-        term = -term * (sig ** 2) / (m * (m + mp.mpc(0, 1) * g))
-        total += term
-        if mp.fabs(term) < tol and m > 3:
+    while fb != 0:
+        c = b - fb * (b - a) / (fb - fa)
+        if mp.fabs(c - b) < tol * b or mp.fabs(b - a) < tol * b:
             break
-        if m > 20000:
-            raise SolverError("eta~ series did not converge")
-    return mp.arg(total)
+        if not min(a, b) < c < max(a, b):
+            c = (a + b) / 2
+        if evals == cap:
+            raise SolverError(f"regula falsi passed {MAX_REFINE_EVALS} "
+                              f"evaluations; bracket [{a}, {b}]")
+        fc = counted(c)
+        if (fc > 0) == (fb > 0):
+            # b is replaced on its own side: damp the retained end
+            m = 1 - fc / fb
+            fa *= m if m > 0 else mp.mpf("0.5")
+        else:
+            a, fa = b, fb
+        b, fb = c, fc
+    return b, fb, evals
 
 
-def scattering_residual(g, lam_over_p, k_value, n_level: int = 1):
-    """Branch-resolved residual of the scattering phase condition:
-    n pi + g ln(p/Lambda) - Arg Gamma(1+ig) + Arg eta~(p/Lambda)
-    - arctan(-2K tanh(pi g/2))."""
-    g = mp.mpf(g)
-    lam_over_p = mp.mpf(lam_over_p)
-    sig = 1 / lam_over_p
-    return (n_level * mp.pi - g * mp.log(lam_over_p)
-            - mp.im(mp.loggamma(1 + mp.mpc(0, 1) * g))
-            + _arg_eta_alt_num(g, sig)
-            - mp.atan(-2 * mp.mpf(k_value) * mp.tanh(mp.pi * g / 2)))
+def _seed(ratio, n, k_value):
+    """First-order running coupling n pi/(ln ratio - gamma - K pi), or 1
+    where that is not positive or the denominator is below 1/2."""
+    denom = mp.log(ratio) - mp.euler - mp.mpf(k_value) * mp.pi
+    seed = n * mp.pi / denom if denom > mp.mpf("0.5") else mp.mpf(1)
+    return seed if seed > 0 else mp.mpf(1)
+
+
+def solve_running_coupling(ratio, b: int = 0, dps: int = DEFAULT_DPS,
+                           n_level: int = 1) -> QuantizationSolution:
+    """Solve the quantization condition for g at cutoff ratio Lambda/Lambda_IR."""
+    if b < 0:
+        raise ValueError("branches are labelled b >= 0")
+    with mp.workdps(dps + 10):
+        ratio = mp.mpf(ratio)
+        if ratio <= 1:
+            raise ValueError("ratio = Lambda/Lambda_IR must exceed 1")
+        g, resid, evals = _solve(
+            lambda g: quantization_residual(g, ratio, b, n_level),
+            _seed(ratio, 2 * b + n_level, 0), dps)
+        return QuantizationSolution(+g, b, +ratio, +mp.fabs(resid), n_level,
+                                    evals)
 
 
 def solve_scattering_coupling(lam_over_p, k_value, dps: int = DEFAULT_DPS,
@@ -176,36 +214,35 @@ def solve_scattering_coupling(lam_over_p, k_value, dps: int = DEFAULT_DPS,
         lam_over_p = mp.mpf(lam_over_p)
         if lam_over_p <= 1:
             raise ValueError("Lambda/p must exceed 1")
-        denom = (mp.log(lam_over_p) - mp.euler
-                 - mp.mpf(k_value) * mp.pi)
-        seed = n_level * mp.pi / denom if denom > mp.mpf("0.5") else mp.mpf(1)
-        if seed <= 0:
-            seed = mp.mpf(1)
-
-        def f(g):
-            return scattering_residual(g, lam_over_p, k_value, n_level)
-
-        lo, hi, iters = _bracket(f, seed)
-        g, more = _bisect(f, lo, hi, dps)
-        sol = QuantizationSolution(+g, 0, +lam_over_p, +mp.fabs(f(g)),
-                                   n_level, iters + more)
-    return sol
+        g, resid, evals = _solve(
+            lambda g: scattering_residual(g, lam_over_p, k_value, n_level),
+            _seed(lam_over_p, n_level, k_value), dps)
+        return QuantizationSolution(+g, 0, +lam_over_p, +mp.fabs(resid),
+                                    n_level, evals)
 
 
-def numeric_beta_scattering(lam_over_p, k_value, step_h=None,
-                            dps: int = DEFAULT_DPS):
-    """Scattering-sector beta by Richardson central differences in ln Lambda."""
-    with mp.workdps(dps + 10):
-        h = mp.mpf(step_h) if step_h is not None else mp.mpf(10) ** (-dps // 6)
-        lam_over_p = mp.mpf(lam_over_p)
+def numeric_beta(ratio, b: int = 0, dps: int = DEFAULT_DPS):
+    """beta = Lambda dg/dLambda on branch b at cutoff ratio Lambda/Lambda_IR.
 
-        def g_at(shift):
-            return solve_scattering_coupling(lam_over_p * mp.e ** shift,
-                                             k_value, dps).g
+    One root solve of the quantization condition F(g, L) = 0, L = ln ratio,
+    then implicit differentiation at the root:
 
-        d1 = (g_at(h) - g_at(-h)) / (2 * h)
-        d2 = (g_at(h / 2) - g_at(-h / 2)) / h
-        return +(4 * d2 - d1) / 3
+        beta = -(dF/dL)/(dF/dg),
+        dF/dg = -L - Re psi(1+ig) + Im(eta_g/eta),
+        dF/dL = -g - Im(z eta_z/eta),   z = 1/ratio,
+
+    with eta_g = d eta/dg and z eta_z = z d eta/dz summed alongside eta.
+    Accurate to the working precision."""
+    sol = solve_running_coupling(ratio, b, dps)
+    return _implicit_beta(sol.g, sol.ratio, 1, 0, dps)
+
+
+def numeric_beta_scattering(lam_over_p, k_value, dps: int = DEFAULT_DPS):
+    """Scattering-sector beta = Lambda dg/dLambda at cutoff Lambda/p, as
+    numeric_beta with L = ln(Lambda/p), eta~ in place of eta, and
+    dF/dg gaining -U'/(1+U^2), U = -2K tanh(pi g/2)."""
+    sol = solve_scattering_coupling(lam_over_p, k_value, dps)
+    return _implicit_beta(sol.g, sol.ratio, -1, k_value, dps)
 
 
 def contour_grid(ratio_min, ratio_max, n_points: int, branches,
@@ -222,25 +259,6 @@ def contour_grid(ratio_min, ratio_max, n_points: int, branches,
         for i, r in enumerate(grid.ratios):
             grid.solutions[(b, i)] = solve_running_coupling(r, b, dps)
     return grid
-
-
-def numeric_beta(ratio, b: int = 0, step_h=None, dps: int = DEFAULT_DPS):
-    """beta = Lambda dg/dLambda by Richardson-extrapolated central
-    differences in ln Lambda."""
-    with mp.workdps(dps + 10):
-        h = mp.mpf(step_h) if step_h is not None else mp.mpf(10) ** (-dps // 6)
-        ratio = mp.mpf(ratio)
-
-        def g_at(log_shift):
-            return solve_running_coupling(ratio * mp.e ** log_shift, b,
-                                          dps).g
-
-        def central(hh):
-            return (g_at(hh) - g_at(-hh)) / (2 * hh)
-
-        d1 = central(h)
-        d2 = central(h / 2)
-        return +(4 * d2 - d1) / 3
 
 
 def phase_shift(g, p_over_lambda, dps: int = DEFAULT_DPS, check: bool = False):

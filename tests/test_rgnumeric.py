@@ -5,9 +5,10 @@ import random
 import mpmath as mp
 import pytest
 
+from ispflow import rgnumeric
 from ispflow.bound import (beta_transseries, build_ground_state_condition,
                            ground_state_transseries)
-from ispflow.rgnumeric import (contour_grid, numeric_beta,
+from ispflow.rgnumeric import (SolverError, contour_grid, numeric_beta,
                                numeric_beta_scattering, phase_shift,
                                quantization_residual, scattering_residual,
                                smatrix, smatrix_pole_check,
@@ -170,3 +171,115 @@ def test_quantization_residual_shape():
     sol = solve_running_coupling(100.0, 0)
     assert abs(quantization_residual(sol.g, sol.ratio, 0)) < mp.mpf(10) ** -30
     assert abs(quantization_residual(sol.g * 2, sol.ratio, 0)) > 1e-3
+
+
+def _bisection_root(f, lo, hi, dps):
+    """Reference root: plain bisection of a sign change in [lo, hi] down to
+    10^-(dps+2) relative."""
+    flo = f(lo)
+    assert flo * f(hi) < 0
+    tol = mp.mpf(10) ** (-(dps + 2))
+    while hi - lo > tol * hi:
+        mid = (lo + hi) / 2
+        fm = f(mid)
+        if (fm > 0) == (flo > 0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+def _solve_case(case):
+    sector, log_ratio, x = case
+    ratio = mp.mpf(10) ** mp.mpf(log_ratio)
+    if sector == "bound":
+        return solve_running_coupling(ratio, x)
+    return solve_scattering_coupling(ratio, x)
+
+
+def test_iterations_count_residual_evaluations(monkeypatch):
+    count = {"n": 0}
+    for name in ("quantization_residual", "scattering_residual"):
+        original = getattr(rgnumeric, name)
+
+        def counted(*args, _original=original, **kwargs):
+            count["n"] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(rgnumeric, name, counted)
+    for case in (("bound", 2, 0), ("bound", 5.5, 3), ("scatter", 3, 0.2),
+                 ("scatter", 1.5, -0.3)):
+        count["n"] = 0
+        sol = _solve_case(case)
+        assert count["n"] == sol.iterations, case
+
+
+def test_solver_converges_superlinearly():
+    rng = random.Random(41)
+    cases = [("bound", rng.uniform(1, 6), b) for b in range(6) for _ in "ab"]
+    cases += [("scatter", rng.uniform(1, 6), rng.uniform(-0.3, 0.3))
+              for _ in range(8)]
+    # regula falsi without the secant-step stop stalls on these two, once
+    # an endpoint has converged (84 and 71 evaluations)
+    cases += [("bound", 1.67, 0), ("scatter", 2.5, 0.05)]
+    sols = [_solve_case(case) for case in cases]
+    worst = max(sols, key=lambda s: s.iterations)
+    assert worst.iterations <= 16, (worst.iterations, worst.ratio)
+    for case, sol in zip(cases, sols):
+        assert sol.residual < mp.mpf(10) ** -58, case
+    for i in (0, 11, 12, 20, 21):
+        sector, _, x = cases[i]
+        sol = sols[i]
+        with mp.workdps(70):
+            if sector == "bound":
+                def f(g):
+                    return quantization_residual(g, sol.ratio, x)
+            else:
+                def f(g):
+                    return scattering_residual(g, sol.ratio, x)
+            ref = _bisection_root(f, sol.g * mp.mpf("0.999"),
+                                  sol.g * mp.mpf("1.001"), 60)
+            assert abs(sol.g - ref) / ref < mp.mpf(10) ** -58, cases[i]
+
+
+def test_numeric_beta_matches_central_difference():
+    """Implicit beta against d g/d ln Lambda from two 120-digit solves at
+    ln Lambda -+ 1e-30 (truncation ~1e-60, rounding ~1e-90)."""
+    h = mp.mpf("1e-30")
+
+    def central(solve, ratio, *args):
+        with mp.workdps(130):
+            up = solve(ratio * mp.e ** h, *args, dps=120).g
+            down = solve(ratio * mp.e ** -h, *args, dps=120).g
+            return (up - down) / (2 * h)
+
+    for b, g in ((0, "0.3"), (1, "0.45")):
+        with mp.workdps(130):
+            ratio = mp.e ** ((2 * b + 1) * mp.pi / mp.mpf(g) + mp.euler)
+        bn = numeric_beta(ratio, b)
+        ref = central(solve_running_coupling, ratio, b)
+        with mp.workdps(130):
+            assert abs(bn - ref) / abs(ref) < mp.mpf(10) ** -50, (b, g)
+        with mp.workdps(15):
+            assert numeric_beta(ratio, b) == bn
+    for k in (mp.mpf("0.2"), mp.mpf("-0.2")):
+        with mp.workdps(130):
+            lam = mp.e ** (mp.pi / mp.mpf("0.25") + mp.euler + k * mp.pi)
+        bn = numeric_beta_scattering(lam, k)
+        ref = central(solve_scattering_coupling, lam, k)
+        with mp.workdps(130):
+            assert abs(bn - ref) / abs(ref) < mp.mpf(10) ** -50, k
+        with mp.workdps(15):
+            assert numeric_beta_scattering(lam, k) == bn
+
+
+def test_solver_failures_raise():
+    with mp.workdps(70):
+        # no sign change anywhere near the seed
+        with pytest.raises(SolverError, match="no sign change"):
+            rgnumeric._solve(lambda g: g * g + 1, mp.mpf(1), 60)
+        # a jump across zero with no root: regula falsi only closes in
+        # linearly and passes its evaluation cap
+        step = mp.mpf(1) / 3
+        with pytest.raises(SolverError, match="evaluations"):
+            rgnumeric._solve(lambda g: mp.mpf(1 if g > step else -1),
+                             mp.mpf("0.3"), 60)
