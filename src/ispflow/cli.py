@@ -161,40 +161,33 @@ def cmd_groundstate(args, cfg: RunConfig) -> int:
 
 def cmd_beta(args, cfg: RunConfig) -> int:
     from .emit import emit_beta
-    rows = []
-    tol_fail = False
+    from .rgnumeric import solve_running_coupling, solve_scattering_coupling
     if args.sector == "bound":
         from .bound import (beta_transseries, build_ground_state_condition,
                             ground_state_transseries)
-        from .rgnumeric import numeric_beta, solve_running_coupling
         cond = build_ground_state_condition(max(cfg.orders["g"], 18),
                                             cfg.orders["sector"] + 3, b=0)
         f = ground_state_transseries(cond, cfg.orders["sector"] + 1)
         beta = beta_transseries(f)
-        ratio_lo = mp.e ** (mp.pi / mp.mpf(args.gmax) + mp.euler)
-        for i in range(args.points):
-            ratio = ratio_lo * mp.mpf(10) ** (mp.mpf(i) * 3 / max(args.points - 1, 1))
-            sol = solve_running_coupling(ratio, 0, cfg.precision)
-            bn = numeric_beta(ratio, 0, dps=cfg.precision)
-            bs = beta.eval_mp(sol.g)
-            rows.append((sol.g, bn, bs))
+        cut_lo = mp.e ** (mp.pi / mp.mpf(args.gmax) + mp.euler)
+        solve = lambda cut: solve_running_coupling(cut, 0, cfg.precision)
+        series = beta.eval_mp
     else:
         from .scatter import scatter_beta
-        from .rgnumeric import (numeric_beta_scattering,
-                                solve_scattering_coupling)
         beta = scatter_beta(cfg.orders["sector"] // 2 * 2,
                             g_order=max(cfg.orders["g"], 16))
         kv = mp.mpf(cfg.k_value)
-        lam_lo = mp.e ** (mp.pi / mp.mpf(args.gmax) + mp.euler + kv * mp.pi)
-        assignment = {"K": kv}
-        for i in range(args.points):
-            lam = lam_lo * mp.mpf(10) ** (mp.mpf(i) * 3 / max(args.points - 1, 1))
-            sol = solve_scattering_coupling(lam, kv, cfg.precision)
-            bn = numeric_beta_scattering(lam, kv, dps=cfg.precision)
-            bs = beta.eval_mp(sol.g, assignment)
-            rows.append((sol.g, bn, bs))
+        cut_lo = mp.e ** (mp.pi / mp.mpf(args.gmax) + mp.euler + kv * mp.pi)
+        solve = lambda cut: solve_scattering_coupling(cut, kv, cfg.precision)
+        series = lambda g: beta.eval_mp(g, {"K": kv})
+    rows = []
+    for i in range(args.points):
+        cut = cut_lo * mp.mpf(10) ** (mp.mpf(i) * 3 / max(args.points - 1, 1))
+        sol = solve(cut)
+        rows.append((sol.g, sol.beta(cfg.precision), series(sol.g)))
     path = emit_beta(cfg.out, cfg.format, rows, args.sector)
     print(f"wrote {path}")
+    tol_fail = False
     for g, bn, bs in rows:
         if abs(bn - bs) / abs(bs) > mp.mpf(args.tolerance):
             tol_fail = True
@@ -260,8 +253,7 @@ def cmd_crosscheck(args, cfg: RunConfig) -> int:
     from .bound import (beta_transseries, bound_resummation_report,
                         build_ground_state_condition,
                         ground_state_transseries, running_coupling_coeffs)
-    from .rgnumeric import (numeric_beta, smatrix_pole_check,
-                            solve_running_coupling)
+    from .rgnumeric import smatrix_pole_check, solve_running_coupling
     from .scatter import analytic_continuation_check
 
     table13 = running_coupling_coeffs(0, 13, g_order=12)
@@ -284,7 +276,7 @@ def cmd_crosscheck(args, cfg: RunConfig) -> int:
     for i in range(args.points):
         ratio = ratio_lo * mp.mpf(10) ** (mp.mpf(3 * i) / max(args.points - 1, 1))
         sol = solve_running_coupling(ratio, 0, cfg.precision)
-        bn = numeric_beta(ratio, 0, dps=cfg.precision)
+        bn = sol.beta(cfg.precision)
         bs = beta.eval_mp(sol.g)
         worst = max(worst, abs(bn - bs) / abs(bs))
     ok = worst <= mp.mpf("1e-5")

@@ -185,9 +185,6 @@ class ConstExpr:
             raise ValueError(f"not a pure number: {self}")
         return self.terms[_ZERO_EXP]
 
-    def constant_part(self) -> GRat:
-        return self.terms.get(_ZERO_EXP, GRat(0))
-
     def __bool__(self):
         return bool(self.terms)
 

@@ -181,7 +181,7 @@ def solve_sector_ansatz(e_series: TruncSeries, a_odd: dict, max_sector: int,
                             for l in range(1, max_sector + 1, 2)},
                            branch, flavor, max_sector)
     unit = TruncSeries.const(1, ("g",), e_series.trunc_order)
-    resid = _ansatz_residual(unit, a_odd, rational)
+    resid = sector_condition_residual(unit, a_odd, rational)
     if resid.sectors:
         raise SeriesError(f"sectors {sorted(resid.sectors)} of the rational "
                           "prefactor residual do not vanish")
@@ -194,8 +194,10 @@ def solve_sector_ansatz(e_series: TruncSeries, a_odd: dict, max_sector: int,
     return Transseries(sectors, branch, flavor, max_sector)
 
 
-def _ansatz_residual(e_series: TruncSeries, a_odd: dict,
-                     x: Transseries) -> Transseries:
+def sector_condition_residual(e_series: TruncSeries, a_odd: dict,
+                              x: Transseries) -> Transseries:
+    """Plug a candidate solution x back into the condition of
+    solve_sector_ansatz."""
     out = Transseries({1: -e_series}, x.branch, x.flavor, x.max_sector)
     power = None
     x2 = x * x
@@ -205,9 +207,3 @@ def _ansatz_residual(e_series: TruncSeries, a_odd: dict,
         power = x if power is None else power * x2
         out = out + power * a_odd[i]
     return out
-
-
-def sector_condition_residual(e_series: TruncSeries, a_odd: dict,
-                              x: Transseries) -> Transseries:
-    """Public residual: plug a candidate solution back into the condition."""
-    return _ansatz_residual(e_series, a_odd, x)

@@ -18,6 +18,12 @@ seeded from the first-order running formula, widened geometrically, then
 refined by Anderson-Bjorck regula falsi (BIT 13 (1973) 253) inside the
 bracket.  beta = -(dF/dL)/(dF/dg) comes from the exact partials of F at
 the root, never from the series expansions it is checked against.
+
+eta_+- is summed by ``specfun._eta``, the same code that sums the Bessel
+series.  A residual asks it for eta alone; only the beta of a solved root
+builds d eta/dg and z d eta/dz, from the terms of that one sum.  A
+``QuantizationSolution`` knows which condition it solves, so its ``beta``
+needs no second root solve.
 """
 
 from __future__ import annotations
@@ -26,8 +32,8 @@ from dataclasses import dataclass, field
 
 import mpmath as mp
 
-from .specfun import (DEFAULT_DPS, arg_i_unwrapped, hankel1_imag,
-                      hankel2_imag)
+from .specfun import (DEFAULT_DPS, SpecFunError, _eta, arg_i_unwrapped,
+                      bessel_j_imag, hankel1_imag, hankel2_imag)
 
 # residual evaluations that regula falsi may spend after the bracket; a
 # simple root takes about seven at 60 digits, bisection alone about 200
@@ -42,10 +48,19 @@ class SolverError(RuntimeError):
 class QuantizationSolution:
     g: mp.mpf
     branch: int
-    ratio: mp.mpf          # Lambda / Lambda_IR
+    ratio: mp.mpf          # Lambda / Lambda_IR, or Lambda/p when scattering
     residual: mp.mpf
     n_level: int = 1
     iterations: int = 0    # residual evaluations, bracket included
+    # scattering datum K of the solved condition; None for the bound one
+    k_value: object = field(default=None, init=False)
+
+    def beta(self, dps: int = DEFAULT_DPS):
+        """Lambda dg/dLambda at this root by implicit differentiation of the
+        condition it solves (see numeric_beta); no further root solve."""
+        if self.k_value is None:
+            return _implicit_beta(self.g, self.ratio, 1, 0, dps)
+        return _implicit_beta(self.g, self.ratio, -1, self.k_value, dps)
 
 
 @dataclass
@@ -59,37 +74,20 @@ class ContourGrid:
         return [self.solutions[(branch, i)] for i in range(len(self.ratios))]
 
 
-def _eta(g, z, sign, dps):
-    """(eta, d eta/dg, z d eta/dz) for eta = 1 + sum_m sign^m c_m z^{2m},
-    c_m = prod_{k<=m} 1/(k(k+ig)): eta_{ig} for sign = +1, the alternating
-    eta~_{ig} for sign = -1, summed until a term is below 10^-(dps+5).
-    d log c_m/dg = -sum_{k<=m} i/(k+ig), and z d/dz of the m-th term is 2m
-    times the term."""
-    tol = mp.mpf(10) ** (-(dps + 5))
-    w = sign * z * z
-    g2 = g * g
-    term = eta = mp.mpc(1)
-    eta_g = z_eta_z = dlog = mp.mpc(0)
-    m = 0
-    while True:
-        m += 1
-        d = m * m + g2
-        term *= mp.mpc(m / d, -g / d) * (w / m)     # 1/(m+ig) = (m-ig)/d
-        dlog -= mp.mpc(g / d, m / d)                # i/(m+ig)
-        eta += term
-        eta_g += term * dlog
-        z_eta_z += (2 * m) * term
-        if m > 3 and abs(term.real) + abs(term.imag) < tol:
-            return eta, eta_g, z_eta_z
-        if m > 20000:
-            raise SolverError("eta series did not converge")
+def _eta_at(g, ratio, sign, digits):
+    """specfun._eta at z = 1/ratio; a sum that does not converge fails the
+    solve."""
+    try:
+        return _eta(g, 1 / ratio, sign, digits)
+    except SpecFunError as exc:
+        raise SolverError(f"eta series: {exc}") from exc
 
 
 def _residual(g, ratio, n, sign, k_value):
     """F(g, ln ratio) of the module docstring at the working precision."""
     g = mp.mpf(g)
     ratio = mp.mpf(ratio)
-    eta = _eta(g, 1 / ratio, sign, mp.mp.dps)[0]
+    eta = _eta_at(g, ratio, sign, mp.mp.dps + 5)[0]
     f = (n * mp.pi - g * mp.log(ratio) - mp.im(mp.loggamma(mp.mpc(1, g)))
          + mp.arg(eta))
     if k_value:
@@ -98,9 +96,18 @@ def _residual(g, ratio, n, sign, k_value):
 
 
 def _implicit_beta(g, ratio, sign, k_value, dps):
-    """-(dF/dL)/(dF/dg) at (g, ln ratio); see numeric_beta*."""
+    """-(dF/dL)/(dF/dg) at (g, ln ratio); see numeric_beta*.  d eta/dg and
+    z d eta/dz are summed from the terms t_m of eta: d log c_m/dg =
+    -sum_{k<=m} i/(k+ig), and z d t_m/dz = 2m t_m."""
     with mp.workdps(dps + 10):
-        eta, eta_g, z_eta_z = _eta(g, 1 / ratio, sign, dps + 10)
+        eta, terms = _eta_at(g, ratio, sign, dps + 15)
+        g2 = g * g
+        eta_g = z_eta_z = dlog = mp.mpc(0)
+        for m, term in enumerate(terms, 1):
+            d = m * m + g2
+            dlog -= mp.mpc(g / d, m / d)                # i/(m+ig)
+            eta_g += term * dlog
+            z_eta_z += (2 * m) * term
         f_g = (-mp.log(ratio) - mp.re(mp.digamma(mp.mpc(1, g)))
                + mp.im(eta_g / eta))
         if k_value:
@@ -217,8 +224,10 @@ def solve_scattering_coupling(lam_over_p, k_value, dps: int = DEFAULT_DPS,
         g, resid, evals = _solve(
             lambda g: scattering_residual(g, lam_over_p, k_value, n_level),
             _seed(lam_over_p, n_level, k_value), dps)
-        return QuantizationSolution(+g, 0, +lam_over_p, +mp.fabs(resid),
-                                    n_level, evals)
+        sol = QuantizationSolution(+g, 0, +lam_over_p, +mp.fabs(resid),
+                                   n_level, evals)
+        sol.k_value = k_value
+        return sol
 
 
 def numeric_beta(ratio, b: int = 0, dps: int = DEFAULT_DPS):
@@ -231,18 +240,16 @@ def numeric_beta(ratio, b: int = 0, dps: int = DEFAULT_DPS):
         dF/dg = -L - Re psi(1+ig) + Im(eta_g/eta),
         dF/dL = -g - Im(z eta_z/eta),   z = 1/ratio,
 
-    with eta_g = d eta/dg and z eta_z = z d eta/dz summed alongside eta.
-    Accurate to the working precision."""
-    sol = solve_running_coupling(ratio, b, dps)
-    return _implicit_beta(sol.g, sol.ratio, 1, 0, dps)
+    with eta_g = d eta/dg and z eta_z = z d eta/dz summed from the terms of
+    eta.  Accurate to the working precision."""
+    return solve_running_coupling(ratio, b, dps).beta(dps)
 
 
 def numeric_beta_scattering(lam_over_p, k_value, dps: int = DEFAULT_DPS):
     """Scattering-sector beta = Lambda dg/dLambda at cutoff Lambda/p, as
     numeric_beta with L = ln(Lambda/p), eta~ in place of eta, and
     dF/dg gaining -U'/(1+U^2), U = -2K tanh(pi g/2)."""
-    sol = solve_scattering_coupling(lam_over_p, k_value, dps)
-    return _implicit_beta(sol.g, sol.ratio, -1, k_value, dps)
+    return solve_scattering_coupling(lam_over_p, k_value, dps).beta(dps)
 
 
 def contour_grid(ratio_min, ratio_max, n_points: int, branches,
@@ -279,7 +286,6 @@ def phase_shift(g, p_over_lambda, dps: int = DEFAULT_DPS, check: bool = False):
             return +delta
         h2 = hankel2_imag(g, x, dps).mpc
         s = -mp.mpc(0, 1) * h2 / h1 * mp.e ** (mp.pi * g)
-        from .specfun import bessel_j_imag
         j = bessel_j_imag(g, x, dps).mpc
         resid = (mp.tan(delta + mp.pi / 4)
                  + mp.coth(mp.pi * g / 2) * mp.tan(mp.arg(j)))

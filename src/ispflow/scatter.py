@@ -26,7 +26,8 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .bound import build_ground_state_condition, ground_state_transseries
+from .bound import (BetaTransseries, beta_transseries,
+                    build_ground_state_condition, ground_state_transseries)
 from .constexpr import ConstExpr, GRat
 from .coupling import (SCATTER_LADDER, CouplingTable, N_PI,
                        solve_coupling_table, structure_fit)
@@ -37,7 +38,6 @@ from .expansions import (ARG_GAMMA_MAX_ORDER, arg_gamma_series, eta_series,
 from .series import (INF_ORDER, SeriesError, TruncSeries, coth_series,
                      tan_series)
 from .transseries import Transseries
-from .bound import BetaTransseries
 
 
 # ---------------------------------------------------------------------------
@@ -179,11 +179,6 @@ def scatter_momentum_transseries(g_order: int, max_sector: int) -> Transseries:
 def scatter_beta(max_sector: int, g_order: int = 10) -> BetaTransseries:
     """Scattering beta by graded division, beta = -sigma(g)/sigma'(g)."""
     f_s = scatter_momentum_transseries(g_order, max_sector + 1)
-    return _beta_from(f_s, max_sector)
-
-
-def _beta_from(f_s: Transseries, max_sector: int) -> BetaTransseries:
-    from .bound import beta_transseries
     return beta_transseries(f_s, max_sector)
 
 

@@ -654,9 +654,3 @@ def exp_series(var: str, order: int) -> TruncSeries:
     coeffs = {(k,): ConstExpr.number(Fraction(1, factorial(k)))
               for k in range(order + 1)}
     return TruncSeries((var,), coeffs, (0,), (order,))
-
-
-def log1p_series(var: str, order: int) -> TruncSeries:
-    coeffs = {(k,): ConstExpr.number(Fraction((-1) ** (k + 1), k))
-              for k in range(1, order + 1)}
-    return TruncSeries((var,), coeffs, (0,), (order,))

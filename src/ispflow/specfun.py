@@ -2,8 +2,19 @@
 
 Bessel and Hankel functions of order nu = i g (g > 0 real) evaluated at
 real positive argument, a complex gamma wrapper, and a continuity-tracked
-total argument of I_{ig}.  Everything runs on mpmath with guard digits; the
-working precision is the caller's mp.mp.dps unless overridden per call.
+total argument of I_{ig}.  Everything runs on mpmath with guard digits at
+the precision passed per call (DEFAULT_DPS when none is), whatever the
+process-global mp.mp.dps; inputs are converted at that precision too.
+
+Both Bessel series are the one small-argument series
+
+    eta_+-(g, z) = 1 + sum_{m>=1} (+-1)^m c_m z^(2m),
+    c_m = prod_{k<=m} 1/(k(k+ig)),
+
+times (x/2)^{ig}/Gamma(1+ig) at z = x/2 (DLMF 10.25.2 for I with +,
+10.2.2 for J with -).  ``_eta`` is the only place in the package that sums
+it; the flow solver in ``rgnumeric`` calls it for its residuals and builds
+the beta derivatives from the terms it returns.
 
 The modified/oscillatory series converge for every argument, so they are
 the default route.  The classical large-argument expansions are exposed as
@@ -31,7 +42,7 @@ class ComplexHP:
     __slots__ = ("re", "im", "dps")
 
     def __init__(self, value, dps=None):
-        self.dps = dps or mp.mp.dps
+        self.dps = dps or DEFAULT_DPS
         z = mp.mpc(value)
         if not (mp.isfinite(z.real) and mp.isfinite(z.imag)):
             raise SpecFunError(f"non-finite value {z}")
@@ -61,37 +72,49 @@ def _work(dps, guard):
 
 def complex_gamma(z, dps=None) -> ComplexHP:
     """Gamma(z) for complex z away from the non-positive integers."""
-    dps = dps or mp.mp.dps
-    z = mp.mpc(z)
-    if z.imag == 0 and z.real <= 0 and z.real == mp.floor(z.real):
-        raise SpecFunError(f"gamma pole at {z}")
+    dps = dps or DEFAULT_DPS
     with _work(dps, 10):
-        val = mp.gamma(z)
-    return ComplexHP(val, dps)
+        z = mp.mpc(z)
+        if z.imag == 0 and z.real <= 0 and z.real == mp.floor(z.real):
+            raise SpecFunError(f"gamma pole at {z}")
+        return ComplexHP(mp.gamma(z), dps)
+
+
+def _eta(g, z, sign, digits):
+    """(eta, terms): eta_+-(g, z) of the module docstring for sign = +-1 and
+    its terms t_m = (+-1)^m c_m z^(2m), m >= 1, summed at the working
+    precision until m > max(z, 3) and |t_m| < 10^-digits max(|eta|, 1)."""
+    g = mp.mpf(g)
+    z = mp.mpf(z)
+    tol2 = mp.mpf(10) ** (-2 * digits)
+    w = sign * z * z
+    g2 = g * g
+    term = eta = mp.mpc(1)
+    terms = []
+    m = 0
+    while True:
+        m += 1
+        d = m * m + g2
+        term *= mp.mpc(m / d, -g / d) * (w / m)     # 1/(m+ig) = (m-ig)/d
+        eta += term
+        terms.append(term)
+        if m > z and m > 3:
+            # the stop test on squared moduli, which need no square root
+            size = term.real * term.real + term.imag * term.imag
+            if size < tol2 * max(eta.real * eta.real + eta.imag * eta.imag, 1):
+                return eta, terms
+        if m > 100000:
+            raise SpecFunError("series did not converge")
 
 
 def _series_sum(g, x, alternating, dps):
-    """sum_m (+-)^m (x/2)^{2m} / (m! Gamma(m+1+ig)), with term-ratio stop."""
+    """eta_+-(g, x/2)/Gamma(1+ig)
+    = sum_m (+-)^m (x/2)^{2m} / (m! Gamma(m+1+ig)); the alternating sum
+    cancels, so it carries 0.9x more guard digits."""
     guard = int(0.9 * float(x)) + 15 if alternating else 15
     with _work(dps, guard):
-        g = mp.mpf(g)
-        x = mp.mpf(x)
-        q = (x / 2) ** 2
-        term = 1 / mp.gamma(1 + mp.mpc(0, 1) * g)
-        total = term
-        m = 0
-        tol = mp.mpf(10) ** (-(dps + 10))
-        while True:
-            m += 1
-            term = term * q / (m * (m + mp.mpc(0, 1) * g))
-            if alternating:
-                term = -term
-            total += term
-            if mp.fabs(term) < tol * max(mp.fabs(total), mp.mpf(1)) and m > x / 2:
-                break
-            if m > 100000:
-                raise SpecFunError("series did not converge")
-        return +total
+        eta = _eta(g, mp.mpf(x) / 2, -1 if alternating else 1, dps + 10)[0]
+        return eta / mp.gamma(mp.mpc(1, g))
 
 
 def _hankel_asym(nu, z, kind, dps):
@@ -134,43 +157,39 @@ def _asym_crossover(dps):
 
 def bessel_i_imag(g, x, dps=None, force=None) -> ComplexHP:
     """I_{ig}(x) for g > 0, x > 0."""
-    dps = dps or mp.mp.dps
-    g, x = _check_gx(g, x)
-    route = force or ("asymptotic" if x > _asym_crossover(dps) else "series")
-    with _work(dps, 15):
-        if route == "series":
-            phase = mp.e ** (mp.mpc(0, 1) * mp.mpf(g) * mp.log(mp.mpf(x) / 2))
-            val = phase * _series_sum(g, x, False, dps)
-        else:
-            nu = mp.mpc(0, 1) * mp.mpf(g)
-            z = mp.mpc(0, 1) * mp.mpf(x)
-            h1, _ = _hankel_asym(nu, z, 1, dps)
-            h2, _ = _hankel_asym(nu, z, 2, dps)
-            val = mp.e ** (-nu * mp.pi * mp.mpc(0, 1) / 2) * (h1 + h2) / 2
-        return ComplexHP(val, dps)
+    return _bessel_imag(g, x, dps, force, 1)
 
 
 def bessel_j_imag(g, x, dps=None, force=None) -> ComplexHP:
     """J_{ig}(x) for g > 0, x > 0."""
-    dps = dps or mp.mp.dps
-    g, x = _check_gx(g, x)
+    return _bessel_imag(g, x, dps, force, -1)
+
+
+def _bessel_imag(g, x, dps, force, sign):
+    """I_{ig}(x) for sign = +1, J_{ig}(x) for sign = -1: the eta_+- series,
+    or beyond the crossover the Hankel mean at z = ix (times e^{-i pi nu/2},
+    for I) or z = x (for J)."""
+    dps = dps or DEFAULT_DPS
+    g, x = _check_gx(g, x, dps)
     route = force or ("asymptotic" if x > _asym_crossover(dps) else "series")
     with _work(dps, 15):
         if route == "series":
-            phase = mp.e ** (mp.mpc(0, 1) * mp.mpf(g) * mp.log(mp.mpf(x) / 2))
-            val = phase * _series_sum(g, x, True, dps)
+            phase = mp.e ** (mp.mpc(0, 1) * g * mp.log(x / 2))
+            val = phase * _series_sum(g, x, sign < 0, dps)
         else:
-            nu = mp.mpc(0, 1) * mp.mpf(g)
-            h1, _ = _hankel_asym(nu, mp.mpf(x), 1, dps)
-            h2, _ = _hankel_asym(nu, mp.mpf(x), 2, dps)
-            val = (h1 + h2) / 2
+            nu = mp.mpc(0, 1) * g
+            z = mp.mpc(0, 1) * x if sign > 0 else x
+            h1, _ = _hankel_asym(nu, z, 1, dps)
+            h2, _ = _hankel_asym(nu, z, 2, dps)
+            pref = mp.e ** (-nu * mp.pi * mp.mpc(0, 1) / 2) if sign > 0 else 1
+            val = pref * (h1 + h2) / 2
         return ComplexHP(val, dps)
 
 
 def bessel_k_imag(g, x, dps=None) -> ComplexHP:
     """K_{ig}(x) = (pi/2)(I_{-ig} - I_{ig})/sin(i pi g); real for real input."""
-    dps = dps or mp.mp.dps
-    g, x = _check_gx(g, x)
+    dps = dps or DEFAULT_DPS
+    g, x = _check_gx(g, x, dps)
     with _work(dps, 15):
         ip = bessel_i_imag(g, x, dps + 10).mpc
         im_ = ip.conjugate()          # I_{-ig}(x) = conj I_{ig}(x) for x real
@@ -180,41 +199,33 @@ def bessel_k_imag(g, x, dps=None) -> ComplexHP:
 
 def hankel1_imag(g, x, dps=None) -> ComplexHP:
     """H^(1)_{ig}(x) = J_{ig} + i Y_{ig}."""
-    dps = dps or mp.mp.dps
-    g, x = _check_gx(g, x)
-    with _work(dps, 15):
-        crossover = _asym_crossover(dps)
-        if x > crossover:
-            nu = mp.mpc(0, 1) * mp.mpf(g)
-            val, _ = _hankel_asym(nu, mp.mpf(x), 1, dps)
-            return ComplexHP(val, dps)
-        j = bessel_j_imag(g, x, dps + 10).mpc
-        jm = j.conjugate()            # J_{-ig}(x) = conj J_{ig}(x)
-        nu = mp.mpc(0, 1) * mp.mpf(g)
-        y = (j * mp.cos(mp.pi * nu) - jm) / mp.sin(mp.pi * nu)
-        return ComplexHP(j + mp.mpc(0, 1) * y, dps)
+    return _hankel_imag(g, x, dps, 1)
 
 
 def hankel2_imag(g, x, dps=None) -> ComplexHP:
     """H^(2)_{ig}(x) = J_{ig} - i Y_{ig}."""
-    dps = dps or mp.mp.dps
-    g, x = _check_gx(g, x)
+    return _hankel_imag(g, x, dps, 2)
+
+
+def _hankel_imag(g, x, dps, kind):
+    """H^(kind)_{ig}(x): the large-argument expansion beyond the crossover,
+    else J_{ig} +- i Y_{ig}, with Y from J_{ig} and J_{-ig} = conj J_{ig}."""
+    dps = dps or DEFAULT_DPS
+    g, x = _check_gx(g, x, dps)
     with _work(dps, 15):
-        crossover = _asym_crossover(dps)
-        if x > crossover:
-            nu = mp.mpc(0, 1) * mp.mpf(g)
-            val, _ = _hankel_asym(nu, mp.mpf(x), 2, dps)
+        nu = mp.mpc(0, 1) * g
+        if x > _asym_crossover(dps):
+            val, _ = _hankel_asym(nu, x, kind, dps)
             return ComplexHP(val, dps)
         j = bessel_j_imag(g, x, dps + 10).mpc
-        jm = j.conjugate()
-        nu = mp.mpc(0, 1) * mp.mpf(g)
-        y = (j * mp.cos(mp.pi * nu) - jm) / mp.sin(mp.pi * nu)
-        return ComplexHP(j - mp.mpc(0, 1) * y, dps)
+        y = (j * mp.cos(mp.pi * nu) - j.conjugate()) / mp.sin(mp.pi * nu)
+        return ComplexHP(j + mp.mpc(0, 1 if kind == 1 else -1) * y, dps)
 
 
-def _check_gx(g, x):
-    g = mp.mpf(g)
-    x = mp.mpf(x)
+def _check_gx(g, x, dps):
+    with _work(dps, 15):
+        g = mp.mpf(g)
+        x = mp.mpf(x)
     if g <= 0 or x <= 0:
         raise SpecFunError("imaginary-order evaluators need g > 0 and x > 0")
     return g, x
@@ -226,8 +237,8 @@ def _check_gx(g, x):
 
 def arg_i_tilde_principal(g, x, dps=None):
     """Principal argument of I-tilde_{ig}(x) = (x/2)^{-ig} I_{ig}(x)."""
-    dps = dps or mp.mp.dps
-    g, x = _check_gx(g, x)
+    dps = dps or DEFAULT_DPS
+    g, x = _check_gx(g, x, dps)
     with _work(dps, 15):
         return mp.arg(_series_sum(g, x, False, dps))
 
@@ -241,8 +252,8 @@ def arg_i_unwrapped(g, x, dps=None):
     The step along the path is halved until consecutive principal
     arguments move by less than pi/2.
     """
-    dps = dps or mp.mp.dps
-    g, x = _check_gx(g, x)
+    dps = dps or DEFAULT_DPS
+    g, x = _check_gx(g, x, dps)
     with _work(dps, 15):
         # unwound value at x -> 0+ comes from the continuous log-gamma;
         # at a small enough start point the branch has not moved yet
@@ -289,7 +300,7 @@ def _round_to_branch(offset):
 def arg_i_branch_residue(g, x, dps=None):
     """(unwound - principal) difference of Arg I-tilde in units of 2 pi;
     an integer up to rounding error."""
-    dps = dps or mp.mp.dps
+    dps = dps or DEFAULT_DPS
     with _work(dps, 10):
         total = arg_i_unwrapped(g, x, dps)
         principal = arg_i_tilde_principal(g, x, dps)

@@ -212,15 +212,6 @@ def _integrate_against_denominator(f, lo, hi, e_i, eps):
     return total_re, total_im
 
 
-def _quad_complex(f_num, lam, e_i, eps, lower=None):
-    lo = -lam if lower is None else lower
-    fr = lambda p: complex(f_num(p)).real
-    fi = lambda p: complex(f_num(p)).imag
-    a, b = _integrate_against_denominator(fr, lo, lam, e_i, eps)
-    c, d = _integrate_against_denominator(fi, lo, lam, e_i, eps)
-    return complex(a - d, b + c)
-
-
 def second_order_integral(term: str, d: int, lam: float,
                           e_i: float = DEFAULT_ENERGY,
                           i_epsilon: float | None = None,
@@ -236,8 +227,10 @@ def second_order_integral(term: str, d: int, lam: float,
     if lam < 10 * max(abs(p_f), abs(p_i)):
         raise TMatrixError("cutoff must dominate the external momenta")
     if d == 1:
-        val = _second_order_d1(term, lam, e_i, eps, p_f, p_i)
-        return val * lam ** VERTEX_POWERS.get((1, term), 0)
+        factor, f = _second_order_d1(term, p_f, p_i)
+        re, im = _integrate_against_denominator(f, -lam, lam, e_i, eps)
+        power = VERTEX_POWERS.get((1, term), 0)
+        return factor * complex(re, im) * lam ** power
     if d == 2:
         return _second_order_d2(term, lam, e_i, eps, p_f, p_i)
     if d == 3:
@@ -245,7 +238,10 @@ def second_order_integral(term: str, d: int, lam: float,
     raise TMatrixError(f"no second-order integrals in d={d}")
 
 
-def _second_order_d1(term, lam, e_i, eps, p_f, p_i):
+def _second_order_d1(term, p_f, p_i):
+    """(constant factor, real integrand) of a d=1 loop: the factor is the i
+    of the k' vertex for ck', 1 for every other term."""
+    factor = 1
     if term == "c2":
         f = lambda p: 0.25 * abs(p_f - p) * abs(p - p_i)
     elif term == "k2":
@@ -256,11 +252,12 @@ def _second_order_d1(term, lam, e_i, eps, p_f, p_i):
         f = lambda p: -(abs(p_f - p) + abs(p - p_i)) / (8 * math.pi)
     elif term == "ckprime":
         # i k'/(2pi) vertex against c/2 vertex, both orderings
-        f = lambda p: (1j / (4 * math.pi)) * (abs(p_f - p) * (p - p_i)
-                                              + (p_f - p) * abs(p - p_i))
+        factor = 1j
+        f = lambda p: (1 / (4 * math.pi)) * (abs(p_f - p) * (p - p_i)
+                                             + (p_f - p) * abs(p - p_i))
     else:
         raise TMatrixError(f"unsupported d=1 second-order term {term}")
-    return _quad_complex(f, lam, e_i, eps)
+    return factor, f
 
 
 def _second_order_d2(term, lam, e_i, eps, p_f, p_i):

@@ -126,3 +126,20 @@ def test_beta_sweep_smoke(tmp_path):
     import mpmath as mp
     for line in lines[1:]:
         assert mp.mpf(line.split(",")[4]) <= 1e-5
+
+
+def test_beta_sweep_solves_each_point_once(tmp_path, monkeypatch):
+    from ispflow import rgnumeric
+    solves = {}
+    for name in ("solve_running_coupling", "solve_scattering_coupling"):
+        def counted(*args, _solve=getattr(rgnumeric, name), _name=name,
+                    **kwargs):
+            solves[_name] = solves.get(_name, 0) + 1
+            return _solve(*args, **kwargs)
+        monkeypatch.setattr(rgnumeric, name, counted)
+    for sector in ("bound", "scattering"):
+        # lowest sector order: the series side does not matter here
+        assert main(["beta", "--sector", sector, "--points", "3",
+                     "--orders", "sector=2", "--out", str(tmp_path)]) == 0
+    assert solves == {"solve_running_coupling": 3,
+                      "solve_scattering_coupling": 3}

@@ -5,7 +5,8 @@ import random
 import mpmath as mp
 import pytest
 
-from ispflow.specfun import (ComplexHP, SpecFunError, arg_i_branch_residue,
+from ispflow.specfun import (ComplexHP, SpecFunError, _asym_crossover,
+                             _series_sum, arg_i_branch_residue,
                              arg_i_tilde_principal, arg_i_unwrapped,
                              bessel_i_imag, bessel_j_imag, bessel_k_imag,
                              complex_gamma, hankel1_imag, hankel2_imag)
@@ -71,6 +72,42 @@ def test_bessel_j_against_mpmath():
         mine = bessel_j_imag(g, x).mpc
         ref = mp.besselj(mp.mpc(0, 1) * mp.mpf(g), mp.mpf(x))
         assert abs(mine - ref) / abs(ref) < 1e-50
+
+
+def test_eta_series_against_mpmath_bessel():
+    """eta_+-(g, x/2) = Gamma(1+ig) (x/2)^{-ig} I_{ig}(x) (+) or J_{ig}(x) (-),
+    from mpmath's own Bessel functions at 120 digits, against the shared
+    series at 60 digits up to just below the asymptotic crossover, where the
+    alternating sum cancels most and needs its guard digits."""
+    top = float(_asym_crossover(60)) - 0.5
+    rng = random.Random(4711)
+    points = [(0.1, top), (2.5, top), (1.0, 0.3)] + [
+        (rng.uniform(0.1, 2.5), rng.uniform(0.5, top)) for _ in range(9)]
+    for g, x in points:
+        mine = {alt: _series_sum(g, x, alt, 60) for alt in (False, True)}
+        with mp.workdps(120):
+            g, x = mp.mpf(g), mp.mpf(x)
+            nu = mp.mpc(0, 1) * g
+            split = mp.gamma(1 + nu) * (x / 2) ** (-nu)
+            for alt, bessel in ((False, mp.besseli), (True, mp.besselj)):
+                ref = split * bessel(nu, x)
+                got = mine[alt] * mp.gamma(1 + nu)
+                assert abs(got - ref) / abs(ref) < 1e-50, (g, x, alt)
+
+
+def test_default_precision_ignores_global_dps():
+    """dps=None means DEFAULT_DPS (60), whatever the global precision."""
+    g, x = 0.7, 2.5
+    with mp.workdps(15):
+        j = bessel_j_imag(g, x)
+        total = arg_i_unwrapped(g, x)
+        gam = complex_gamma(1 + 1j)
+    with mp.workdps(60):
+        ref = bessel_j_imag(g, x, dps=60).mpc
+        assert j.dps == 60
+        assert abs(j.mpc - ref) / abs(ref) < 1e-50
+        assert abs(total - arg_i_unwrapped(g, x, dps=60)) < 1e-50
+        assert abs(gam.mpc - complex_gamma(1 + 1j, dps=60).mpc) < 1e-50
 
 
 def test_conjugation_symmetry_randomized():
