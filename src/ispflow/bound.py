@@ -15,11 +15,10 @@ with a0 = -e^{-gamma} E(g); we store E and keep the e^{-gamma} in the unit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath as mp
 
-from .constexpr import ConstExpr, GRat
+from .constexpr import ConstExpr
 from .coupling import (BOUND_COLUMNS, BOUND_COLUMN_IDS, GAMMA_LADDER,
                        CouplingTable, N_PI, resummation_check,
                        solve_coupling_table, structure_fit)
@@ -27,7 +26,8 @@ from .expansions import (ARG_GAMMA_MAX_ORDER, arg_gamma_series,
                          growth_unit_series, eta_series,
                          odd_coefficient_family, sector_condition_residual,
                          solve_sector_ansatz)
-from .series import SeriesError, TruncSeries
+from .series import SeriesError, TruncSeries, lagrange_coefficients
+from .specfun import DEFAULT_DPS
 from .transseries import Transseries
 
 
@@ -46,8 +46,11 @@ class GroundStateCondition:
     x_order: int
 
     def a0_value(self, g, dps=None):
-        """Numeric a0(g) = -e^{-gamma} E(g); a0(0) = -e^{-gamma}."""
-        with mp.workdps(dps or mp.mp.dps):
+        """Numeric a0(g) = -e^{-gamma} E(g); a0(0) = -e^{-gamma}.
+
+        Evaluated at ``dps`` digits (DEFAULT_DPS when not given), whatever
+        the global mpmath precision."""
+        with mp.workdps(dps or DEFAULT_DPS):
             return -mp.e ** (-mp.euler) * self.a0_scaled.eval_mp(
                 {"g": mp.mpmathify(g)})
 
@@ -193,10 +196,13 @@ def beta_exact_sector_eval(g, sector: int, dps: int | None = None):
     spurious global factor (1+g^2)^4/(4+g^2)^2: its weak-coupling limit is
     3/(32 pi) g^2, inconsistent with the printed transseries lead
     3/(2 pi) g^2; the form above reproduces the transseries exactly.)
+
+    Evaluated at ``dps`` digits (DEFAULT_DPS when not given), whatever the
+    global mpmath precision.
     """
     if sector not in (0, 2, 4):
         raise ValueError("closed forms are available for sectors 0, 2, 4")
-    with mp.workdps(dps or mp.mp.dps):
+    with mp.workdps(dps or DEFAULT_DPS):
         g = mp.mpf(g)
         if not 0 < g < 2:
             raise ValueError("g must lie in (0, 2)")
@@ -236,24 +242,23 @@ def excited_state_scale(n_level: int, g):
 
 def unit_in_cutoff_variables(f: Transseries, xi_order: int,
                              g_order: int) -> TruncSeries:
-    """The non-perturbative unit eps as a series in (g, xi) along the flow,
-    obtained by inverting xi = sum_l S_l(g) eps^l gradedly."""
-    vars_ = ("g", "xi")
-    xi = TruncSeries.var("xi", vars_, (g_order, xi_order))
-    sectors = {l: s.extend_to(vars_, (g_order, xi_order))
-               for l, s in f.sectors.items()}
-    eps = xi * sectors[1].inverse()
-    for _ in range(xi_order // 2 + 1):
-        den = None
-        for l, s in sectors.items():
-            term = s if l == 1 else s * eps ** (l - 1)
-            den = term if den is None else den + term
-        eps_next = xi * den.inverse()
-        if (eps_next - eps).is_zero():
-            eps = eps_next
-            break
-        eps = eps_next
-    return eps
+    """The non-perturbative unit eps as a series in (g, xi) along the flow.
+
+    xi = sum_l S_l(g) eps^l = eps D(g, eps) with D(g, y) = sum_l S_l y^(l-1),
+    so eps = xi phi(eps) with phi = 1/D, and by Lagrange inversion
+    [xi^k] eps = (1/k) [y^(k-1)] phi^k.
+    """
+    g_order = min([g_order] + [s.trunc_order[0] for s in f.sectors.values()])
+    d = TruncSeries(("g", "y"),
+                    {(e[0], l - 1): c for l, s in f.sectors.items()
+                     for e, c in s.coeffs.items()},
+                    None, (g_order, xi_order - 1))
+    return TruncSeries(("g", "xi"),
+                       {(e[0], k): c for k, s in
+                        lagrange_coefficients(d.inverse(), "y",
+                                              xi_order).items()
+                        for e, c in s.coeffs.items()},
+                       None, (g_order, xi_order))
 
 
 def flow_ode_residual(table: CouplingTable, f: Transseries,

@@ -8,6 +8,13 @@ truncation order ``trunc_order``.  Arithmetic propagates truncation
 metadata conservatively, so a coefficient is stored only when it is
 actually determined by the inputs.
 
+Inverse, exp and log share one kernel (``_unit_function``): the first-order
+coefficient recurrences of (1+w)^-1, exp(w) and log(1+w) over the parts of
+w of equal total degree in the finitely truncated variables, each product
+truncated to the box.  ``lagrange_coefficients`` (Lagrange-Buermann
+inversion) solves y = t phi(y) in closed form for reversion, the coupling
+tables, the transseries sectors and the flow-ODE unit.
+
 Truncation orders are explicit everywhere; there is no global default.
 """
 
@@ -257,34 +264,25 @@ class TruncSeries:
     # -- inversion, division --------------------------------------------------
 
     def inverse(self):
-        """Inverse of c*mono*(1 + w); the leading monomial must divide every
-        term and have an invertible (monomial) ConstExpr coefficient."""
+        """Inverse of c*mono*(1 + w); the componentwise-minimal monomial must
+        carry a term with an invertible (monomial) ConstExpr coefficient."""
         if self.is_zero():
             raise SeriesError("inverse of zero series")
         lead = self.lead_exponents()
-        for e in self.coeffs:
-            if any(x < m for x, m in zip(e, lead)):
-                raise SeriesError("leading monomial does not divide all terms")
         c0 = self.coeffs.get(lead)
         if c0 is None:
             raise SeriesError("no term at the componentwise-minimal exponent; "
                               "cannot invert")
-        rel = TruncSeries(self.variables,
-                          {tuple(x - m for x, m in zip(e, lead)): c
-                           for e, c in self.coeffs.items()},
-                          (0,) * len(self.variables),
-                          tuple(_sat_add(t, -m) for t, m in
-                                zip(self.trunc_order, lead)))
         c0_inv = c0.inverse_monomial()
-        w = TruncSeries(rel.variables,
-                        {e: c * c0_inv for e, c in rel.coeffs.items()
-                         if any(e)},
-                        rel.min_degree, rel.trunc_order)
-        inv_unit = _geometric_inverse(w)
-        inv_unit = TruncSeries(inv_unit.variables,
-                               {e: c * c0_inv for e, c in inv_unit.coeffs.items()},
-                               inv_unit.min_degree, inv_unit.trunc_order)
-        out = inv_unit
+        w = {}
+        for e, c in self.coeffs.items():
+            rel = tuple(x - m for x, m in zip(e, lead))
+            if any(rel):
+                w[rel] = c * c0_inv
+        box = tuple(_sat_add(t, -m) for t, m in zip(self.trunc_order, lead))
+        out = TruncSeries(self.variables,
+                          _unit_function("inverse", self.variables, w, box),
+                          None, box) * c0_inv
         for i, m in enumerate(lead):
             if m:
                 out = out.shift(self.variables[i], -m)
@@ -379,37 +377,20 @@ class TruncSeries:
         """exp of a series with zero constant term (exact, terminating)."""
         if self.constant_term():
             raise SeriesError("exp requires zero constant term")
-        out = TruncSeries.const(1, self.variables, self.trunc_order)
-        term = TruncSeries.const(1, self.variables, self.trunc_order)
-        k = 1
-        while True:
-            term = (term * self).truncate(self.trunc_order)
-            if term.is_zero():
-                break
-            out = out + term * GRat(Fraction(1, factorial(k)))
-            k += 1
-            if k > 10000:
-                raise SeriesError("exp did not terminate")
-        return out
+        return TruncSeries(self.variables,
+                           _unit_function("exp", self.variables, self.coeffs,
+                                          self.trunc_order),
+                           None, self.trunc_order)
 
     def log(self):
         """log of a series with constant term exactly 1."""
         if not self.constant_term() == ConstExpr.one():
             raise SeriesError("log requires constant term exactly 1")
-        u = self - 1
-        out = TruncSeries.zero(self.variables, self.trunc_order,
-                               self.min_degree)
-        term = TruncSeries.const(1, self.variables, self.trunc_order)
-        k = 1
-        while True:
-            term = (term * u).truncate(self.trunc_order)
-            if term.is_zero():
-                break
-            out = out + term * GRat(Fraction((-1) ** (k + 1), k))
-            k += 1
-            if k > 10000:
-                raise SeriesError("log did not terminate")
-        return out
+        w = {e: c for e, c in self.coeffs.items() if any(e)}
+        return TruncSeries(self.variables,
+                           _unit_function("log", self.variables, w,
+                                          self.trunc_order),
+                           self.min_degree, self.trunc_order)
 
     def arg(self):
         """Argument of a complex series with constant term 1: Im log."""
@@ -534,22 +515,55 @@ def _as_ce(value) -> ConstExpr:
     return ConstExpr.number(value)
 
 
-def _geometric_inverse(w: TruncSeries) -> TruncSeries:
-    """(1 + w)^(-1) for w with zero constant term."""
-    if w.constant_term():
-        raise SeriesError("geometric inverse needs zero constant term")
-    out = TruncSeries.const(1, w.variables, w.trunc_order)
-    term = TruncSeries.const(1, w.variables, w.trunc_order)
-    k = 0
-    while True:
-        term = (term * (-w)).truncate(w.trunc_order)
-        if term.is_zero():
-            break
-        out = out + term
-        k += 1
-        if k > 10000:
-            raise SeriesError("series inverse did not terminate; "
-                              "is some truncation order infinite?")
+def _unit_function(kind, variables, w, box) -> dict:
+    """Coefficients of (1+w)^-1, exp(w) or log(1+w) (``kind`` "inverse",
+    "exp" or "log") in the box ``box``, for w = {exponent: ConstExpr} with
+    no constant term.
+
+    w is graded by total degree over the finitely truncated variables, and
+    its homogeneous parts w_j give those of the result by the first-order
+    recurrences of the Euler operator E = sum_i x_i d/dx_i (Knuth, TAOCP
+    Vol. 2, 4.7):
+
+        inverse  b_n = -sum_{j=1..n} w_j b_{n-j}                  (b_0 = 1)
+        exp      n h_n = sum_{j=1..n} j w_j h_{n-j}               (h_0 = 1)
+        log      d_n = n w_n - sum_{j=1..n-1} w_j d_{n-j},  l_n = d_n / n
+
+    (d = E log(1+w) = Ew / (1+w)).  Every exponent is nonnegative, so no
+    monomial outside the box multiplies back into it, and each product is
+    truncated to the box.
+    """
+    # an exact order that _sat_add lowered (INF_ORDER - m) is still exact
+    finite = [i for i, t in enumerate(box) if t < INF_ORDER // 2]
+    parts = {}
+    for e, c in w.items():
+        if min(e) < 0:
+            raise SeriesError(f"{kind} needs nonnegative exponents, got {e}")
+        n = sum(e[i] for i in finite)
+        if not n:
+            raise SeriesError(f"{kind}: term {e} has no positive degree in a "
+                              "finitely truncated variable, so the series "
+                              "does not terminate")
+        parts.setdefault(n, {})[e] = c
+    parts = {n: TruncSeries(variables, p, None, box) for n, p in parts.items()}
+    factors = {j: p * j if kind == "exp" else -p for j, p in parts.items()}
+    done = {} if kind == "log" else {0: TruncSeries.const(1, variables, box)}
+    for n in range(1, sum(box[i] for i in finite) + 1):
+        acc = TruncSeries.zero(variables, box)
+        if kind == "log" and n in parts:
+            acc = parts[n] * n
+        for j, f in factors.items():
+            if n - j in done:
+                acc = acc + (f * done[n - j]).truncate(box)
+        if kind == "exp":
+            acc = acc * Fraction(1, n)
+        if not acc.is_zero():
+            done[n] = acc
+    out = {}
+    for n, part in done.items():
+        if kind == "log":
+            part = part * Fraction(1, n)
+        out.update(part.coeffs)
     return out
 
 

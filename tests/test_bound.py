@@ -8,12 +8,14 @@ from ispflow.bound import (beta_exact_sector_eval, beta_transseries,
                            bound_resummation_report, bound_structure_fit,
                            build_ground_state_condition, excited_state_scale,
                            flow_ode_residual, ground_state_residual,
-                           ground_state_transseries, running_coupling_coeffs)
+                           ground_state_transseries, running_coupling_coeffs,
+                           unit_in_cutoff_variables)
 from ispflow.constexpr import ConstExpr
 from ispflow.coupling import (BOUND_COLUMNS, CouplingTable, N_PI,
                               condition_residual_box, resummation_check)
 from ispflow.bound import bound_condition_series
 from ispflow.expansions import growth_unit_series
+from ispflow.series import TruncSeries
 
 mp.mp.dps = 50
 
@@ -50,6 +52,20 @@ def test_gs_coefficients_match_closed_forms(cond):
 def test_a0_numeric_limit(cond):
     # a0(0) = -e^{-gamma}
     assert abs(cond.a0_value(mp.mpf("1e-25")) + mp.e ** (-mp.euler)) < 1e-45
+
+
+def test_numeric_evaluations_ignore_global_precision(cond):
+    """a0_value and beta_exact_sector_eval default to 60 digits, not to the
+    global mpmath precision."""
+    ref_a0 = cond.a0_value("0.4", dps=60)
+    ref_beta = {s: beta_exact_sector_eval("0.4", s, dps=60) for s in (0, 2, 4)}
+    with mp.workdps(15):
+        a0 = cond.a0_value("0.4")
+        beta = {s: beta_exact_sector_eval("0.4", s) for s in (0, 2, 4)}
+    with mp.workdps(60):
+        assert abs(a0 - ref_a0) < 1e-50 * abs(ref_a0)
+        for s, ref in ref_beta.items():
+            assert abs(beta[s] - ref) < 1e-50 * abs(ref)
 
 
 def test_arg_eta_reconciles_with_a3():
@@ -202,6 +218,22 @@ def test_excited_state_scale():
     val = excited_state_scale(3, 0.5)
     assert abs(val - mp.e ** (-4 * mp.pi)) < 1e-40
     assert abs(val - mp.mpf("3.487e-6")) < 1e-9
+
+
+@pytest.mark.parametrize("xi_order", [4, 6])
+def test_unit_in_cutoff_variables_solves_its_definition(f, xi_order):
+    """sum_l S_l(g) eps^l = xi through (g_order, xi_order)."""
+    g_order = 8
+    box = (g_order, xi_order)
+    eps = unit_in_cutoff_variables(f, xi_order, g_order)
+    assert eps.variables == ("g", "xi") and eps.trunc_order == box
+    assert eps.coefficient((0, 1)) == ConstExpr.one()
+    total = TruncSeries.zero(("g", "xi"), box)
+    for l, s in f.sectors.items():
+        total = total + s.extend_to(("g", "xi"), box) * eps ** l
+    resid = total - TruncSeries.var("xi", ("g", "xi"), box)
+    assert resid.trunc_order == box
+    assert resid.is_zero(), resid
 
 
 def test_flow_ode_consistency(table, f, beta):

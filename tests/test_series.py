@@ -2,15 +2,16 @@
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import mpmath as mp
 import pytest
 
 from ispflow.constexpr import ConstExpr, GRat
 from ispflow.expansions import arg_gamma_series
-from ispflow.series import (SeriesError, TruncSeries, arctan_series,
-                            coth_series, exp_series, lagrange_coefficients,
-                            tan_series, tanh_series)
+from ispflow.series import (INF_ORDER, SeriesError, TruncSeries,
+                            arctan_series, coth_series, exp_series,
+                            lagrange_coefficients, tan_series, tanh_series)
 
 mp.mp.dps = 50
 GV = ("g",)
@@ -77,6 +78,126 @@ def test_exp_log_examples():
     expect = {(k,): ConstExpr.number(Fraction((-1) ** (k + 1), k))
               for k in range(1, 6)}
     assert lg == TruncSeries(GV, expect, (0,), (5,))
+
+
+# -- reference power sums: the closed loops inverse/exp/log once were ---------
+
+def _power_sum(w, weight, start, min_degree):
+    """sum_k weight(k) w^k, each power truncated to w's box, until a power
+    vanishes."""
+    out = TruncSeries.zero(w.variables, w.trunc_order, min_degree)
+    term = TruncSeries.const(1, w.variables, w.trunc_order)
+    k = 0
+    while True:
+        if k >= start:
+            out = out + term * weight(k)
+        term = (term * w).truncate(w.trunc_order)
+        if term.is_zero():
+            return out
+        k += 1
+        assert k <= 200, "reference power sum did not terminate"
+
+
+def reference_inverse(f):
+    lead = f.lead_exponents()
+    c0_inv = f.coeffs[lead].inverse_monomial()
+    box = tuple(min(t - m, INF_ORDER) for t, m in zip(f.trunc_order, lead))
+    w = TruncSeries(f.variables,
+                    {tuple(x - m for x, m in zip(e, lead)): c * c0_inv
+                     for e, c in f.coeffs.items() if e != lead},
+                    None, box)
+    out = _power_sum(-w, lambda k: 1, 0, None) * c0_inv
+    for v, m in zip(f.variables, lead):
+        if m:
+            out = out.shift(v, -m)
+    return out
+
+
+def reference_exp(f):
+    return _power_sum(f, lambda k: Fraction(1, factorial(k)), 0, None)
+
+
+def reference_log(f):
+    return _power_sum(f - 1, lambda k: Fraction((-1) ** (k + 1), k), 1,
+                      f.min_degree)
+
+
+def random_ring_coefficient(rng):
+    """One or two Gaussian-rational monomials in pi and K."""
+    out = ConstExpr.zero()
+    for _ in range(rng.randint(1, 2)):
+        coef = GRat(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                    Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+        out = out + ConstExpr.monomial(coef, pi=rng.randint(-1, 2),
+                                       K=rng.randint(0, 2))
+    return out
+
+
+def random_multivariate(rng, laurent=False):
+    """Seeded series in 2-3 variables: finite orders that differ per
+    variable, and a last variable of exact order that only ever appears
+    next to a finite one.  Plain, it has no constant term; ``laurent``
+    makes it a Laurent monomial, with a monomial coefficient, times 1 + w.
+    """
+    nv = rng.choice((2, 3))
+    orders = rng.sample(range(2, 6), nv - 1)
+    variables = ("g", "s", "x")[:nv - 1] + ("n",)
+    lead = (0,) * nv
+    if laurent:
+        lead = tuple(rng.randint(-2, 1) for _ in orders) + (rng.randint(0, 1),)
+    coeffs = {}
+    for _ in range(rng.randint(2, 6)):
+        e = [rng.randint(0, t) for t in orders]
+        if not any(e):
+            e[rng.randrange(nv - 1)] = 1
+        e.append(rng.randint(0, 2))
+        coeffs[tuple(x + m for x, m in zip(e, lead))] = \
+            random_ring_coefficient(rng)
+    if laurent:
+        coeffs[lead] = ConstExpr.monomial(
+            GRat(rng.randint(1, 4), rng.randint(-2, 2)),
+            pi=rng.randint(-1, 1), K=rng.randint(0, 1))
+    box = tuple(t + m for t, m in zip(orders, lead)) + (INF_ORDER,)
+    return TruncSeries(variables, coeffs, tuple(min(m, 0) for m in lead),
+                       box)
+
+
+def test_multivariate_inverse_exp_log_match_power_sums():
+    """inverse, exp and log equal the old power sums term by term,
+    truncation and floor included."""
+    rng = random.Random(47)
+    for _ in range(40):
+        w = random_multivariate(rng)
+        assert w.exp().to_jsonable() == reference_exp(w).to_jsonable()
+        f = w + 1
+        assert f.log().to_jsonable() == reference_log(f).to_jsonable()
+        f = random_multivariate(rng, laurent=True)
+        inv = f.inverse()
+        assert inv.to_jsonable() == reference_inverse(f).to_jsonable()
+        assert (f * inv - 1).is_zero()
+
+
+def test_nonterminating_series_raise_at_once(monkeypatch):
+    """A term in no finitely truncated variable (or with a negative power)
+    makes the power sum endless; the kernel refuses it before any product."""
+    vs = ("g", "x")
+    x = TruncSeries.var("x", vs, (4, INF_ORDER))
+    g = TruncSeries.var("g", vs, (4, INF_ORDER))
+    laurent = TruncSeries(vs, {(-1, 1): ConstExpr.one()}, (-1, 0),
+                          (4, INF_ORDER))
+    endless = ((x + 1).inverse, x.exp, (x + 1).log, (g + x * x).exp,
+               (g * x + x + 1).log)
+    products = []
+    mul = TruncSeries.__mul__
+    monkeypatch.setattr(TruncSeries, "__mul__",
+                        lambda a, b: products.append(1) or mul(a, b))
+    for call in endless:
+        with pytest.raises(SeriesError, match="finitely truncated"):
+            call()
+    for call in (laurent.exp, (laurent + 1).log):
+        with pytest.raises(SeriesError, match="nonnegative"):
+            call()
+    assert products == []
 
 
 def test_laurent_floor_enforced():
