@@ -471,11 +471,6 @@ def _frac_str(f: Fraction) -> str:
 PI = ConstExpr.generator("pi")
 GAMMA = ConstExpr.generator("gamma")
 ZETA3 = ConstExpr.generator("zeta3")
-ZETA5 = ConstExpr.generator("zeta5")
-ZETA7 = ConstExpr.generator("zeta7")
-ZETA9 = ConstExpr.generator("zeta9")
-ZETA11 = ConstExpr.generator("zeta11")
 K_GEN = ConstExpr.generator("K")
 N_GEN = ConstExpr.generator("n")
 L_GEN = ConstExpr.generator("L")
-LAM_GEN = ConstExpr.generator("lam")

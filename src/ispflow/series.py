@@ -298,17 +298,13 @@ class TruncSeries:
 
     # -- composition and functional ops ----------------------------------------
 
-    def substitute_var(self, name, inner: "TruncSeries", tail_bound="strict"):
+    def substitute_var(self, name, inner: "TruncSeries"):
         """Substitute a variable by a series with no constant term.
 
         The omitted tail of ``self`` (orders beyond trunc in ``name``) maps to
-        composition error.  With the default strict bound, some variable of
-        ``inner`` must appear in every one of its monomials, which lets the
-        error be excluded by that variable's truncation alone.  With
-        ``tail_bound="total"`` the error is bounded by total degree instead:
-        monomials past the valid total degree are dropped, and the returned
-        per-variable truncation box may then include corner monomials whose
-        coefficients were never determined (they read as zero).
+        composition error.  Some variable of ``inner`` must appear in every
+        one of its monomials, which lets the error be excluded by that
+        variable's truncation alone.
         """
         i = self._vidx(name)
         if inner.constant_term():
@@ -357,20 +353,8 @@ class TruncSeries:
                     j = result.variables.index(w)
                     to[j] = min(to[j], (N + 1) * lead_u[w] - 1)
                 result = result.truncate(to)
-            elif tail_bound == "total":
-                m_tot = min(sum(e) for e in inner.coeffs)
-                if m_tot < 1:
-                    raise SeriesError("inner series has a constant monomial")
-                bound = (N + 1) * m_tot - 1
-                coeffs = {e: c for e, c in result.coeffs.items()
-                          if sum(e) <= bound}
-                to = tuple(min(t, bound) for t in result.trunc_order)
-                result = TruncSeries(result.variables, coeffs,
-                                     result.min_degree, to)
             else:
-                raise SeriesError("inner series has no grading variable; "
-                                  "pass tail_bound='total' to bound the "
-                                  "error by total degree")
+                raise SeriesError("inner series has no grading variable")
         return result
 
     def exp(self):
@@ -502,8 +486,10 @@ class TruncSeries:
 
 
 def _sat_add(a, b):
-    s = a + b
-    return INF_ORDER if s >= INF_ORDER else s
+    """Order sum in which an exact order (INF_ORDER) stays exact."""
+    if a >= INF_ORDER or b >= INF_ORDER:
+        return INF_ORDER
+    return min(a + b, INF_ORDER)
 
 
 def _as_ce(value) -> ConstExpr:
@@ -533,8 +519,7 @@ def _unit_function(kind, variables, w, box) -> dict:
     monomial outside the box multiplies back into it, and each product is
     truncated to the box.
     """
-    # an exact order that _sat_add lowered (INF_ORDER - m) is still exact
-    finite = [i for i, t in enumerate(box) if t < INF_ORDER // 2]
+    finite = [i for i, t in enumerate(box) if t < INF_ORDER]
     parts = {}
     for e, c in w.items():
         if min(e) < 0:

@@ -4,25 +4,33 @@ First-order momentum-space matrix elements of the inverse-square and
 contact interactions in d = 1, 2 and d >= 3 are carried as explicit
 (basis, coefficient) pairs over {1, ln L, L, L^2} so divergent pieces are
 never evaluated blindly.  Second-order elements are genuine cutoff
-integrals done by adaptive quadrature (units hbar = m = 1), and their
-growth is classified on the same basis.
+integrals (units hbar = m = 1), and their growth is classified on the same
+basis.
+
+Every second-order loop is one radial integral over [0, L] against the
+propagator 1/(E - p^2/2 + i eps), done by one adaptive-quadrature routine
+with one pole shell and break points at the integrand's kinks.  The d=1
+integrand is folded onto p >= 0 (the propagator is even in p); the d=2
+angular means are closed forms (a logarithm for ck, logarithms plus a
+dilogarithm for c2), and the d=3 angular integral is a logarithm.
 
 The divergence degree of a term is the explicit cutoff power carried by
 its contact vertices times the classified growth of its loop integral.
-The loop's principal-value (real) part is classified in two stages: the
-cutoff power from the tail log-log slope (log factors cannot move a
-rounded power), then, for bounded powers, a significance-thresholded fit
-on {1, ln L} separating a clean logarithm from no divergence.  This is a
+Each vertex pair's constant phase (``VERTEX_PHASES``: the i of the k'
+vertex) and cutoff power (``VERTEX_POWERS``) are divided out of the
+samples, so the real part classified is the loop's principal value for
+every term.  It is classified in two stages: the cutoff power from the
+tail log-log slope (log factors cannot move a rounded power), then, for
+bounded powers, a significance-thresholded fit on {1, ln L} separating a
+clean logarithm from no divergence.  This is a
 superficial degree count by construction: slow ln^k (k >= 2) accumulations
 fail the 10^3 threshold and classify as finite, and a positive power
-absorbs log factors.  Per-part classifications and four-basis
-least-squares diagnostics stay in the report.
+absorbs log factors.  Per-part classifications (``pv``, ``lorentzian``)
+and four-basis least-squares diagnostics stay in the report.
 
 The d=1 ck' loop is reported finite because its two operator orderings
 cancel identically outside the external momentum window, so the loop only
-integrates over [p_i, p_f] and cannot depend on the cutoff.  (Its k'
-vertex carries a factor i, so its principal-value part is the imaginary
-part of the samples, ``part_classifications["loop_imag"]``.)  The published
+integrates over [p_i, p_f] and cannot depend on the cutoff.  The published
 table lists ck' as "L", which is the power-counting degree of the
 integrand; power counting cannot see the cancellation.  ``EXPECTED_TABLES``
 is kept unedited as the published record, and acceptance criterion 9 pins
@@ -37,6 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import spence
 
 BASIS_NAMES = ("1", "lnL", "L", "L^2")
 
@@ -57,6 +66,8 @@ SIGNIFICANCE = 1e3
 
 # explicit cutoff powers carried by momentum-independent contact vertices
 VERTEX_POWERS = {(1, "k2"): 2, (1, "ck"): 1}
+# constant phases of the vertex pairs: the k' vertex carries a factor i
+VERTEX_PHASES = {(1, "ckprime"): 1j}
 
 
 class TMatrixError(ValueError):
@@ -138,78 +149,42 @@ def first_order_element(spec: MatrixElementSpec) -> FirstOrderElement:
 # Second-order cutoff integrals.
 # ---------------------------------------------------------------------------
 
-def _denominator_parts(e_i: float, eps: float):
-    def re_part(p2):
-        den = e_i - p2 / 2
-        return den / (den * den + eps * eps)
+def _integrate_against_denominator(f, hi, e_i, eps, kinks):
+    """integral of f(p)/(E - p^2/2 + i eps) over [0, hi] for real-valued f.
 
-    def im_part(p2):
-        den = e_i - p2 / 2
-        return -eps / (den * den + eps * eps)
-
-    return re_part, im_part
-
-
-def _shell_points(e_i: float, eps: float):
-    a = math.sqrt(2 * e_i)
-    return [a - 1000 * eps, a - 10 * eps, a, a + 10 * eps, a + 1000 * eps]
-
-
-def _integrate_against_denominator(f, lo, hi, e_i, eps):
-    """integral of f(p)/(E - p^2/2 + i eps) over [lo, hi] for real-valued f.
-
-    The real part is the principal value, computed by symmetric subtraction
-    around each pole shell p = +-sqrt(2E): paired samples cancel the
-    antisymmetric spike exactly, leaving a bounded integrand.  (The
-    Lorentzian real part would differ from the PV only by an O(eps)
-    shell term, which is noise for the divergence fits.)  The imaginary
-    Lorentzian keeps the finite i-eps width and is integrated with explicit
-    shell break points.
+    The real part is the principal value around the pole shell
+    a = sqrt(2E): plain pieces on [0, a - w] and [a + w, hi], and on [0, w]
+    the symmetric pair f(a + u)/D + f(a - u)/D, whose antisymmetric spikes
+    cancel exactly and leave a bounded integrand.  (The Lorentzian real part
+    would differ from the PV only by an O(eps) shell term, which is noise
+    for the divergence fits.)  The imaginary part is the finite-eps
+    Lorentzian on [0, hi].  Every piece breaks at the shell points and at
+    ``kinks``, the integrand's kinks and log singularities.
     """
     a = math.sqrt(2 * e_i)
     w = min(0.5 * a, 0.25 * (hi - a)) if hi > a else 0.0
-    _, im_d = _denominator_parts(e_i, eps)
+    near = (10 * eps, 1000 * eps)
 
-    def re_d(p2):
-        return 1.0 / (e_i - p2 / 2)
-
-    kw = dict(limit=300, epsabs=1e-12, epsrel=1e-12)
-
-    def re_piece(x0, x1):
+    def piece(g, x0, x1, breaks):
         if x1 <= x0:
             return 0.0
-        return quad(lambda p: f(p) * re_d(p * p), x0, x1, **kw)[0]
+        pts = sorted({b for b in breaks if x0 < b < x1})
+        return quad(g, x0, x1, points=pts or None, limit=300,
+                    epsabs=1e-12, epsrel=1e-12)[0]
 
-    def re_shell(center):
-        sgn = 1.0 if center > 0 else -1.0
-        inner = [p for p in (10 * eps, 1000 * eps) if p < w]
-        return quad(lambda u: (f(center + sgn * u) * re_d((center + sgn * u) ** 2)
-                               + f(center - sgn * u) * re_d((center - sgn * u) ** 2)),
-                    0, w, points=inner or None, **kw)[0]
+    def pv(p):
+        return f(p) / (e_i - p * p / 2)
 
-    total_re = 0.0
-    shells = []
-    if hi > a and w > 0:
-        shells.append(a)
-    if lo < -a and w > 0:
-        shells.append(-a)
-    segs = []
-    if a in shells and -a in shells:
-        segs = [(lo, -a - w), (-a + w, a - w), (a + w, hi)]
-    elif a in shells:
-        segs = [(lo, a - w), (a + w, hi)]
+    if w > 0:
+        re = (piece(pv, 0.0, a - w, kinks) + piece(pv, a + w, hi, kinks)
+              + piece(lambda u: pv(a + u) + pv(a - u), 0.0, w,
+                      near + tuple(abs(k - a) for k in kinks)))
     else:
-        segs = [(lo, hi)]
-    for x0, x1 in segs:
-        total_re += re_piece(x0, x1)
-    for c in shells:
-        total_re += re_shell(c)
-
-    pts = [p for p in _shell_points(e_i, eps) if lo < p < hi]
-    pts += [-p for p in _shell_points(e_i, eps) if lo < -p < hi]
-    total_im = quad(lambda p: f(p) * im_d(p * p), lo, hi,
-                    points=sorted(pts) or None, **kw)[0]
-    return total_re, total_im
+        re = piece(pv, 0.0, hi, kinks)
+    shell = (a,) + tuple(a + s * x for x in near for s in (-1, 1))
+    im = piece(lambda p: -eps * f(p) / ((e_i - p * p / 2) ** 2 + eps * eps),
+               0.0, hi, shell + tuple(kinks))
+    return re, im
 
 
 def second_order_integral(term: str, d: int, lam: float,
@@ -221,101 +196,84 @@ def second_order_integral(term: str, d: int, lam: float,
 
     Returns the complex value (the i-epsilon prescription feeds an
     imaginary part that carries the k^2 divergence in d=1).  Couplings are
-    set to 1; vertex cutoff factors are included.
+    set to 1; vertex phases and cutoff factors are included.
     """
     eps = (1e-3 * e_i) if i_epsilon is None else i_epsilon
     if lam < 10 * max(abs(p_f), abs(p_i)):
         raise TMatrixError("cutoff must dominate the external momenta")
     if d == 1:
-        factor, f = _second_order_d1(term, p_f, p_i)
-        re, im = _integrate_against_denominator(f, -lam, lam, e_i, eps)
-        power = VERTEX_POWERS.get((1, term), 0)
-        return factor * complex(re, im) * lam ** power
-    if d == 2:
-        return _second_order_d2(term, lam, e_i, eps, p_f, p_i)
-    if d == 3:
-        return _second_order_d3(term, lam, e_i, eps, p_f)
-    raise TMatrixError(f"no second-order integrals in d={d}")
+        f = _second_order_d1(term, p_f, p_i)
+        radial = lambda p: f(p) + f(-p)        # the propagator is even in p
+    elif d == 2:
+        radial = _second_order_d2(term, lam, p_f, p_i)
+    elif d == 3:
+        radial = _second_order_d3(term, p_f)
+    else:
+        raise TMatrixError(f"no second-order integrals in d={d}")
+    re, im = _integrate_against_denominator(radial, lam, e_i, eps,
+                                            (abs(p_f), abs(p_i)))
+    return (VERTEX_PHASES.get((d, term), 1) * complex(re, im)
+            * lam ** VERTEX_POWERS.get((d, term), 0))
 
 
 def _second_order_d1(term, p_f, p_i):
-    """(constant factor, real integrand) of a d=1 loop: the factor is the i
-    of the k' vertex for ck', 1 for every other term."""
-    factor = 1
+    """Real integrand of a d=1 loop over the whole line (vertex phases are
+    in ``VERTEX_PHASES``)."""
     if term == "c2":
-        f = lambda p: 0.25 * abs(p_f - p) * abs(p - p_i)
-    elif term == "k2":
-        f = lambda p: 1.0 / (4 * math.pi) ** 2
-    elif term == "kprime2":
-        f = lambda p: -(p_f - p) * (p - p_i) / (4 * math.pi ** 2)
-    elif term == "ck":
-        f = lambda p: -(abs(p_f - p) + abs(p - p_i)) / (8 * math.pi)
-    elif term == "ckprime":
-        # i k'/(2pi) vertex against c/2 vertex, both orderings
-        factor = 1j
-        f = lambda p: (1 / (4 * math.pi)) * (abs(p_f - p) * (p - p_i)
-                                             + (p_f - p) * abs(p - p_i))
-    else:
-        raise TMatrixError(f"unsupported d=1 second-order term {term}")
-    return factor, f
-
-
-def _second_order_d2(term, lam, e_i, eps, p_f, p_i):
+        return lambda p: 0.25 * abs(p_f - p) * abs(p - p_i)
     if term == "k2":
-        radial = lambda r: 2 * math.pi * r / (4 * math.pi ** 2)
-    elif term == "ck":
-        # exact angular mean of ln|q - p| over the circle is ln max(r, q)
-        radial = lambda r: (2 * math.pi * r / (4 * math.pi ** 2)
-                            * (math.log(lam / max(r, p_f))
-                               + math.log(lam / max(r, p_i))))
-    elif term == "c2":
-        nodes, weights = np.polynomial.legendre.leggauss(64)
-        th = math.pi * (nodes + 1) / 2
-        wth = weights * math.pi / 2
-        cth = np.cos(th)
+        return lambda p: 1.0 / (4 * math.pi) ** 2
+    if term == "kprime2":
+        return lambda p: -(p_f - p) * (p - p_i) / (4 * math.pi ** 2)
+    if term == "ck":
+        return lambda p: -(abs(p_f - p) + abs(p - p_i)) / (8 * math.pi)
+    if term == "ckprime":
+        # k'/(2pi) vertex (its i in VERTEX_PHASES) against c/2, both orderings
+        return lambda p: (1 / (4 * math.pi)) * (abs(p_f - p) * (p - p_i)
+                                                + (p_f - p) * abs(p - p_i))
+    raise TMatrixError(f"unsupported d=1 second-order term {term}")
 
-        def radial(r):
-            q1 = np.sqrt(np.maximum(r * r + p_f * p_f - 2 * r * p_f * cth,
-                                    1e-300))
-            q2 = np.sqrt(np.maximum(r * r + p_i * p_i - 2 * r * p_i * cth,
-                                    1e-300))
-            ang = 2 * float(np.sum(wth * np.log(lam / q1)
-                                   * np.log(lam / q2))) / (2 * math.pi)
-            return 2 * math.pi * r * ang / (4 * math.pi ** 2)
-    else:
+
+def _second_order_d2(term, lam, p_f, p_i):
+    """Radial integrand of a d=2 loop, its angular mean in closed form.
+
+    With M = max(r, p) and rho = min(r, p)/M, the Fourier series of
+    ln|1 - rho e^{i theta}| gives ln(lam/|q - p|) = ln(lam/M)
+    + sum_n rho^n cos(n theta)/n over the circle |q| = r, so the mean of
+    one log is ln(lam/M) and that of the c2 product is
+    ln(lam/M_f) ln(lam/M_i) + Li2(rho_f rho_i)/2 (Lewin 1981).
+    """
+    if term == "k2":
+        return lambda r: r / (2 * math.pi)
+    if term not in ("ck", "c2"):
         raise TMatrixError(f"unsupported d=2 second-order term {term}")
-    re, im = _integrate_against_denominator(radial, 0.0, lam, e_i, eps)
-    return complex(re, im)
-
-
-def _second_order_d3(term, lam, e_i, eps, p_f):
-    if term != "c2":
-        raise TMatrixError("only the inverse-square term survives in d=3")
-    omega = solid_angle(3)
-    pref = 1.0 / (omega * omega)
 
     def radial(r):
-        # forward kinematics: angular integral of 1/|p_f - p|^2 is analytic
+        m_f, m_i = max(r, p_f), max(r, p_i)
+        l_f, l_i = math.log(lam / m_f), math.log(lam / m_i)
+        if term == "ck":
+            mean = l_f + l_i
+        else:                       # spence(1 - x) = Li2(x)
+            x = min(r, p_f) * min(r, p_i) / (m_f * m_i)
+            mean = l_f * l_i + 0.5 * spence(1 - x)
+        return r / (2 * math.pi) * mean
+    return radial
+
+
+def _second_order_d3(term, p_f):
+    """Radial integrand of the d=3 loop in forward kinematics: the angular
+    integral of 1/|p_f - p|^2 is analytic, with a log singularity at
+    r = p_f."""
+    if term != "c2":
+        raise TMatrixError("only the inverse-square term survives in d=3")
+    pref = 1.0 / solid_angle(3) ** 2
+
+    def radial(r):
         if abs(r - p_f) < 1e-12:
             return 0.0
-        ang = (2 * math.pi / (2 * r * p_f)) * math.log(
-            ((r + p_f) ** 2) / ((r - p_f) ** 2))
-        return pref * r * r * ang
-
-    re, im = _integrate_against_denominator(radial, 0.0, lam, e_i, eps)
-    return complex(re, im)
-
-
-def second_order_odd_piece(lam: float, e_i: float = DEFAULT_ENERGY,
-                           i_epsilon: float | None = None) -> float:
-    """The p^1 piece of the d=1 c^2 integrand over the symmetric window;
-    vanishes by parity."""
-    eps = (1e-3 * e_i) if i_epsilon is None else i_epsilon
-    re_d, _ = _denominator_parts(e_i, eps)
-    pts = [p for p in _shell_points(e_i, eps) if 0 < p < lam]
-    val = quad(lambda p: p * re_d(p * p) + (-p) * re_d(p * p), 0, lam,
-               points=pts or None, limit=200)[0]
-    return val
+        return pref * r * (math.pi / p_f) * math.log(((r + p_f) ** 2)
+                                                      / ((r - p_f) ** 2))
+    return radial
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +286,7 @@ class DivergenceReport:
     d: int
     lambdas: list
     values: list                       # complex samples
-    fit_coefficients: dict             # basis -> float (dominант part)
+    fit_coefficients: dict             # basis -> float, fit of |values|
     fit_residual: float
     classification: str
     part_classifications: dict = field(default_factory=dict)
@@ -396,19 +354,21 @@ def classify_divergence(term: str, d: int, lambdas=None,
     if first_order:
         el = first_order_element(MatrixElementSpec(d, term))
         vals = np.array([el.evaluate(l) for l in lambdas], dtype=complex)
+        phase, power = 1, 0
     else:
         vals = np.array([second_order_integral(term, d, l, e_i, i_epsilon)
                          for l in lambdas], dtype=complex)
-
-    power = VERTEX_POWERS.get((d, term), 0) if not first_order else 0
-    loops = vals / lambdas ** power
+        phase = VERTEX_PHASES.get((d, term), 1)
+        power = VERTEX_POWERS.get((d, term), 0)
+    # without its vertex constants the loop's real part is the principal value
+    loops = vals / (phase * lambdas ** power)
     loop_class = _classify_part(lambdas, loops.real)
     classification = _compose_degree(loop_class, power)
     coefs, resid = _lstsq_basis(lambdas, np.abs(vals))
     return DivergenceReport(term, d, list(lambdas), list(vals), coefs, resid,
                             classification,
-                            {"loop_real": loop_class,
-                             "loop_imag": _classify_part(lambdas, loops.imag),
+                            {"pv": loop_class,
+                             "lorentzian": _classify_part(lambdas, loops.imag),
                              "vertex_power": power})
 
 

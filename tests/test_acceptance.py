@@ -227,10 +227,7 @@ def test_criterion_9_divergence_tables():
     documented = [(1, "ckprime", "1", "L")]
 
     ckp_rep = tables[1]["ckprime"]
-    # the k' vertex carries a factor i, so the principal-value part of the
-    # ck' loop is the imaginary part of its samples; the table entry is
-    # classified from the real part, which here is the i-epsilon part
-    ckp_pv = ckp_rep.part_classifications["loop_imag"]
+    ckp_pv = ckp_rep.part_classifications["pv"]
     ckp = np.array(ckp_rep.values)
     spread = float(np.max(np.abs(ckp - ckp[0])) / np.abs(ckp[0]))
     window = _ckprime_window_integral(DEFAULT_ENERGY, 1e-3 * DEFAULT_ENERGY,

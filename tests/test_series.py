@@ -101,7 +101,8 @@ def _power_sum(w, weight, start, min_degree):
 def reference_inverse(f):
     lead = f.lead_exponents()
     c0_inv = f.coeffs[lead].inverse_monomial()
-    box = tuple(min(t - m, INF_ORDER) for t, m in zip(f.trunc_order, lead))
+    box = tuple(t if t >= INF_ORDER else t - m
+                for t, m in zip(f.trunc_order, lead))
     w = TruncSeries(f.variables,
                     {tuple(x - m for x, m in zip(e, lead)): c * c0_inv
                      for e, c in f.coeffs.items() if e != lead},
@@ -240,17 +241,24 @@ def test_compose_exp_with_g_squared():
     assert cmp_.coefficient((4,)) == ConstExpr.number(Fraction(1, 2))
 
 
-def test_compose_tan_with_sum():
+def test_compose_rejects_inner_without_grading_variable():
+    """No variable of x + y is in every monomial, so the omitted tail of the
+    outer series cannot be bounded by one variable's truncation."""
     x = TruncSeries.var("x", ("x", "y"), (3, 3))
     y = TruncSeries.var("y", ("x", "y"), (3, 3))
-    t = tan_series("v", 3).substitute_var("v", x + y, tail_bound="total")
-    third = ConstExpr.number(Fraction(1, 3))
-    assert t.coefficient((1, 0)) == ConstExpr.one()
-    assert t.coefficient((0, 1)) == ConstExpr.one()
-    assert t.coefficient((3, 0)) == third
-    assert t.coefficient((2, 1)) == ConstExpr.one()
-    assert t.coefficient((1, 2)) == ConstExpr.one()
-    assert t.coefficient((0, 3)) == third
+    with pytest.raises(SeriesError):
+        tan_series("v", 3).substitute_var("v", x + y)
+
+
+def test_inverse_keeps_exact_order_exact():
+    """An exact (untruncated) order stays exact through an inverse whose
+    lead carries a positive power of that variable."""
+    v = ("x", "g")
+    x = TruncSeries.var("x", v, (INF_ORDER, 4))
+    g = TruncSeries.var("g", v, (INF_ORDER, 4))
+    inv = (x * x * (g + 1)).inverse()
+    assert inv.trunc_order == (INF_ORDER, 4)
+    assert inv.to_jsonable()["trunc_order"] == [None, 4]
 
 
 def test_compose_rejects_constant_term():

@@ -12,7 +12,7 @@ from ispflow.tmatrix import (EXPECTED_TABLES, DivergenceReport,
                              MatrixElementSpec, TMatrixError,
                              classify_divergence, divergence_table,
                              first_order_element, second_order_integral,
-                             second_order_odd_piece, solid_angle)
+                             solid_angle)
 
 warnings.filterwarnings("ignore")
 
@@ -133,10 +133,6 @@ def test_unsupported_pairs():
 # Second order.
 # ---------------------------------------------------------------------------
 
-def test_odd_piece_vanishes():
-    assert abs(second_order_odd_piece(1e4)) < 1e-10
-
-
 def test_c2_linear_coefficient_stabilizes():
     vals = [second_order_integral("c2", 1, lam).real
             for lam in (1e2, 1e3, 1e4)]
@@ -180,6 +176,79 @@ def test_ckprime_integrand_cancels_outside_window():
     for p in (2.0, 17.0, -3.0, -40.0):
         assert f(p) == 0
     assert f(1.0) != 0
+
+
+def test_ckprime_classifies_by_principal_value(monkeypatch):
+    """A ck' copy with one ordering's sign flipped no longer cancels outside
+    the window; its principal value grows as ln L and the table entry must
+    say so (the k' vertex's i would put that growth in the imaginary part
+    of the samples)."""
+    from ispflow import tmatrix
+    real_d1 = tmatrix._second_order_d1
+
+    def flipped(term, p_f, p_i):
+        if term != "ckprime":
+            return real_d1(term, p_f, p_i)
+        return lambda p: (1 / (4 * math.pi)) * (abs(p_f - p) * (p - p_i)
+                                                - (p_f - p) * abs(p - p_i))
+
+    monkeypatch.setattr(tmatrix, "_second_order_d1", flipped)
+    rep = classify_divergence("ckprime", 1)
+    assert rep.part_classifications["pv"] == "lnL"
+    assert rep.classification == "lnL"
+
+
+@pytest.mark.parametrize("e_i, eps", [(1.0, 1e-3), (1.0, 5e-4), (1.0, 1e-4),
+                                      (150.0, 0.15)])
+def test_ckprime_equals_window_integral(e_i, eps):
+    """The ck' loop equals its window-only integral at every i_epsilon, and
+    with the pole shell far from the window: the quadrature breaks at the
+    integrand's kinks p_i and p_f."""
+    from test_acceptance import _ckprime_window_integral
+    window = _ckprime_window_integral(e_i, eps, 1.3, 0.7)
+    for lam in np.geomspace(1e2, 1e4, 8):
+        got = second_order_integral("ckprime", 1, lam, e_i, i_epsilon=eps)
+        assert got.real == pytest.approx(window.real, rel=1e-12, abs=0)
+        assert got.imag == pytest.approx(window.imag, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("lam", [1e2, 1e4])
+def test_d3_c2_principal_value_against_subtraction(lam):
+    """PV of the d=3 c2 loop against the subtracted form
+    int [g(r) - g(a)]/D dr + g(a) ln((L + a)/(L - a))/a, D = E - r^2/2,
+    a = sqrt(2E); g has a log singularity at r = p_f inside the shell."""
+    p_f, e_i = 1.3, 1.0
+    a = math.sqrt(2 * e_i)
+
+    def g(r):
+        # r^2/Omega_3^2 times the sphere integral of 1/|p_f - p|^2
+        return (r * r / (4 * math.pi) ** 2 * 2 * math.pi / (r * p_f)
+                * math.log(abs((r + p_f) / (r - p_f))))
+
+    ga = g(a)
+    ref = sum(quad(lambda r: (g(r) - ga) / (e_i - r * r / 2), x0, x1,
+                   limit=500, epsabs=0, epsrel=1e-13)[0]
+              for x0, x1 in ((0, p_f), (p_f, a), (a, 2 * a), (2 * a, lam)))
+    ref += ga * math.log((lam + a) / (lam - a)) / a
+    got = second_order_integral("c2", 3, lam, e_i, p_f=p_f).real
+    assert got == pytest.approx(ref, rel=1e-4)
+
+
+def test_d2_c2_angular_mean_closed_form():
+    """The closed-form circle mean of ln(L/|q - p_f|) ln(L/|q - p_i|)
+    against adaptive quadrature, at the kinks r = p_i, r = p_f and around."""
+    from ispflow.tmatrix import _second_order_d2
+    lam, p_f, p_i = 100.0, 1.3, 0.7
+    radial = _second_order_d2("c2", lam, p_f, p_i)
+
+    def ln_ratio(r, th, p):
+        dist2 = (r - p) ** 2 + 4 * r * p * math.sin(th / 2) ** 2
+        return math.log(lam / math.sqrt(dist2))
+
+    for r in (0.1, p_i, 0.705, 1.0, p_f, 1.31, 5.0, 40.0):
+        want = quad(lambda th: ln_ratio(r, th, p_f) * ln_ratio(r, th, p_i),
+                    0, math.pi, epsabs=0, epsrel=1e-13, limit=200)[0] / math.pi
+        assert radial(r) * 2 * math.pi / r == pytest.approx(want, rel=1e-11)
 
 
 def test_classification_stability_range_and_epsilon():
