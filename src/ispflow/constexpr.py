@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
+from operator import add
 
 import mpmath as mp
 
@@ -36,6 +37,7 @@ GENERATORS = ("pi", "gamma", "zeta3", "zeta5", "zeta7", "zeta9", "zeta11",
 _GIDX = {g: i for i, g in enumerate(GENERATORS)}
 _NGEN = len(GENERATORS)
 _ZERO_EXP = (0,) * _NGEN
+_new = object.__new__
 
 # zeta generators by odd argument, for the psi display map
 _ZETA_ARG = {"zeta3": 3, "zeta5": 5, "zeta7": 7, "zeta9": 9, "zeta11": 11,
@@ -43,32 +45,68 @@ _ZETA_ARG = {"zeta3": 3, "zeta5": 5, "zeta7": 7, "zeta9": 9, "zeta11": 11,
 
 
 class GRat:
-    """Gaussian rational ``re + im*i`` with exact Fraction parts."""
+    """Gaussian rational ``(a + b*i)/d`` over one integer denominator.
 
-    __slots__ = ("re", "im")
+    Stored in normal form: ``d > 0``, ``gcd(a, b, d) == 1``, zero is
+    ``(0, 0, 1)``.  Each ring operation builds its result with integer
+    arithmetic and a single gcd; ``re`` and ``im`` are read-only Fraction
+    views of the two parts.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
+        if not isinstance(re, (int, Fraction)):
+            re = Fraction(re)
+        if not isinstance(im, (int, Fraction)):
+            im = Fraction(im)
+        p, q = re.numerator, re.denominator
+        r, s = im.numerator, im.denominator
+        # with both parts reduced, the lcm of their denominators is normal
+        d = q * s // gcd(q, s)
+        self._a = p * (d // q)
+        self._b = r * (d // s)
+        self._d = d
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self._a) or bool(self._b)
 
     def __eq__(self, other):
-        other = as_grat(other)
-        return self.re == other.re and self.im == other.im
+        if isinstance(other, GRat):
+            return (self._a == other._a and self._b == other._b
+                    and self._d == other._d)
+        if isinstance(other, (int, Fraction)):
+            return (not self._b and self._a == other.numerator
+                    and self._d == other.denominator)
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        if not self._b:
+            # equal to an int or Fraction, so hash like one
+            return hash(Fraction(self._a, self._d))
+        return hash((self._a, self._b, self._d))
 
     def __add__(self, other):
-        other = as_grat(other)
-        return GRat(self.re + other.re, self.im + other.im)
+        if not isinstance(other, GRat):
+            other = as_grat(other)
+        d, f = self._d, other._d
+        if d == f:
+            return _grat(self._a + other._a, self._b + other._b, d)
+        return _grat(self._a * f + other._a * d, self._b * f + other._b * d,
+                     d * f)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GRat(-self.re, -self.im)
+        return _normal(-self._a, -self._b, self._d)
 
     def __sub__(self, other):
         return self + (-as_grat(other))
@@ -77,32 +115,62 @@ class GRat:
         return as_grat(other) + (-self)
 
     def __mul__(self, other):
-        other = as_grat(other)
-        return GRat(self.re * other.re - self.im * other.im,
-                    self.re * other.im + self.im * other.re)
+        if not isinstance(other, GRat):
+            other = as_grat(other)
+        a, b, c, e = self._a, self._b, other._a, other._b
+        d = self._d * other._d
+        if not b and not e:
+            n = a * c
+            g = gcd(n, d)
+            return _normal(n // g, 0, d // g)
+        return _grat(a * c - b * e, a * e + b * c, d)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        d = self.re * self.re + self.im * self.im
-        if not d:
+        a, b = self._a, self._b
+        if not a and not b:
             raise ZeroDivisionError("inverse of zero Gaussian rational")
-        return GRat(self.re / d, -self.im / d)
+        # d/(a + b i) = d (a - b i)/(a^2 + b^2)
+        return _grat(self._d * a, -self._d * b, a * a + b * b)
 
     def __truediv__(self, other):
         return self * as_grat(other).inverse()
 
     def conjugate(self):
-        return GRat(self.re, -self.im)
+        return _normal(self._a, -self._b, self._d)
 
     def __repr__(self):
-        if not self.im:
-            return str(self.re)
-        return f"({self.re}{'+' if self.im >= 0 else '-'}{abs(self.im)}i)"
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        return f"({re}{'+' if im >= 0 else '-'}{abs(im)}i)"
 
     def to_mp(self):
-        return mp.mpc(mp.mpf(self.re.numerator) / self.re.denominator,
-                      mp.mpf(self.im.numerator) / self.im.denominator)
+        re, im = self.re, self.im
+        return mp.mpc(mp.mpf(re.numerator) / re.denominator,
+                      mp.mpf(im.numerator) / im.denominator)
+
+
+def _normal(a, b, d) -> GRat:
+    """A GRat from parts already in normal form."""
+    z = _new(GRat)
+    z._a = a
+    z._b = b
+    z._d = d
+    return z
+
+
+def _grat(a, b, d) -> GRat:
+    """A GRat from any integer parts with ``d != 0``: one gcd."""
+    g = gcd(a, b, d)
+    if d < 0:
+        g = -g
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    return _normal(a, b, d)
 
 
 def as_grat(x) -> GRat:
@@ -201,21 +269,14 @@ class ConstExpr:
     # -- ring operations ------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
         out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            s = c if s is None else s + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return ConstExpr(out)
+        _add_into(out, _coerce(other).terms)
+        return _from_terms(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ConstExpr({e: -c for e, c in self.terms.items()})
+        return _from_terms({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-_coerce(other))
@@ -224,19 +285,21 @@ class ConstExpr:
         return _coerce(other) + (-self)
 
     def __mul__(self, other):
-        other = _coerce(other)
+        other = _coerce(other).terms
         out = {}
+        get = out.get
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+            for e2, c2 in other.items():
+                e = tuple(map(add, e1, e2))
                 c = c1 * c2
-                s = out.get(e)
-                s = c if s is None else s + c
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return ConstExpr(out)
+                s = get(e)
+                if s is not None:
+                    c = s + c
+                    if not c:
+                        del out[e]
+                        continue
+                out[e] = c
+        return _from_terms(out)
 
     __rmul__ = __mul__
 
@@ -254,18 +317,20 @@ class ConstExpr:
 
     def scalar_mul(self, c) -> "ConstExpr":
         c = as_grat(c)
-        return ConstExpr({e: v * c for e, v in self.terms.items()})
+        if not c:
+            return ConstExpr()
+        return _from_terms({e: v * c for e, v in self.terms.items()})
 
     def inverse_monomial(self) -> "ConstExpr":
         """Exact inverse, defined only for a single-term expression."""
         if len(self.terms) != 1:
             raise ValueError("only monomials are invertible exactly")
         (e, c), = self.terms.items()
-        return ConstExpr({tuple(-x for x in e): c.inverse()})
+        return _from_terms({tuple(-x for x in e): c.inverse()})
 
     def conjugate(self) -> "ConstExpr":
         """Complex conjugate assuming all generators are real-valued."""
-        return ConstExpr({e: c.conjugate() for e, c in self.terms.items()})
+        return _from_terms({e: c.conjugate() for e, c in self.terms.items()})
 
     def real_part(self) -> "ConstExpr":
         return ConstExpr({e: GRat(c.re) for e, c in self.terms.items() if c.re})
@@ -276,16 +341,25 @@ class ConstExpr:
     # -- substitution and evaluation -------------------------------------
 
     def substitute(self, name: str, value) -> "ConstExpr":
-        """Exact substitution of a generator by a ConstExpr or Gaussian rational."""
+        """Exact substitution of a generator by a ConstExpr or Gaussian rational.
+
+        Terms are grouped by the power ``k`` of the generator, so each
+        ``value**k`` is built once and multiplies its whole group.
+        """
         idx = _GIDX[name]
-        if not isinstance(value, ConstExpr):
-            value = ConstExpr({_ZERO_EXP: as_grat(value)})
-        out = ConstExpr.zero()
+        value = _coerce(value)
+        groups = {}
         for e, c in self.terms.items():
             k = e[idx]
-            rest = ConstExpr({e[:idx] + (0,) + e[idx + 1:]: c})
-            out = out + rest * (value ** k if k >= 0 else value.inverse_monomial() ** (-k))
-        return out
+            groups.setdefault(k, {})[e[:idx] + (0,) + e[idx + 1:]] = c
+        out = {}
+        for k, rest in groups.items():
+            part = _from_terms(rest)
+            if k:
+                part = part * (value ** k if k > 0
+                               else value.inverse_monomial() ** (-k))
+            _add_into(out, part.terms)
+        return _from_terms(out)
 
     def eval_mp(self, assignment: dict | None = None):
         """Evaluate to an mpmath complex at the active precision.
@@ -452,6 +526,25 @@ class ConstExpr:
     @classmethod
     def from_json(cls, s: str) -> "ConstExpr":
         return cls.from_jsonable(json.loads(s))
+
+
+def _from_terms(terms) -> ConstExpr:
+    """A ConstExpr over ``terms``, which must hold no zero coefficient."""
+    z = _new(ConstExpr)
+    z.terms = terms
+    return z
+
+
+def _add_into(out, terms):
+    """Add ``terms`` into the term dict ``out`` in place, dropping zeros."""
+    for e, c in terms.items():
+        s = out.get(e)
+        if s is not None:
+            c = s + c
+            if not c:
+                del out[e]
+                continue
+        out[e] = c
 
 
 def _coerce(x) -> ConstExpr:

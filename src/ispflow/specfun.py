@@ -26,6 +26,7 @@ sits at x = 30, which is where the two routes are cross-validated.
 from __future__ import annotations
 
 import mpmath as mp
+from mpmath.libmp import mpf_neg
 
 DEFAULT_DPS = 60
 
@@ -39,19 +40,23 @@ class SpecFunError(ValueError):
 class ComplexHP:
     """Validated high-precision complex value with its precision tag."""
 
-    __slots__ = ("re", "im", "dps")
+    __slots__ = ("mpc", "dps")
 
     def __init__(self, value, dps=None):
         self.dps = dps or DEFAULT_DPS
-        z = mp.mpc(value)
+        with mp.workdps(self.dps):
+            z = mp.mpc(value)
         if not (mp.isfinite(z.real) and mp.isfinite(z.imag)):
             raise SpecFunError(f"non-finite value {z}")
-        self.re = z.real
-        self.im = z.imag
+        self.mpc = z
 
     @property
-    def mpc(self):
-        return mp.mpc(self.re, self.im)
+    def re(self):
+        return self.mpc.real
+
+    @property
+    def im(self):
+        return self.mpc.imag
 
     def __abs__(self):
         return mp.fabs(self.mpc)
@@ -60,7 +65,9 @@ class ComplexHP:
         return mp.arg(self.mpc)
 
     def conjugate(self):
-        return ComplexHP(mp.mpc(self.re, -self.im), self.dps)
+        # exact negation: unary minus would round at the global precision
+        re, im = self.mpc._mpc_
+        return ComplexHP(mp.make_mpc((re, mpf_neg(im))), self.dps)
 
     def __repr__(self):
         return f"ComplexHP({mp.nstr(self.mpc, 12)}, dps={self.dps})"

@@ -1,5 +1,6 @@
 """Ring laws, substitution, evaluation and display of the constants ring."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -119,3 +120,125 @@ def test_real_imag_parts():
 def test_generator_set():
     assert set(GENERATORS) >= {"pi", "gamma", "zeta3", "zeta5", "zeta7",
                                "K", "n", "L"}
+
+
+# -- the Gaussian-rational representation --------------------------------
+
+def _pair(z):
+    """Reference (re, im) Fraction pair of a GRat."""
+    return (z.re, z.im)
+
+
+def _ref_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _ref_inverse(x):
+    n = x[0] * x[0] + x[1] * x[1]
+    return (x[0] / n, -x[1] / n)
+
+
+def _random_parts(rng):
+    """Fraction parts built from non-reduced, possibly negative inputs."""
+    def part():
+        k = rng.choice((1, 2, 6))
+        return Fraction(rng.randint(-40, 40) * k, rng.choice((-1, 1))
+                        * rng.randint(1, 12) * k)
+    return part(), part()
+
+
+def _assert_normal(z):
+    a, b, d = z._a, z._b, z._d
+    assert d > 0
+    assert math.gcd(a, b, d) == 1
+    assert z or (a, b, d) == (0, 0, 1)
+
+
+def test_grat_matches_fraction_pair_reference():
+    rng = random.Random(20261018)
+    for _ in range(2000):
+        xr, xi = _random_parts(rng)
+        yr, yi = _random_parts(rng)
+        x, y = GRat(xr, xi), GRat(yr, yi)
+        for z in (x, y):
+            _assert_normal(z)
+        assert _pair(x) == (xr, xi)
+        for got, want in ((x + y, (xr + yr, xi + yi)),
+                          (x - y, (xr - yr, xi - yi)),
+                          (x * y, _ref_mul((xr, xi), (yr, yi))),
+                          (-x, (-xr, -xi)),
+                          (x.conjugate(), (xr, -xi))):
+            _assert_normal(got)
+            assert _pair(got) == want
+        if y:
+            q = x / y
+            _assert_normal(q)
+            assert _pair(q) == _ref_mul((xr, xi), _ref_inverse((yr, yi)))
+            assert _pair(y.inverse()) == _ref_inverse((yr, yi))
+        else:
+            with pytest.raises(ZeroDivisionError):
+                x / y
+        same = GRat(Fraction(xr.numerator * 3, xr.denominator * 3), xi)
+        assert same == x and hash(same) == hash(x)
+        assert (x == y) == ((xr, xi) == (yr, yi))
+        e = ConstExpr.monomial(x, pi=1) + ConstExpr.monomial(y, K=2)
+        assert ConstExpr.from_jsonable(e.to_jsonable()) == e
+
+
+def test_grat_integer_and_zero_forms():
+    assert (GRat(6, 4)._a, GRat(6, 4)._b, GRat(6, 4)._d) == (6, 4, 1)
+    z = GRat(Fraction(2, 4), Fraction(-3, 6))
+    assert (z._a, z._b, z._d) == (1, -1, 2)
+    zero = GRat(3, 1) - GRat(3, 1)
+    assert (zero._a, zero._b, zero._d) == (0, 0, 1) and not zero
+    assert GRat(Fraction(3, -4)).re == Fraction(-3, 4)
+    assert GRat(0.5, "1/3") == GRat(Fraction(1, 2), Fraction(1, 3))
+    assert repr(GRat(Fraction(1, 2), Fraction(-1, 3))) == "(1/2-1/3i)"
+
+
+def test_grat_equality_with_foreign_types():
+    one = GRat(1)
+    assert one != None  # noqa: E711
+    assert one != 1.5 and one != "1"
+    assert (one == None) is False  # noqa: E711
+    assert one == 1 and one == Fraction(1) and 1 == one
+    assert GRat(1, 1) != 1
+    assert one == ConstExpr.one() and ConstExpr.one() == one
+
+
+def test_real_grat_hashes_like_its_number():
+    lookup = {GRat(1): "one", GRat(Fraction(-3, 4)): "minus three quarters"}
+    assert lookup.get(1) == "one"
+    assert lookup.get(Fraction(-3, 4)) == "minus three quarters"
+    assert hash(GRat(Fraction(6, 8))) == hash(Fraction(3, 4))
+    assert {GRat(2), 2, Fraction(2)} == {2}
+
+
+def test_constexpr_stores_no_zero_coefficient():
+    rng = random.Random(4242)
+    half_i = GRat(0, Fraction(-1, 2))
+    for _ in range(300):
+        a, b = random_expr(rng), random_expr(rng)
+        for e in (a + b, a - b, a * b, a - a, a * (b - b),
+                  (a * b).substitute("K", half_i), (a - b).substitute("pi", 0),
+                  (a + b).substitute("n", K_GEN - 1)):
+            assert all(e.terms.values())
+            for c in e.terms.values():
+                _assert_normal(c)
+
+
+def test_substitute_groups_powers_without_changing_result():
+    """One pass over the powers equals the term-by-term substitution."""
+    rng = random.Random(31)
+    half_i = ConstExpr.number(0, Fraction(-1, 2))
+    for _ in range(100):
+        e = random_expr(rng, n_terms=5) * random_expr(rng)
+        for value in (half_i, K_GEN + PI, ConstExpr.monomial(3, n=-1)):
+            want = ConstExpr.zero()
+            for exp, c in e.terms.items():
+                i = GENERATORS.index("K")
+                k = exp[i]
+                rest = ConstExpr({exp[:i] + (0,) + exp[i + 1:]: c})
+                want = want + rest * (value ** k if k >= 0 else
+                                      value.inverse_monomial() ** (-k))
+            assert e.substitute("K", value).to_json() == want.to_json()

@@ -102,12 +102,15 @@ def test_default_precision_ignores_global_dps():
         j = bessel_j_imag(g, x)
         total = arg_i_unwrapped(g, x)
         gam = complex_gamma(1 + 1j)
+        # reading the stored value must not round it to the global precision
+        j_val, j_conj, gam_val = j.mpc, j.conjugate().mpc, gam.mpc
     with mp.workdps(60):
         ref = bessel_j_imag(g, x, dps=60).mpc
         assert j.dps == 60
-        assert abs(j.mpc - ref) / abs(ref) < 1e-50
+        assert abs(j_val - ref) / abs(ref) < 1e-50
+        assert abs(j_conj - mp.conj(ref)) / abs(ref) < 1e-50
         assert abs(total - arg_i_unwrapped(g, x, dps=60)) < 1e-50
-        assert abs(gam.mpc - complex_gamma(1 + 1j, dps=60).mpc) < 1e-50
+        assert abs(gam_val - complex_gamma(1 + 1j, dps=60).mpc) < 1e-50
 
 
 def test_conjugation_symmetry_randomized():
