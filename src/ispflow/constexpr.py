@@ -96,7 +96,9 @@ class GRat:
 
     def __add__(self, other):
         if not isinstance(other, GRat):
-            other = as_grat(other)
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = GRat(other)
         d, f = self._d, other._d
         if d == f:
             return _grat(self._a + other._a, self._b + other._b, d)
@@ -109,14 +111,20 @@ class GRat:
         return _normal(-self._a, -self._b, self._d)
 
     def __sub__(self, other):
-        return self + (-as_grat(other))
+        if not isinstance(other, GRat):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = GRat(other)
+        return self + (-other)
 
     def __rsub__(self, other):
         return as_grat(other) + (-self)
 
     def __mul__(self, other):
         if not isinstance(other, GRat):
-            other = as_grat(other)
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = GRat(other)
         a, b, c, e = self._a, self._b, other._a, other._b
         d = self._d * other._d
         if not b and not e:
@@ -135,7 +143,11 @@ class GRat:
         return _grat(self._d * a, -self._d * b, a * a + b * b)
 
     def __truediv__(self, other):
-        return self * as_grat(other).inverse()
+        if not isinstance(other, GRat):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = GRat(other)
+        return self * other.inverse()
 
     def conjugate(self):
         return _normal(self._a, -self._b, self._d)

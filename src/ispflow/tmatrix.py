@@ -153,37 +153,47 @@ def _integrate_against_denominator(f, hi, e_i, eps, kinks):
     """integral of f(p)/(E - p^2/2 + i eps) over [0, hi] for real-valued f.
 
     The real part is the principal value around the pole shell
-    a = sqrt(2E): plain pieces on [0, a - w] and [a + w, hi], and on [0, w]
-    the symmetric pair f(a + u)/D + f(a - u)/D, whose antisymmetric spikes
-    cancel exactly and leave a bounded integrand.  (The Lorentzian real part
-    would differ from the PV only by an O(eps) shell term, which is noise
-    for the divergence fits.)  The imaginary part is the finite-eps
-    Lorentzian on [0, hi].  Every piece breaks at the shell points and at
-    ``kinks``, the integrand's kinks and log singularities.
+    a = sqrt(2E), with the denominator factored as E - p^2/2 =
+    (a - p)(a + p)/2 so that the pole sits exactly at p = a, not at a
+    rounded distance from it (Davis & Rabinowitz, Methods of Numerical
+    Integration, sec. 2.12).  Plain pieces cover [0, a - w] and [a + w, hi];
+    on [0, w] the symmetric pair f(a - u)/D + f(a + u)/D is the difference
+    quotient (f(a - u)/(a - u/2) - f(a + u)/(a + u/2))/u, bounded at u = 0.
+    The principal value does not depend on eps.  (The Lorentzian real part
+    would differ from it only by an O(eps) shell term, which is noise for
+    the divergence fits.)  The imaginary part is the finite-eps Lorentzian
+    on [0, hi], broken at the shell points a and a +- (10, 1000) eps.
+    Every piece breaks at ``kinks``, the integrand's kinks and log
+    singularities (the pair at their distances |k - a| from the shell),
+    and at the decades 10^k < hi, so no panel of a long tail spans more
+    than one decade (one Gauss-Kronrod rule on [a + w, 1e6] misjudges its
+    own error).
     """
     a = math.sqrt(2 * e_i)
     w = min(0.5 * a, 0.25 * (hi - a)) if hi > a else 0.0
-    near = (10 * eps, 1000 * eps)
+    breaks = tuple(kinks) + tuple(10.0 ** k
+                                  for k in range(1, int(math.log10(hi)) + 1))
 
-    def piece(g, x0, x1, breaks):
+    def piece(g, x0, x1, points):
         if x1 <= x0:
             return 0.0
-        pts = sorted({b for b in breaks if x0 < b < x1})
+        pts = sorted({b for b in points if x0 < b < x1})
         return quad(g, x0, x1, points=pts or None, limit=300,
                     epsabs=1e-12, epsrel=1e-12)[0]
 
     def pv(p):
-        return f(p) / (e_i - p * p / 2)
+        return 2 * f(p) / ((a - p) * (a + p))
 
     if w > 0:
-        re = (piece(pv, 0.0, a - w, kinks) + piece(pv, a + w, hi, kinks)
-              + piece(lambda u: pv(a + u) + pv(a - u), 0.0, w,
-                      near + tuple(abs(k - a) for k in kinks)))
+        re = (piece(pv, 0.0, a - w, breaks) + piece(pv, a + w, hi, breaks)
+              + piece(lambda u: (f(a - u) / (a - u / 2)
+                                 - f(a + u) / (a + u / 2)) / u, 0.0, w,
+                      tuple(abs(k - a) for k in kinks)))
     else:
-        re = piece(pv, 0.0, hi, kinks)
-    shell = (a,) + tuple(a + s * x for x in near for s in (-1, 1))
+        re = piece(pv, 0.0, hi, breaks)
+    shell = (a,) + tuple(a + s * x * eps for x in (10, 1000) for s in (-1, 1))
     im = piece(lambda p: -eps * f(p) / ((e_i - p * p / 2) ** 2 + eps * eps),
-               0.0, hi, shell + tuple(kinks))
+               0.0, hi, shell + breaks)
     return re, im
 
 

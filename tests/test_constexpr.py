@@ -206,6 +206,21 @@ def test_grat_equality_with_foreign_types():
     assert one == ConstExpr.one() and ConstExpr.one() == one
 
 
+def test_grat_defers_to_constexpr_and_series_operands():
+    """A GRat left of a ConstExpr or TruncSeries returns NotImplemented, so
+    the reflected operation of the other type runs."""
+    from ispflow.series import TruncSeries
+    two = GRat(2)
+    assert two * PI == PI * two and two + PI == PI + two
+    assert two - PI == -(PI - two)
+    s = TruncSeries.var("g", ("g",), (3,)) + PI
+    assert two * s == s * two and two + s == s + two
+    with pytest.raises(TypeError):
+        two + 1.5
+    with pytest.raises(TypeError):
+        two / PI
+
+
 def test_real_grat_hashes_like_its_number():
     lookup = {GRat(1): "one", GRat(Fraction(-3, 4)): "minus three quarters"}
     assert lookup.get(1) == "one"

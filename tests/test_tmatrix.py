@@ -4,9 +4,10 @@ divergence classifier."""
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 
 from ispflow.tmatrix import (EXPECTED_TABLES, DivergenceReport,
                              MatrixElementSpec, TMatrixError,
@@ -231,7 +232,41 @@ def test_d3_c2_principal_value_against_subtraction(lam):
               for x0, x1 in ((0, p_f), (p_f, a), (a, 2 * a), (2 * a, lam)))
     ref += ga * math.log((lam + a) / (lam - a)) / a
     got = second_order_integral("c2", 3, lam, e_i, p_f=p_f).real
-    assert got == pytest.approx(ref, rel=1e-4)
+    assert got == pytest.approx(ref, rel=1e-9)
+
+
+@pytest.mark.parametrize("lam", [1e2, 1e4, 1e5, 1e6])
+def test_d1_k2_tail_against_closed_form_and_mpmath(lam):
+    """The d=1 k2 loop at large cutoffs: its principal value is
+    (2c/a) ln((L + a)/(L - a)), c = 1/(4 pi)^2, and its Lorentzian is
+    checked against a 30-digit quadrature broken at the shell points."""
+    e_i, eps = 1.0, 1e-4
+    a = math.sqrt(2 * e_i)
+    c = 1 / (4 * math.pi) ** 2
+    got = second_order_integral("k2", 1, lam, e_i, i_epsilon=eps) / lam ** 2
+    assert got.real == pytest.approx(2 * c / a * math.log((lam + a)
+                                                          / (lam - a)),
+                                     rel=1e-9, abs=0)
+    with mp.workdps(30):
+        e, ep = mp.mpf(e_i), mp.mpf(eps)
+        shell = [mp.sqrt(2 * e) + s * x * ep for x in (0, 10, 1000)
+                 for s in (-1, 1)]
+        lorentzian = mp.quad(
+            lambda p: -ep * 2 * c / ((e - p * p / 2) ** 2 + ep * ep),
+            [0] + sorted(set(shell)) + [mp.mpf(lam)])
+    assert got.imag == pytest.approx(float(lorentzian), rel=1e-9, abs=0)
+
+
+def test_classification_raises_no_integration_warning():
+    """Every second-order loop of the three tables, at three i_epsilon
+    and on the wide cutoff grid, integrates without an IntegrationWarning
+    (the shell pair is a bounded difference quotient)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        for d in (1, 2, 3):
+            for eps in (1e-3, 5e-4, 1e-4):
+                divergence_table(d, i_epsilon=eps)
+            divergence_table(d, np.geomspace(1e2, 1e6, 8))
 
 
 def test_d2_c2_angular_mean_closed_form():
