@@ -19,21 +19,25 @@ refined by Anderson-Bjorck regula falsi (BIT 13 (1973) 253) inside the
 bracket.  beta = -(dF/dL)/(dF/dg) comes from the exact partials of F at
 the root, never from the series expansions it is checked against.
 
-eta_+- is summed by ``specfun._eta``, the same code that sums the Bessel
-series.  A residual asks it for eta alone; only the beta of a solved root
-builds d eta/dg and z d eta/dz, from the terms of that one sum.  A
-``QuantizationSolution`` knows which condition it solves, so its ``beta``
-needs no second root solve.
+eta_+- is summed by the fixed-point loop ``specfun._eta_terms``, the same
+code that sums the Bessel series.  A residual takes eta alone
+(``specfun._eta``); only the beta of a solved root asks for d eta/dg and
+z d eta/dz as well (``specfun._eta_partials``, from the terms of that one
+loop).  A ``QuantizationSolution``
+knows which condition it solves, so its ``beta`` needs no second root
+solve; it also records its residual evaluations and bracket widenings.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import mpmath as mp
 
-from .specfun import (DEFAULT_DPS, SpecFunError, _eta, arg_i_unwrapped,
-                      bessel_j_imag, hankel1_imag, hankel2_imag)
+from .specfun import (DEFAULT_DPS, SpecFunError, _eta, _eta_partials,
+                      arg_i_unwrapped, bessel_j_imag, hankel1_imag,
+                      hankel2_imag)
 
 # residual evaluations that regula falsi may spend after the bracket; a
 # simple root takes about seven at 60 digits, bisection alone about 200
@@ -52,6 +56,7 @@ class QuantizationSolution:
     residual: mp.mpf
     n_level: int = 1
     iterations: int = 0    # residual evaluations, bracket included
+    widenings: int = 0     # steps that grew the bracket around the seed
     # scattering datum K of the solved condition; None for the bound one
     k_value: object = field(default=None, init=False)
 
@@ -74,11 +79,11 @@ class ContourGrid:
         return [self.solutions[(branch, i)] for i in range(len(self.ratios))]
 
 
-def _eta_at(g, ratio, sign, digits):
-    """specfun._eta at z = 1/ratio; a sum that does not converge fails the
-    solve."""
+@contextmanager
+def _eta_failure():
+    """An eta series that does not converge fails the solve."""
     try:
-        return _eta(g, 1 / ratio, sign, digits)
+        yield
     except SpecFunError as exc:
         raise SolverError(f"eta series: {exc}") from exc
 
@@ -87,7 +92,8 @@ def _residual(g, ratio, n, sign, k_value):
     """F(g, ln ratio) of the module docstring at the working precision."""
     g = mp.mpf(g)
     ratio = mp.mpf(ratio)
-    eta = _eta_at(g, ratio, sign, mp.mp.dps + 5)[0]
+    with _eta_failure():
+        eta = _eta(g, 1 / ratio, sign, mp.mp.dps + 5)
     f = (n * mp.pi - g * mp.log(ratio) - mp.im(mp.loggamma(mp.mpc(1, g)))
          + mp.arg(eta))
     if k_value:
@@ -96,18 +102,10 @@ def _residual(g, ratio, n, sign, k_value):
 
 
 def _implicit_beta(g, ratio, sign, k_value, dps):
-    """-(dF/dL)/(dF/dg) at (g, ln ratio); see numeric_beta*.  d eta/dg and
-    z d eta/dz are summed from the terms t_m of eta: d log c_m/dg =
-    -sum_{k<=m} i/(k+ig), and z d t_m/dz = 2m t_m."""
+    """-(dF/dL)/(dF/dg) at (g, ln ratio); see numeric_beta*."""
     with mp.workdps(dps + 10):
-        eta, terms = _eta_at(g, ratio, sign, dps + 15)
-        g2 = g * g
-        eta_g = z_eta_z = dlog = mp.mpc(0)
-        for m, term in enumerate(terms, 1):
-            d = m * m + g2
-            dlog -= mp.mpc(g / d, m / d)                # i/(m+ig)
-            eta_g += term * dlog
-            z_eta_z += (2 * m) * term
+        with _eta_failure():
+            eta, eta_g, z_eta_z = _eta_partials(g, 1 / ratio, sign, dps + 15)
         f_g = (-mp.log(ratio) - mp.re(mp.digamma(mp.mpc(1, g)))
                + mp.im(eta_g / eta))
         if k_value:
@@ -132,6 +130,9 @@ def scattering_residual(g, lam_over_p, k_value, n_level: int = 1):
 
 
 def _bracket(f, seed):
+    """(lo, f(lo), hi, f(hi), widenings): a sign change in [seed 0.9,
+    seed 1.1], widened by a factor 1.3 at the end with the smaller residual
+    until there is one."""
     lo = seed * mp.mpf("0.9")
     hi = seed * mp.mpf("1.1")
     flo, fhi = f(lo), f(hi)
@@ -148,13 +149,14 @@ def _bracket(f, seed):
         if iters > 200 or hi > 50:
             raise SolverError(f"no sign change found near seed {seed}; "
                               f"bracket [{lo}, {hi}]")
-    return lo, flo, hi, fhi
+    return lo, flo, hi, fhi, iters - 2
 
 
 def _solve(f, seed, dps):
-    """(g, f(g), evaluations) at a root of f: a sign-change bracket grown
-    around seed, refined by Anderson-Bjorck regula falsi until the bracket
-    or the secant step is below 10^-(dps+2) of the last point evaluated.
+    """(g, f(g), evaluations, widenings) at a root of f: a sign-change
+    bracket grown around seed by `widenings` steps, refined by
+    Anderson-Bjorck regula falsi until the bracket or the secant step is
+    below 10^-(dps+2) of the last point evaluated.
     The secant step also ends a run where one end has converged and the far
     end is stale; a secant point that rounding puts outside the bracket is
     replaced by the midpoint."""
@@ -165,7 +167,7 @@ def _solve(f, seed, dps):
         evals += 1
         return f(g)
 
-    a, fa, b, fb = _bracket(counted, seed)
+    a, fa, b, fb, widenings = _bracket(counted, seed)
     if mp.fabs(fa) < mp.fabs(fb):
         a, fa, b, fb = b, fb, a, fa
     cap = evals + MAX_REFINE_EVALS
@@ -187,7 +189,7 @@ def _solve(f, seed, dps):
         else:
             a, fa = b, fb
         b, fb = c, fc
-    return b, fb, evals
+    return b, fb, evals, widenings
 
 
 def _seed(ratio, n, k_value):
@@ -207,11 +209,11 @@ def solve_running_coupling(ratio, b: int = 0, dps: int = DEFAULT_DPS,
         ratio = mp.mpf(ratio)
         if ratio <= 1:
             raise ValueError("ratio = Lambda/Lambda_IR must exceed 1")
-        g, resid, evals = _solve(
+        g, resid, evals, widenings = _solve(
             lambda g: quantization_residual(g, ratio, b, n_level),
             _seed(ratio, 2 * b + n_level, 0), dps)
         return QuantizationSolution(+g, b, +ratio, +mp.fabs(resid), n_level,
-                                    evals)
+                                    evals, widenings)
 
 
 def solve_scattering_coupling(lam_over_p, k_value, dps: int = DEFAULT_DPS,
@@ -221,11 +223,11 @@ def solve_scattering_coupling(lam_over_p, k_value, dps: int = DEFAULT_DPS,
         lam_over_p = mp.mpf(lam_over_p)
         if lam_over_p <= 1:
             raise ValueError("Lambda/p must exceed 1")
-        g, resid, evals = _solve(
+        g, resid, evals, widenings = _solve(
             lambda g: scattering_residual(g, lam_over_p, k_value, n_level),
             _seed(lam_over_p, n_level, k_value), dps)
         sol = QuantizationSolution(+g, 0, +lam_over_p, +mp.fabs(resid),
-                                   n_level, evals)
+                                   n_level, evals, widenings)
         sol.k_value = k_value
         return sol
 

@@ -26,7 +26,7 @@ from math import factorial
 
 import mpmath as mp
 
-from .constexpr import ConstExpr, GRat, as_grat
+from .constexpr import ConstExpr, GRat, _coerce, as_grat
 
 INF_ORDER = 10 ** 9  # sentinel: exact in this variable (polynomial)
 
@@ -58,7 +58,7 @@ class TruncSeries:
         if coeffs:
             for e, c in coeffs.items():
                 if not isinstance(c, ConstExpr):
-                    c = _as_ce(c)
+                    c = _coerce(c)
                 if not c:
                     continue
                 if any(x < m for x, m in zip(e, self.min_degree)):
@@ -75,7 +75,7 @@ class TruncSeries:
     @classmethod
     def const(cls, value, variables, trunc_order):
         nv = len(tuple(variables))
-        return cls(variables, {(0,) * nv: _as_ce(value)}, None, trunc_order)
+        return cls(variables, {(0,) * nv: _coerce(value)}, None, trunc_order)
 
     @classmethod
     def var(cls, name, variables, trunc_order, power=1, coef=1):
@@ -83,7 +83,7 @@ class TruncSeries:
         e = [0] * len(variables)
         e[variables.index(name)] = power
         md = tuple(min(0, power) for _ in variables)
-        return cls(variables, {tuple(e): _as_ce(coef)}, md, trunc_order)
+        return cls(variables, {tuple(e): _coerce(coef)}, md, trunc_order)
 
     # -- bookkeeping helpers -----------------------------------------------
 
@@ -182,7 +182,7 @@ class TruncSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GRat, ConstExpr)):
-            c = _as_ce(other)
+            c = _coerce(other)
             if not c:
                 return TruncSeries.zero(self.variables, self.trunc_order,
                                         self.min_degree)
@@ -490,15 +490,6 @@ def _sat_add(a, b):
     if a >= INF_ORDER or b >= INF_ORDER:
         return INF_ORDER
     return min(a + b, INF_ORDER)
-
-
-def _as_ce(value) -> ConstExpr:
-    if isinstance(value, ConstExpr):
-        return value
-    if isinstance(value, GRat):
-        from .constexpr import _ZERO_EXP
-        return ConstExpr({_ZERO_EXP: value}) if value else ConstExpr()
-    return ConstExpr.number(value)
 
 
 def _unit_function(kind, variables, w, box) -> dict:

@@ -12,9 +12,13 @@ Both Bessel series are the one small-argument series
     c_m = prod_{k<=m} 1/(k(k+ig)),
 
 times (x/2)^{ig}/Gamma(1+ig) at z = x/2 (DLMF 10.25.2 for I with +,
-10.2.2 for J with -).  ``_eta`` is the only place in the package that sums
-it; the flow solver in ``rgnumeric`` calls it for its residuals and builds
-the beta derivatives from the terms it returns.
+10.2.2 for J with -).  ``_eta_terms`` is the only loop in the package that
+sums it: a fixed-point recurrence on Python ints with 20 bits beyond the
+working precision, whose terms and partial sums become mpc values only at
+the end.  ``_eta`` returns the sum, and ``_eta_partials`` the sum with its
+g and z derivatives, summed from the terms of the same loop; the flow
+solver in ``rgnumeric`` calls the first for its residuals and the second
+for its beta.
 
 The modified/oscillatory series converge for every argument, so they are
 the default route.  The classical large-argument expansions are exposed as
@@ -26,11 +30,14 @@ sits at x = 30, which is where the two routes are cross-validated.
 from __future__ import annotations
 
 import mpmath as mp
-from mpmath.libmp import mpf_neg
+from mpmath.libmp import from_man_exp, mpf_neg, to_fixed
 
 DEFAULT_DPS = 60
 
 ASYMPTOTIC_MIN_X = 30.0
+
+# fractional bits of the fixed-point eta sum beyond the working precision
+ETA_GUARD_BITS = 20
 
 
 class SpecFunError(ValueError):
@@ -87,31 +94,71 @@ def complex_gamma(z, dps=None) -> ComplexHP:
         return ComplexHP(mp.gamma(z), dps)
 
 
-def _eta(g, z, sign, digits):
-    """(eta, terms): eta_+-(g, z) of the module docstring for sign = +-1 and
-    its terms t_m = (+-1)^m c_m z^(2m), m >= 1, summed at the working
-    precision until m > max(z, 3) and |t_m| < 10^-digits max(|eta|, 1)."""
-    g = mp.mpf(g)
+def _eta_terms(g, z, sign, digits):
+    """The sum eta_+-(g, z) of the module docstring for sign = +-1, in fixed
+    point with wp = working precision + ETA_GUARD_BITS fractional bits:
+    yields (t_re, t_im, s_re, s_im), the term t_m = (+-1)^m c_m z^(2m) and
+    the partial sum 1 + t_1 + ... + t_m as Python ints scaled by 2^wp, for
+    m = 1, 2, ... until m > max(z, 3) and |t_m| < 10^-digits max(|eta|, 1).
+    The recurrence is t_m = t_{m-1} (m - ig) w / (m (m^2 + g^2)),
+    w = +-z^2, and both moduli of the stop test stay squared integers (the
+    scheme of mpmath's own hypergeometric summators, libmp.libhyper)."""
+    wp = mp.mp.prec + ETA_GUARD_BITS
+    one = 1 << wp
     z = mp.mpf(z)
-    tol2 = mp.mpf(10) ** (-2 * digits)
-    w = sign * z * z
+    gf = to_fixed(mp.mpf(g)._mpf_, wp)
+    zf = to_fixed(z._mpf_, wp)
+    w = sign * (zf * zf >> wp)
+    g2 = gf * gf >> wp
+    # |t|^2 < 10^-2digits max(|eta|^2, 1), both sides times 10^2digits
+    scale = 10 ** (2 * digits)
+    one2 = one * one
+    tested = max(int(z), 3)         # m > z and m > 3 for integer m
+    tr, ti = sr, si = one, 0
+    for m in range(1, 100002):
+        d = m * ((m * m << wp) + g2)
+        tr, ti = ((tr * m + (ti * gf >> wp)) * w // d,
+                  (ti * m - (tr * gf >> wp)) * w // d)
+        sr += tr
+        si += ti
+        yield tr, ti, sr, si
+        if m > tested and \
+                (tr * tr + ti * ti) * scale < max(sr * sr + si * si, one2):
+            return
+    raise SpecFunError("series did not converge")
+
+
+def _from_fixed(re, im):
+    """The mpc of a fixed-point pair of _eta_terms at the same working
+    precision, rounded to it."""
+    prec = mp.mp.prec
+    wp = prec + ETA_GUARD_BITS
+    return mp.make_mpc((from_man_exp(re, -wp, prec, "n"),
+                        from_man_exp(im, -wp, prec, "n")))
+
+
+def _eta(g, z, sign, digits):
+    """eta_+-(g, z) at the working precision: the last partial sum of
+    _eta_terms."""
+    for _, _, sr, si in _eta_terms(g, z, sign, digits):
+        pass
+    return _from_fixed(sr, si)
+
+
+def _eta_partials(g, z, sign, digits):
+    """(eta, d eta/dg, z d eta/dz) at the working precision, the partials
+    summed from the terms t_m of the same loop as eta:
+    d log c_m/dg = -sum_{k<=m} i/(k+ig), and z d t_m/dz = 2m t_m."""
+    g = mp.mpf(g)
     g2 = g * g
-    term = eta = mp.mpc(1)
-    terms = []
-    m = 0
-    while True:
-        m += 1
+    eta_g = z_eta_z = dlog = mp.mpc(0)
+    for m, (tr, ti, sr, si) in enumerate(_eta_terms(g, z, sign, digits), 1):
+        term = _from_fixed(tr, ti)
         d = m * m + g2
-        term *= mp.mpc(m / d, -g / d) * (w / m)     # 1/(m+ig) = (m-ig)/d
-        eta += term
-        terms.append(term)
-        if m > z and m > 3:
-            # the stop test on squared moduli, which need no square root
-            size = term.real * term.real + term.imag * term.imag
-            if size < tol2 * max(eta.real * eta.real + eta.imag * eta.imag, 1):
-                return eta, terms
-        if m > 100000:
-            raise SpecFunError("series did not converge")
+        dlog -= mp.mpc(g / d, m / d)                # i/(m+ig)
+        eta_g += term * dlog
+        z_eta_z += (2 * m) * term
+    return _from_fixed(sr, si), eta_g, z_eta_z
 
 
 def _series_sum(g, x, alternating, dps):
@@ -120,7 +167,7 @@ def _series_sum(g, x, alternating, dps):
     cancels, so it carries 0.9x more guard digits."""
     guard = int(0.9 * float(x)) + 15 if alternating else 15
     with _work(dps, guard):
-        eta = _eta(g, mp.mpf(x) / 2, -1 if alternating else 1, dps + 10)[0]
+        eta = _eta(g, mp.mpf(x) / 2, -1 if alternating else 1, dps + 10)
         return eta / mp.gamma(mp.mpc(1, g))
 
 
@@ -135,6 +182,7 @@ def _hankel_asym(nu, z, kind, dps):
         total = mp.mpc(1)
         term = mp.mpc(1)
         best = mp.inf
+        tol = mp.mpf(10) ** (-(dps + 8))
         n = 0
         while True:
             n += 1
@@ -146,7 +194,7 @@ def _hankel_asym(nu, z, kind, dps):
                 break
             best = size
             total += term
-            if size < mp.mpf(10) ** (-(dps + 8)):
+            if size < tol:
                 err = size
                 break
             if n > 4 * abs(z) + 50:

@@ -221,6 +221,16 @@ def test_grat_defers_to_constexpr_and_series_operands():
         two / PI
 
 
+def test_coerce_rejects_floats():
+    """Only exact numbers enter the ring: ints, Fractions and GRats."""
+    from ispflow.constexpr import _coerce
+    assert _coerce(Fraction(1, 2)) == ConstExpr.number(Fraction(1, 2))
+    assert _coerce(GRat(0, 3)) == ConstExpr.number(0, 3)
+    for bad in (0.5, 1j, "1/2"):
+        with pytest.raises(TypeError):
+            _coerce(bad)
+
+
 def test_real_grat_hashes_like_its_number():
     lookup = {GRat(1): "one", GRat(Fraction(-3, 4)): "minus three quarters"}
     assert lookup.get(1) == "one"

@@ -272,6 +272,53 @@ def test_numeric_beta_matches_central_difference():
             assert numeric_beta_scattering(lam, k) == bn
 
 
+# (sector, cutoff ratio, branch or K, g, beta) of the root solves and
+# QuantizationSolution.beta() at 60 digits (ratio and K read as 60-digit
+# mpf), with the eta series summed on mpc values, printed to 66 digits
+FROZEN_ROOTS = (
+    ("bound", "1000", 0,
+     "0.489622623550626124624093461244458476782399208185874816969298055463",
+     "-0.0745200290962022247492277798037840615814191998439212692182341477323"),
+    ("bound", "1e6", 2,
+     "1.15704651815978414699412382154525524145482297050219575032754309447",
+     "-0.0824681947677040742207028252795975897748045173687721346474286339672"),
+    ("scatter", "1e4", "0.3",
+     "0.398428082313275801825666277538943557027202827466124581482019584711",
+     "-0.0485033541421176135869177110533531523293001200540921693830724740549"),
+    ("scatter", "316", "-0.2",
+     "0.543589008431762656011095890490200543284694074450250697779593800898",
+     "-0.0942683674005656150319501289255030594231999228192766928886339406029"),
+)
+
+
+def test_roots_and_betas_match_frozen_values():
+    for sector, ratio, x, g, beta in FROZEN_ROOTS:
+        with mp.workdps(60):
+            if sector == "bound":
+                sol = solve_running_coupling(mp.mpf(ratio), x)
+            else:
+                sol = solve_scattering_coupling(mp.mpf(ratio), mp.mpf(x))
+        got_beta = sol.beta()
+        with mp.workdps(80):
+            for got, ref in ((sol.g, g), (got_beta, beta)):
+                ref = mp.mpf(ref)
+                assert abs(got - ref) / abs(ref) < mp.mpf(10) ** -58, (
+                    sector, ratio, x)
+
+
+def test_bracket_widenings_are_counted():
+    """Below ratio e^{gamma + 2 pi} the first-order seed falls back to 1,
+    far from the root near 3 at ratio 2, and the bracket must grow; at
+    ratio 1e3 the seed brackets the root at once."""
+    for sol in (solve_running_coupling(2, 0),
+                solve_scattering_coupling(2, mp.mpf("0.3"))):
+        assert sol.g > 2
+        assert sol.widenings >= 1
+        assert sol.iterations >= sol.widenings + 2
+    near = solve_running_coupling(1000, 0)
+    assert near.widenings == 0
+
+
 def test_solver_failures_raise():
     with mp.workdps(70):
         # no sign change anywhere near the seed

@@ -201,6 +201,21 @@ def test_nonterminating_series_raise_at_once(monkeypatch):
     assert products == []
 
 
+def test_series_coefficients_take_the_ring_coercion():
+    """Series constructors coerce a coefficient as ConstExpr does: exact
+    numbers pass and a float raises, not silently becomes a rational."""
+    half = TruncSeries.var("g", GV, (4,), coef=Fraction(1, 2))
+    assert half.coeffs == {(1,): ConstExpr.number(Fraction(1, 2))}
+    assert TruncSeries.const(GRat(0, 2), GV, (4,)) * 2 == TruncSeries.const(
+        GRat(0, 4), GV, (4,))
+    with pytest.raises(TypeError):
+        TruncSeries.var("g", GV, (4,), coef=0.5)
+    with pytest.raises(TypeError):
+        TruncSeries.const(0.5, GV, (4,))
+    with pytest.raises(TypeError):
+        TruncSeries(GV, {(1,): 0.5}, None, (4,))
+
+
 def test_laurent_floor_enforced():
     with pytest.raises(SeriesError):
         TruncSeries(GV, {(-3,): ConstExpr.one()}, (-2,), (4,))

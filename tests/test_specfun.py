@@ -5,8 +5,8 @@ import random
 import mpmath as mp
 import pytest
 
-from ispflow.specfun import (ComplexHP, SpecFunError, _asym_crossover,
-                             _series_sum, arg_i_branch_residue,
+from ispflow.specfun import (ComplexHP, SpecFunError, _asym_crossover, _eta,
+                             _eta_terms, _series_sum, arg_i_branch_residue,
                              arg_i_tilde_principal, arg_i_unwrapped,
                              bessel_i_imag, bessel_j_imag, bessel_k_imag,
                              complex_gamma, hankel1_imag, hankel2_imag)
@@ -93,6 +93,65 @@ def test_eta_series_against_mpmath_bessel():
                 ref = split * bessel(nu, x)
                 got = mine[alt] * mp.gamma(1 + nu)
                 assert abs(got - ref) / abs(ref) < 1e-50, (g, x, alt)
+
+
+def mpc_eta_oracle(g, z, sign, digits):
+    """(eta, term count): the eta_+- recurrence on mpc values at the working
+    precision, with the stop rule of specfun._eta."""
+    g = mp.mpf(g)
+    z = mp.mpf(z)
+    tol2 = mp.mpf(10) ** (-2 * digits)
+    w = sign * z * z
+    g2 = g * g
+    term = eta = mp.mpc(1)
+    m = 0
+    while True:
+        m += 1
+        d = m * m + g2
+        term *= mp.mpc(m / d, -g / d) * (w / m)     # 1/(m+ig) = (m-ig)/d
+        eta += term
+        if m > z and m > 3:
+            size = term.real * term.real + term.imag * term.imag
+            if size < tol2 * max(eta.real * eta.real + eta.imag * eta.imag, 1):
+                return eta, m
+
+
+def test_fixed_point_eta_against_mpc_recurrence():
+    """The fixed-point kernel sums as many terms as the mpc recurrence and
+    agrees with it to 10^-digits relative, at the working precision and
+    digits _series_sum asks for, from z = 1e-6 to just below the dps-60
+    crossover."""
+    top = float(_asym_crossover(60)) / 2 - 0.25
+    rng = random.Random(2718)
+    # at z = 1e-6 and 30 digits t_3 is below the tolerance already, and
+    # only the rule's m > 3 keeps the fourth term
+    points = [(0.05, 1e-6, -1, 60), (0.5, 1e-6, 1, 20), (3.0, top, -1, 60),
+              (3.0, top, 1, 60)]
+    points += [(rng.uniform(0.05, 3.0), 10 ** rng.uniform(-6, mp.log10(top)),
+                rng.choice((1, -1)), rng.choice((20, 40, 60)))
+               for _ in range(27)]
+    for g, z, sign, dps in points:
+        digits = dps + 10
+        guard = int(1.8 * z) + 15 if sign < 0 else 15
+        with mp.workdps(dps + guard):
+            ref, count = mpc_eta_oracle(g, z, sign, digits)
+            got = _eta(g, z, sign, digits)
+            terms = list(_eta_terms(g, z, sign, digits))
+            assert len(terms) == count, (g, z, sign, dps)
+            assert abs(got - ref) / abs(ref) < mp.mpf(10) ** -digits, (
+                g, z, sign, dps)
+
+
+def test_eta_reads_only_the_working_precision():
+    """Inside mp.workdps(dps) the kernel's result is the same whatever the
+    precision outside it."""
+    for g, z, sign in ((0.41, "1e-3", 1), (0.7, "12.3", 1), (2.2, "30.5", -1)):
+        got = []
+        for outer in (15, 60, 200):
+            with mp.workdps(outer):
+                with mp.workdps(75):
+                    got.append(_eta(g, z, sign, 70))
+        assert got[0] == got[1] == got[2], (g, z, sign)
 
 
 def test_default_precision_ignores_global_dps():
