@@ -22,8 +22,8 @@ from .constexpr import ConstExpr
 from .coupling import (BOUND_COLUMNS, BOUND_COLUMN_IDS, GAMMA_LADDER,
                        CouplingTable, N_PI, resummation_check,
                        solve_coupling_table, structure_fit)
-from .expansions import (ARG_GAMMA_MAX_ORDER, arg_gamma_series,
-                         growth_unit_series, eta_series,
+from .expansions import (ARG_GAMMA_MAX_ORDER, arg_eta_over_g,
+                         arg_gamma_series, growth_unit_series, eta_series,
                          odd_coefficient_family, sector_condition_residual,
                          solve_sector_ansatz)
 from .series import SeriesError, TruncSeries, lagrange_coefficients
@@ -60,7 +60,7 @@ def build_ground_state_condition(g_order: int, xi_order: int,
     if g_order < 3 or xi_order < 3:
         raise SeriesError("orders must be at least 3")
     e = growth_unit_series(g_order)
-    a_odd = odd_coefficient_family(g_order, xi_order + 1, alternating=False)
+    a_odd = odd_coefficient_family(arg_eta_over_g(g_order, xi_order + 1))
     return GroundStateCondition(e, a_odd, b, g_order, xi_order)
 
 

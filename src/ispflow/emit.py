@@ -13,10 +13,11 @@ from pathlib import Path
 import mpmath as mp
 
 FLOAT_DIGITS = 30
+RESIDUAL_DIGITS = 3  # |F| at a root is rounding noise: print its size
 
 
-def fnum(x) -> str:
-    return mp.nstr(mp.mpf(x), FLOAT_DIGITS)
+def fnum(x, digits=FLOAT_DIGITS) -> str:
+    return mp.nstr(mp.mpf(x), digits)
 
 
 def _write(path: Path, text: str):
@@ -62,8 +63,8 @@ def emit_contour(outdir, fmt, grid):
     for b in grid.branches:
         for i, ratio in enumerate(grid.ratios):
             s = grid.solutions[(b, i)]
-            rows.append((fnum(ratio), b, fnum(s.g), fnum(s.residual),
-                         s.iterations))
+            rows.append((fnum(ratio), b, fnum(s.g),
+                         fnum(s.residual, RESIDUAL_DIGITS), s.iterations))
     if fmt == "csv":
         return write_csv(Path(outdir) / "contour.csv",
                          ("ratio", "branch", "g", "residual", "iterations"),

@@ -3,8 +3,8 @@
 Everything here is a formal series with exact coefficients:
 
 * the odd-zeta expansion of Arg Gamma(1 + i g),
-* the small-argument profile eta of the imaginary-order Bessel series
-  (and its sign-alternating variant for the oscillatory kind),
+* the small-argument profile eta of the imaginary-order Bessel series,
+  and the map x -> i sigma that gives its oscillatory kind eta~ from it,
 * the odd-coefficient families a_1, a_3, a_5, ... obtained by
   exponentiating (1/g) Arg eta,
 * the phase-shift branch offset arctan(-2 K tanh(pi g / 2)),
@@ -84,32 +84,20 @@ def log_growth_unit_scatter(g_order: int) -> TruncSeries:
     return out.truncate((g_order,))
 
 
-def growth_unit_series_scatter(g_order: int) -> TruncSeries:
-    return log_growth_unit_scatter(g_order).exp()
-
-
-def eta_series(g_order: int, x_order: int, x_var: str = "xi",
-               alternating: bool = False) -> TruncSeries:
+def eta_series(g_order: int, x_order: int, x_var: str = "xi") -> TruncSeries:
     """The small-argument profile
 
-        eta(g, x) = 1 + sum_{m>=1} (s^m / m!) prod_{j=0}^{m-1} 1/(1+ig+j) x^{2m}
+        eta(g, x) = 1 + sum_{m>=1} (1 / m!) prod_{j=0}^{m-1} 1/(1+ig+j) x^{2m}
 
-    with s = -1 for the alternating (oscillatory Bessel) variant.  The
-    rational factors are expanded exactly in g.
+    with the rational factors expanded exactly in g.
     """
     vars_ = ("g", x_var)
     to = (g_order, x_order)
     out = TruncSeries.const(1, vars_, to)
-    prod = TruncSeries.const(1, ("g",), (g_order,))
-    fact = 1
+    term = TruncSeries.const(1, ("g",), (g_order,))
     for m in range(1, x_order // 2 + 1):
-        j = m - 1
-        prod = prod * _inv_linear(j, g_order)
-        fact *= m
-        sign = (-1) ** m if alternating else 1
-        coef = GRat(Fraction(sign, fact))
-        term = prod.extend_to(vars_, to).shift(x_var, 2 * m) * coef
-        out = out + term
+        term = term * _inv_linear(m - 1, g_order) * GRat(Fraction(1, m))
+        out = out + term.extend_to(vars_, to).shift(x_var, 2 * m)
     return out
 
 
@@ -126,10 +114,27 @@ def _inv_linear(j: int, g_order: int) -> TruncSeries:
     return TruncSeries(("g",), coeffs, (0,), (g_order,))
 
 
-def arg_eta_over_g(g_order: int, x_order: int, x_var: str = "xi",
-                   alternating: bool = False) -> TruncSeries:
+def imaginary_argument(s: TruncSeries, x_var: str,
+                       sigma_var: str) -> TruncSeries:
+    """x -> i sigma on a series even in x: x^(2m) -> (-1)^m sigma^(2m).
+
+    It commutes with products, log, exp, Re and Im, so it carries each
+    bound series built from eta(g, x) to the scattering one built from
+    eta~(g, sigma) = eta(g, i sigma).  An odd power of x raises.
+    """
+    k = s.variables.index(x_var)
+    if any(e[k] % 2 for e in s.coeffs):
+        raise SeriesError(f"an odd power of {x_var} has no real image under "
+                          f"{x_var} -> i {sigma_var}")
+    coeffs = {e: -c if e[k] % 4 else c for e, c in s.coeffs.items()}
+    variables = s.variables[:k] + (sigma_var,) + s.variables[k + 1:]
+    return TruncSeries(variables, coeffs, s.min_degree, s.trunc_order)
+
+
+def arg_eta_over_g(g_order: int, x_order: int,
+                   x_var: str = "xi") -> TruncSeries:
     """(1/g) Arg eta, an even g-series whose x-expansion starts at x^2."""
-    eta = eta_series(g_order + 1, x_order, x_var, alternating)
+    eta = eta_series(g_order + 1, x_order, x_var)
     arg = eta.log().imag_part()
     lead = arg.lead_exponents()
     if not arg.is_zero() and lead[0] < 1:
@@ -138,14 +143,14 @@ def arg_eta_over_g(g_order: int, x_order: int, x_var: str = "xi",
     return arg.shift("g", -1).truncate((g_order, x_order))
 
 
-def odd_coefficient_family(g_order: int, x_order: int,
-                           alternating: bool = False,
-                           x_var: str = "x") -> dict:
-    """Coefficients a_{2i+1}(g) of x e^{(1/g) Arg eta(x)} = sum a_{2i+1} x^{2i+1}.
+def odd_coefficient_family(arg_over_g: TruncSeries) -> dict:
+    """Coefficients a_{2i+1}(g) of x e^{A(g, x)} = sum a_{2i+1} x^{2i+1},
+    for A = (1/g) Arg eta or its image x -> i sigma (a~ = (-1)^i a).
 
     Returns {i: TruncSeries in g}, i = 0..x_order//2, with a_1 = 1 exactly.
     """
-    w = arg_eta_over_g(g_order, x_order, x_var, alternating).exp()
+    w = arg_over_g.exp()
+    g_order, x_order = w.trunc_order
     out = {i: {} for i in range(x_order // 2 + 1)}
     for (t, m), c in w.coeffs.items():
         if m % 2:

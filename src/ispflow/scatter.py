@@ -8,10 +8,10 @@ The phase condition
 plays the role the quantization condition plays for bound states.  Solving
 the tangent for its argument turns it into the same polynomial shape as the
 bound condition, with the branch offset arctan(-2 K tanh(pi g/2)) carrying
-all K dependence; everything downstream (coupling table, sector ansatz,
-beta by graded division) reuses the bound-sector machinery with the
-alternating-sign small-argument profile eta~ and the unit
-eps = exp(-n pi/g - gamma - K pi).
+all K dependence.  Since eta~(g, sigma) = eta(g, i sigma), every input
+(condition, tangent argument, odd family) is the bound one carried through
+``expansions.imaginary_argument``; coupling table, sector ansatz and beta
+by graded division then run unchanged, with eps = exp(-n pi/g - gamma - K pi).
 
 The cross-sector expansion rewrites the scattering coupling in terms of the
 bound coupling by substituting p/Lambda -> shat * f(g_B) and
@@ -26,17 +26,16 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .bound import (BetaTransseries, beta_transseries,
+from .bound import (BetaTransseries, beta_transseries, bound_condition_series,
                     build_ground_state_condition, ground_state_transseries)
 from .constexpr import ConstExpr, GRat
 from .coupling import (SCATTER_LADDER, CouplingTable, N_PI,
                        solve_coupling_table, structure_fit)
-from .expansions import (ARG_GAMMA_MAX_ORDER, arg_gamma_series, eta_series,
-                         growth_unit_series_scatter, log_growth_unit,
+from .expansions import (arg_eta_over_g, imaginary_argument,
+                         log_growth_unit, log_growth_unit_scatter,
                          odd_coefficient_family, phase_branch_offset,
                          solve_sector_ansatz)
-from .series import (INF_ORDER, SeriesError, TruncSeries, coth_series,
-                     tan_series)
+from .series import SeriesError, TruncSeries, coth_series, tan_series
 from .transseries import Transseries
 
 
@@ -81,13 +80,11 @@ def half_coth_series(g_order: int) -> TruncSeries:
 
 
 def _tan_argument_over_g(g_order: int, sigma_order: int) -> TruncSeries:
-    """u = ln(p/Lambda) - Arg Gamma(1+ig)/g + (1/g) Arg eta~(sigma)."""
-    ag = arg_gamma_series(min(g_order + 1, ARG_GAMMA_MAX_ORDER))
-    u = (-ag.shift("g", -1)).truncate((g_order,))
-    eta = eta_series(g_order + 1, sigma_order, "sigma", alternating=True)
-    u = u.extend_to(("g", "sigma")) + eta.log().imag_part().shift("g", -1)
-    u = u - ConstExpr.generator("lam")
-    return u.truncate((g_order, sigma_order))
+    """u = ln(p/Lambda) - Arg Gamma(1+ig)/g + (1/g) Arg eta~(sigma), i.e.
+    (bound condition - n pi)/g at xi -> i sigma, less lam = ln(Lambda/p)."""
+    c = bound_condition_series(g_order + 1, sigma_order) - N_PI
+    u = imaginary_argument(c, "xi", "sigma").shift("g", -1)
+    return (u - ConstExpr.generator("lam")).truncate((g_order, sigma_order))
 
 
 def build_phase_condition(g_order: int, sigma_order: int) -> PhaseCondition:
@@ -114,15 +111,10 @@ def build_phase_condition(g_order: int, sigma_order: int) -> PhaseCondition:
 
 def scatter_condition_series(g_order: int, sigma_order: int) -> TruncSeries:
     """rho-free part of the scattering running-coupling condition:
-    n pi - Arg Gamma(1+ig) + Arg eta~(g, sigma) - arctan(-2K tanh(pi g/2))."""
-    ag = arg_gamma_series(min(g_order, ARG_GAMMA_MAX_ORDER))
-    arg_eta = eta_series(g_order, sigma_order, "sigma",
-                         alternating=True).log().imag_part()
-    vars_ = ("g", "sigma")
-    out = (TruncSeries.const(N_PI, vars_, (g_order, sigma_order))
-           - ag.extend_to(vars_) + arg_eta
-           - phase_branch_offset(g_order).extend_to(vars_))
-    return out.truncate((g_order, sigma_order))
+    n pi - Arg Gamma(1+ig) + Arg eta~(g, sigma) - arctan(-2K tanh(pi g/2)),
+    i.e. the bound condition at xi -> i sigma less the branch offset."""
+    return imaginary_argument(bound_condition_series(g_order, sigma_order),
+                              "xi", "sigma") - phase_branch_offset(g_order)
 
 
 def scatter_coupling_coeffs(p_max: int, l_max: int,
@@ -169,10 +161,12 @@ def phase_condition_residual(pc: PhaseCondition,
 
 def scatter_momentum_transseries(g_order: int, max_sector: int) -> Transseries:
     """p/Lambda as a transseries in g along the scattering flow:
-    sigma(g) = sum_l S_l(g) eps^l with eps = exp(-n pi/g - gamma - K pi)."""
-    e_hat = growth_unit_series_scatter(g_order)
-    a_odd = odd_coefficient_family(g_order, max_sector + 1, alternating=True,
-                                   x_var="sigma")
+    sigma(g) = sum_l S_l(g) eps^l with eps = exp(-n pi/g - gamma - K pi).
+    The odd family is the bound one at xi -> i sigma, so S_l is
+    (-1)^((l-1)/2) R_l E_hat^l with the bound prefactors R_l."""
+    e_hat = log_growth_unit_scatter(g_order).exp()
+    a_odd = odd_coefficient_family(imaginary_argument(
+        arg_eta_over_g(g_order, max_sector + 1), "xi", "sigma"))
     return solve_sector_ansatz(e_hat, a_odd, max_sector, "scatter", 0)
 
 

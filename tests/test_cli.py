@@ -96,6 +96,11 @@ def test_single_contour_point_matches_solver(tmp_path):
         g_csv = mp.mpf(line.split(",")[2])
         sol = solve_running_coupling(100, 0)
         assert abs(g_csv - sol.g) < mp.mpf(10) ** -25
+    # the residual is rounding noise: its size, to 3 significant digits
+    residual = line.split(",")[3]
+    mantissa = residual.split("e")[0].replace(".", "").strip("0")
+    assert residual == mp.nstr(sol.residual, 3)
+    assert 1 <= len(mantissa) <= 3, residual
 
 
 def test_main_leaves_global_precision_unchanged(tmp_path):

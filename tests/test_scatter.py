@@ -1,6 +1,7 @@
 """Scattering-sector derivations: phase condition, tables, beta,
 cross-sector expansion, continuation, fixed point."""
 
+import math
 from fractions import Fraction
 
 import mpmath as mp
@@ -9,12 +10,19 @@ import pytest
 from ispflow import golden
 from ispflow.constexpr import ConstExpr, GRat
 from ispflow.coupling import condition_residual_box
+from ispflow.expansions import (arg_eta_over_g, eta_series,
+                                imaginary_argument, log_growth_unit_scatter,
+                                odd_coefficient_family,
+                                sector_condition_residual,
+                                solve_sector_ansatz)
 from ispflow.scatter import (analytic_continuation_check,
                              build_phase_condition, cross_sector_expansion,
                              fixed_point_relation, phase_condition_residual,
                              scatter_beta, scatter_condition_series,
-                             scatter_coupling_coeffs, scatter_structure_fit)
-from ispflow.series import TruncSeries
+                             scatter_coupling_coeffs,
+                             scatter_momentum_transseries,
+                             scatter_structure_fit)
+from ispflow.series import SeriesError, TruncSeries
 
 mp.mp.dps = 50
 
@@ -45,13 +53,75 @@ def test_phase_condition_pole_free(phase_cond):
     assert lead[0] >= 0
 
 
-def test_eta_variants_differ_by_alternating_signs():
-    from ispflow.expansions import eta_series
-    plain = eta_series(4, 6, "x", alternating=False)
-    alt = eta_series(4, 6, "x", alternating=True)
-    for (t, m), c in plain.coeffs.items():
-        sign = (-1) ** (m // 2)
-        assert alt.coefficient((t, m)) == c * sign
+def _oscillatory_eta(g_order, x_order):
+    """Oracle: eta~(g, sigma) from its defining sum
+    sum_m (-1)^m / m! prod_{j<m} 1/(1+ig+j) sigma^(2m), each factor
+    inverted as a series in g."""
+    vars_, to = ("g", "sigma"), (g_order, x_order)
+    i_g = TruncSeries.var("g", ("g",), (g_order,), coef=GRat(0, 1))
+    out = TruncSeries.const(1, vars_, to)
+    prod = TruncSeries.const(1, ("g",), (g_order,))
+    for m in range(1, x_order // 2 + 1):
+        prod = prod * (i_g + m).inverse()
+        coef = GRat(Fraction((-1) ** m, math.factorial(m)))
+        out = out + prod.extend_to(vars_, to).shift("sigma", 2 * m) * coef
+    return out
+
+
+def _even_coefficients(w):
+    """{i: g-series of the sigma^(2i) coefficient} of a (g, sigma) series."""
+    g_order, x_order = w.trunc_order
+    return {i: TruncSeries(("g",), {(t,): c for (t, m), c in w.coeffs.items()
+                                    if m == 2 * i}, (0,), (g_order,))
+            for i in range(x_order // 2 + 1)}
+
+
+@pytest.mark.parametrize("g_order,x_order", [(9, 12), (12, 8)])
+def test_scattering_profile_is_bound_profile_at_imaginary_argument(
+        g_order, x_order):
+    osc = _oscillatory_eta(g_order + 1, x_order)
+    assert imaginary_argument(eta_series(g_order + 1, x_order, "xi"),
+                              "xi", "sigma") == osc
+    osc_arg = osc.log().imag_part().shift("g", -1).truncate((g_order,
+                                                             x_order))
+    bound_arg = arg_eta_over_g(g_order, x_order)
+    scat_arg = imaginary_argument(bound_arg, "xi", "sigma")
+    assert scat_arg == osc_arg
+    oracle = _even_coefficients(osc_arg.exp())
+    bound = odd_coefficient_family(bound_arg)
+    scat = odd_coefficient_family(scat_arg)
+    assert sorted(scat) == sorted(oracle) == list(range(x_order // 2 + 1))
+    for i, a in oracle.items():
+        assert scat[i] == a == bound[i] * (-1) ** i, f"a~_{2 * i + 1}"
+
+
+def test_imaginary_argument_rejects_odd_powers():
+    x = TruncSeries.var("x", ("g", "x"), (2, 5))
+    with pytest.raises(SeriesError):
+        imaginary_argument(x * x * x + 1, "x", "sigma")
+    assert imaginary_argument(x * x + 1, "x", "sigma") == (
+        1 - TruncSeries.var("sigma", ("g", "sigma"), (2, 5), power=2))
+
+
+def test_scattering_sectors_are_signed_bound_prefactors():
+    """sigma(g) solves the scattering condition built from the defining
+    sum of eta~, and S_l / E_hat^l = (-1)^((l-1)/2) R_l with the bound
+    Lagrange prefactors R_l (the bound solve at E = 1)."""
+    g_order, max_sector = 11, 7
+    ts = scatter_momentum_transseries(g_order, max_sector)
+    e_hat = log_growth_unit_scatter(g_order).exp()
+    osc_log = _oscillatory_eta(g_order + 1, max_sector + 1).log()
+    a_scat = _even_coefficients(osc_log.imag_part().shift("g", -1)
+                                .truncate((g_order, max_sector + 1)).exp())
+    assert not sector_condition_residual(e_hat, a_scat, ts).sectors
+    unit = TruncSeries.const(1, ("g",), (g_order,))
+    r_bound = solve_sector_ansatz(
+        unit, odd_coefficient_family(arg_eta_over_g(g_order, max_sector + 1)),
+        max_sector, "bound")
+    assert sorted(ts.sectors) == sorted(r_bound.sectors) == [1, 3, 5, 7]
+    for l, s_l in ts.sectors.items():
+        got = (s_l * (e_hat ** l).inverse()).truncate((g_order,))
+        assert got == r_bound.sectors[l] * (-1) ** ((l - 1) // 2), f"S_{l}"
 
 
 def test_table_golden_entries(table):
