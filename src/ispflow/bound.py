@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
-from .constexpr import ConstExpr
+from .constexpr import ConstExpr, generator_values
 from .coupling import (BOUND_COLUMNS, BOUND_COLUMN_IDS, GAMMA_LADDER,
                        CouplingTable, N_PI, resummation_check,
                        solve_coupling_table, structure_fit)
@@ -45,14 +45,12 @@ class GroundStateCondition:
     g_order: int
     x_order: int
 
-    def a0_value(self, g, dps=None):
-        """Numeric a0(g) = -e^{-gamma} E(g); a0(0) = -e^{-gamma}.
-
-        Evaluated at ``dps`` digits (DEFAULT_DPS when not given), whatever
-        the global mpmath precision."""
-        with mp.workdps(dps or DEFAULT_DPS):
-            return -mp.e ** (-mp.euler) * self.a0_scaled.eval_mp(
-                {"g": mp.mpmathify(g)})
+    def a0_value(self, g, dps: int = DEFAULT_DPS):
+        """Numeric a0(g) = -e^{-gamma} E(g) at ``dps`` digits;
+        a0(0) = -e^{-gamma}."""
+        with generator_values(dps=dps) as gens:
+            return -mp.e ** (-gens["gamma"]) * self.a0_scaled._eval(
+                {"g": g}, gens)
 
 
 def build_ground_state_condition(g_order: int, xi_order: int,
@@ -122,13 +120,6 @@ def bound_structure_fit(table: CouplingTable):
 @dataclass
 class BetaTransseries:
     ts: Transseries
-    sector_tag: str
-
-    def perturbative(self) -> TruncSeries:
-        return self.ts.sector(0)
-
-    def sector(self, l: int) -> TruncSeries:
-        return self.ts.sector(l)
 
     def check_sector_structure(self):
         """Every sector must start at g^2; the perturbative one at -g^2/pi."""
@@ -139,14 +130,10 @@ class BetaTransseries:
         assert c2 == ConstExpr.monomial(-1, pi=-1), \
             f"leading perturbative coefficient is {c2}"
 
-    def eval_mp(self, g, assignment=None, max_sector=None):
-        total = mp.mpc(0)
-        eps = self.ts.unit_value(g, assignment)
-        for l, s in self.ts.sectors.items():
-            if max_sector is not None and l > max_sector:
-                continue
-            total += s.eval_mp({"g": mp.mpmathify(g)}, assignment) * eps ** l
-        return mp.re(total)
+    def eval_mp(self, g, assignment=None, max_sector=None,
+                dps: int = DEFAULT_DPS):
+        """Real part of ``Transseries.eval_mp``."""
+        return mp.re(self.ts.eval_mp(g, assignment, max_sector, dps))
 
 
 def beta_transseries(f: Transseries, max_sector: int | None = None) -> BetaTransseries:
@@ -161,10 +148,9 @@ def beta_transseries(f: Transseries, max_sector: int | None = None) -> BetaTrans
     fp = f.derivative_g()
     beta = (-f) / fp
     if max_sector is not None:
-        beta = Transseries({l: s for l, s in beta.sectors.items()
-                            if l <= max_sector},
-                           beta.branch, beta.flavor, max_sector)
-    out = BetaTransseries(beta, f.flavor)
+        # the constructor drops the sectors beyond max_sector
+        beta = Transseries(beta.sectors, beta.branch, beta.flavor, max_sector)
+    out = BetaTransseries(beta)
     out.check_sector_structure()
     return out
 
@@ -178,7 +164,7 @@ def _w_mp(g):
     return (g * mp.re(mp.psi(0, 1 + mp.mpc(0, 1) * g)) - _arg_gamma_mp(g)) / g ** 2
 
 
-def beta_exact_sector_eval(g, sector: int, dps: int | None = None):
+def beta_exact_sector_eval(g, sector: int, dps: int = DEFAULT_DPS):
     """Closed-form numeric evaluation of the beta sectors l = 0, 2, 4
     (branch 0), including the non-perturbative exponential prefactor.
 
@@ -197,12 +183,11 @@ def beta_exact_sector_eval(g, sector: int, dps: int | None = None):
     3/(32 pi) g^2, inconsistent with the printed transseries lead
     3/(2 pi) g^2; the form above reproduces the transseries exactly.)
 
-    Evaluated at ``dps`` digits (DEFAULT_DPS when not given), whatever the
-    global mpmath precision.
+    Evaluated at ``dps`` digits, whatever the global mpmath precision.
     """
     if sector not in (0, 2, 4):
         raise ValueError("closed forms are available for sectors 0, 2, 4")
-    with mp.workdps(dps or DEFAULT_DPS):
+    with mp.workdps(dps):
         g = mp.mpf(g)
         if not 0 < g < 2:
             raise ValueError("g must lie in (0, 2)")

@@ -123,7 +123,8 @@ def cmd_coeffs(args, cfg: RunConfig) -> int:
         table = bound.running_coupling_coeffs(p_max, l_max)
     else:
         table = scatter.scatter_coupling_coeffs(p_max, l_max)
-    path = emit_coeffs(cfg.out, cfg.format, table, _assignment(cfg))
+    path = emit_coeffs(cfg.out, cfg.format, table, _assignment(cfg),
+                       cfg.precision)
     print(f"wrote {path}")
     if cfg.check:
         from .golden import BOUND_TABLE, SCATTER_TABLE
@@ -142,18 +143,15 @@ def cmd_groundstate(args, cfg: RunConfig) -> int:
     from .bound import (beta_transseries, build_ground_state_condition,
                         ground_state_transseries)
     from .emit import emit_groundstate
+    from .transseries import Transseries
     max_sector = args.max_sector or cfg.orders["sector"] + 1
     if max_sector % 2 == 0:
         max_sector += 1
     cond = build_ground_state_condition(cfg.orders["g"],
                                         max_sector + 1, b=args.branch)
     f = ground_state_transseries(cond, max_sector)
-    beta = beta_transseries(f) if args.branch == 0 else None
-    if beta is None:
-        from .bound import BetaTransseries
-        from .transseries import Transseries
-        beta = BetaTransseries(Transseries({}, args.branch, "bound", 0),
-                               "bound")
+    beta = (beta_transseries(f).ts if args.branch == 0
+            else Transseries({}, args.branch, "bound", 0))
     path = emit_groundstate(cfg.out, cfg.format, f, beta)
     print(f"wrote {path}")
     return EXIT_OK
@@ -171,7 +169,7 @@ def cmd_beta(args, cfg: RunConfig) -> int:
         beta = beta_transseries(f)
         cut_lo = mp.e ** (mp.pi / mp.mpf(args.gmax) + mp.euler)
         solve = lambda cut: solve_running_coupling(cut, 0, cfg.precision)
-        series = beta.eval_mp
+        assignment = None
     else:
         from .scatter import scatter_beta
         beta = scatter_beta(cfg.orders["sector"] // 2 * 2,
@@ -179,12 +177,13 @@ def cmd_beta(args, cfg: RunConfig) -> int:
         kv = mp.mpf(cfg.k_value)
         cut_lo = mp.e ** (mp.pi / mp.mpf(args.gmax) + mp.euler + kv * mp.pi)
         solve = lambda cut: solve_scattering_coupling(cut, kv, cfg.precision)
-        series = lambda g: beta.eval_mp(g, {"K": kv})
+        assignment = {"K": kv}
     rows = []
     for i in range(args.points):
         cut = cut_lo * mp.mpf(10) ** (mp.mpf(i) * 3 / max(args.points - 1, 1))
         sol = solve(cut)
-        rows.append((sol.g, sol.beta(cfg.precision), series(sol.g)))
+        rows.append((sol.g, sol.beta(cfg.precision),
+                     beta.eval_mp(sol.g, assignment, dps=cfg.precision)))
     path = emit_beta(cfg.out, cfg.format, rows, args.sector)
     print(f"wrote {path}")
     tol_fail = False
@@ -277,7 +276,7 @@ def cmd_crosscheck(args, cfg: RunConfig) -> int:
         ratio = ratio_lo * mp.mpf(10) ** (mp.mpf(3 * i) / max(args.points - 1, 1))
         sol = solve_running_coupling(ratio, 0, cfg.precision)
         bn = sol.beta(cfg.precision)
-        bs = beta.eval_mp(sol.g)
+        bs = beta.eval_mp(sol.g, dps=cfg.precision)
         worst = max(worst, abs(bn - bs) / abs(bs))
     ok = worst <= mp.mpf("1e-5")
     print(f"numeric-vs-symbolic beta (worst rel {mp.nstr(worst, 3)}): "

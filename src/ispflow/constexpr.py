@@ -25,11 +25,15 @@ zeta basis via psi^(m)(1) = (-1)^(m+1) m! zeta(m+1).
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from fractions import Fraction
 from math import factorial, gcd
 from operator import add
 
 import mpmath as mp
+from mpmath.libmp import dps_to_prec, from_rational
+
+from .specfun import DEFAULT_DPS
 
 GENERATORS = ("pi", "gamma", "zeta3", "zeta5", "zeta7", "zeta9", "zeta11",
               "zeta13", "zeta15", "zeta17", "zeta19", "K", "n", "L", "lam",
@@ -373,37 +377,13 @@ class ConstExpr:
             _add_into(out, part.terms)
         return _from_terms(out)
 
-    def eval_mp(self, assignment: dict | None = None):
-        """Evaluate to an mpmath complex at the active precision.
-
-        ``assignment`` supplies values for K, n, L, lam as needed; the
-        transcendental generators default to their true values.
-        """
-        assignment = assignment or {}
-        vals = {}
-        for name in GENERATORS:
-            if name in assignment:
-                vals[name] = mp.mpmathify(assignment[name])
-            elif name == "pi":
-                vals[name] = +mp.pi
-            elif name == "gamma":
-                vals[name] = +mp.euler
-            elif name in _ZETA_ARG:
-                vals[name] = mp.zeta(_ZETA_ARG[name])
-            else:
-                vals[name] = None
-        total = mp.mpc(0)
-        for e, c in self.terms.items():
-            term = c.to_mp()
-            for i, k in enumerate(e):
-                if k:
-                    v = vals[GENERATORS[i]]
-                    if v is None:
-                        raise ValueError(f"no value supplied for generator "
-                                         f"'{GENERATORS[i]}'")
-                    term *= v ** k
-            total += term
-        return total
+    def eval_mp(self, assignment: dict | None = None,
+                dps: int = DEFAULT_DPS):
+        """Evaluate to an mpmath complex at ``dps`` digits, whatever the
+        global precision.  ``assignment`` supplies values for K, n, L, lam
+        as needed; the transcendental generators take their true values."""
+        with generator_values(assignment, dps) as values:
+            return values(self)
 
     def generators_used(self):
         used = set()
@@ -538,6 +518,61 @@ class ConstExpr:
     @classmethod
     def from_json(cls, s: str) -> "ConstExpr":
         return cls.from_jsonable(json.loads(s))
+
+
+@contextmanager
+def generator_values(assignment: dict | None = None,
+                     dps: int = DEFAULT_DPS):
+    """Work at ``dps`` digits; yield the GeneratorValues of one evaluation."""
+    with mp.workdps(dps):
+        yield GeneratorValues(assignment or {}, dps)
+
+
+class GeneratorValues:
+    """The numbers of one evaluation at the working precision.
+
+    ``values[name]`` is the only map from generator names to numbers: pi,
+    gamma and zeta(3..19) by default, the rest from the assignment (which
+    may override any).  ``values(expr)`` is a ConstExpr's mpc value.  Each
+    value and each power of it is built once, when first used."""
+
+    def __init__(self, assignment: dict, dps: int):
+        self._assignment = assignment
+        self._prec = dps_to_prec(dps)
+        self._values = {}       # generator name -> value
+        self._powers = {}       # (generator index, exponent) -> power
+
+    def __getitem__(self, name: str):
+        v = self._values.get(name)
+        if v is None:
+            if name in self._assignment:
+                v = mp.mpmathify(self._assignment[name])
+            elif name == "pi":
+                v = +mp.pi
+            elif name == "gamma":
+                v = +mp.euler
+            elif name in _ZETA_ARG:
+                v = mp.zeta(_ZETA_ARG[name])
+            else:
+                raise ValueError(f"no value supplied for generator '{name}'")
+            self._values[name] = v
+        return v
+
+    def __call__(self, expr: ConstExpr):
+        prec, powers = self._prec, self._powers
+        total = mp.mpc(0)
+        for e, c in expr.terms.items():
+            # c correctly rounded to the working precision
+            term = mp.make_mpc((from_rational(c._a, c._d, prec, "n"),
+                                from_rational(c._b, c._d, prec, "n")))
+            for i, k in enumerate(e):
+                if k:
+                    v = powers.get((i, k))
+                    if v is None:
+                        v = powers[(i, k)] = self[GENERATORS[i]] ** k
+                    term *= v
+            total += term
+        return total
 
 
 def _from_terms(terms) -> ConstExpr:

@@ -12,6 +12,9 @@ from pathlib import Path
 
 import mpmath as mp
 
+from .constexpr import generator_values
+from .specfun import DEFAULT_DPS
+
 FLOAT_DIGITS = 30
 RESIDUAL_DIGITS = 3  # |F| at a root is rounding noise: print its size
 
@@ -27,77 +30,59 @@ def _write(path: Path, text: str):
     return path
 
 
-def write_csv(path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(str(c) for c in row))
-    return _write(path, "\n".join(lines) + "\n")
+def _json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=1) + "\n"
 
 
-def write_json(path, obj):
-    return _write(path, json.dumps(obj, sort_keys=True, indent=1) + "\n")
-
-
-def coeff_rows(table, assignment):
-    rows = []
-    for p, l, expr in table.rows():
-        val = expr.eval_mp(assignment)
-        rows.append((table.sector_tag, p, l,
-                     f"\"{expr}\"", fnum(val.real)))
-    return rows
-
-
-def emit_coeffs(outdir, fmt, table, assignment):
-    rows = coeff_rows(table, assignment)
-    name = f"coeffs_{table.sector_tag}"
+def _emit(outdir, name, fmt, header, rows, quoted=()):
+    """Write ``rows`` as outdir/name.csv under ``header``, the columns named
+    in ``quoted`` in double quotes, or as outdir/name.json, one object per
+    row keyed by ``header``."""
     if fmt == "csv":
-        return write_csv(Path(outdir) / f"{name}.csv",
-                         ("sector", "p", "l", "constexpr", "value"), rows)
-    obj = [{"sector": r[0], "p": r[1], "l": r[2],
-            "constexpr": r[3].strip('"'), "value": r[4]} for r in rows]
-    return write_json(Path(outdir) / f"{name}.json", obj)
+        lines = [",".join(header)] + [
+            ",".join(f"\"{c}\"" if h in quoted else str(c)
+                     for h, c in zip(header, r)) for r in rows]
+        return _write(Path(outdir) / f"{name}.csv", "\n".join(lines) + "\n")
+    return _write(Path(outdir) / f"{name}.json",
+                  _json([dict(zip(header, r)) for r in rows]))
+
+
+def emit_coeffs(outdir, fmt, table, assignment, dps=DEFAULT_DPS):
+    """The table's entries with their values at ``assignment``, all
+    evaluated at ``dps`` digits against one GeneratorValues."""
+    with generator_values(assignment, dps) as gens:
+        rows = [(table.sector_tag, p, l, str(expr), fnum(gens(expr).real))
+                for p, l, expr in table.rows()]
+    return _emit(outdir, f"coeffs_{table.sector_tag}", fmt,
+                 ("sector", "p", "l", "constexpr", "value"), rows,
+                 quoted=("constexpr",))
 
 
 def emit_contour(outdir, fmt, grid):
-    rows = []
-    for b in grid.branches:
-        for i, ratio in enumerate(grid.ratios):
-            s = grid.solutions[(b, i)]
-            rows.append((fnum(ratio), b, fnum(s.g),
-                         fnum(s.residual, RESIDUAL_DIGITS), s.iterations))
-    if fmt == "csv":
-        return write_csv(Path(outdir) / "contour.csv",
-                         ("ratio", "branch", "g", "residual", "iterations"),
-                         rows)
-    obj = [{"ratio": r[0], "branch": r[1], "g": r[2], "residual": r[3],
-            "iterations": r[4]} for r in rows]
-    return write_json(Path(outdir) / "contour.json", obj)
+    rows = [(fnum(ratio), b, fnum(s.g), fnum(s.residual, RESIDUAL_DIGITS),
+             s.iterations)
+            for b in grid.branches
+            for ratio, s in zip(grid.ratios, grid.curve(b))]
+    return _emit(outdir, "contour", fmt,
+                 ("ratio", "branch", "g", "residual", "iterations"), rows)
 
 
 def emit_beta(outdir, fmt, rows, sector):
-    header = ("g", "beta_numeric", "beta_series", "abs_err", "rel_err")
-    name = f"beta_{sector}"
-    srows = [(fnum(g), fnum(bn), fnum(bs), fnum(abs(bn - bs)),
-              fnum(abs(bn - bs) / abs(bs))) for g, bn, bs in rows]
-    if fmt == "csv":
-        return write_csv(Path(outdir) / f"{name}.csv", header, srows)
-    obj = [dict(zip(header, r)) for r in srows]
-    return write_json(Path(outdir) / f"{name}.json", obj)
+    rows = [(fnum(g), fnum(bn), fnum(bs), fnum(abs(bn - bs)),
+             fnum(abs(bn - bs) / abs(bs))) for g, bn, bs in rows]
+    return _emit(outdir, f"beta_{sector}", fmt,
+                 ("g", "beta_numeric", "beta_series", "abs_err", "rel_err"),
+                 rows)
 
 
 def emit_phase(outdir, fmt, rows):
-    header = ("g", "p_over_lambda", "delta", "tan_form_residual",
-              "unitarity_defect")
-    srows = [tuple(fnum(x) for x in row) for row in rows]
-    if fmt == "csv":
-        return write_csv(Path(outdir) / "phase.csv", header, srows)
-    return write_json(Path(outdir) / "phase.json",
-                      [dict(zip(header, r)) for r in srows])
+    return _emit(outdir, "phase", fmt,
+                 ("g", "p_over_lambda", "delta", "tan_form_residual",
+                  "unitarity_defect"),
+                 [tuple(fnum(x) for x in row) for row in rows])
 
 
 def emit_divergence(outdir, fmt, reports, d):
-    header = ("d", "term", "basis_1", "basis_log", "basis_lin", "basis_quad",
-              "classification", "residual")
     rows = []
     for term in sorted(reports):
         r = reports[term].row()
@@ -105,24 +90,17 @@ def emit_divergence(outdir, fmt, reports, d):
                      fnum(r["basis_log"]), fnum(r["basis_lin"]),
                      fnum(r["basis_quad"]), r["classification"],
                      fnum(r["residual"])))
-    name = f"divergence_d{d}"
-    if fmt == "csv":
-        return write_csv(Path(outdir) / f"{name}.csv", header, rows)
-    return write_json(Path(outdir) / f"{name}.json",
-                      [dict(zip(header, r)) for r in rows])
+    return _emit(outdir, f"divergence_d{d}", fmt,
+                 ("d", "term", "basis_1", "basis_log", "basis_lin",
+                  "basis_quad", "classification", "residual"), rows)
 
 
 def emit_groundstate(outdir, fmt, f, beta):
-    obj = {
-        "transseries": f.to_jsonable(),
-        "beta": beta.ts.to_jsonable(),
-    }
     if fmt == "csv":
-        rows = []
-        for l in sorted(f.sectors):
-            rows.append(("f", l, f"\"{f.sectors[l]}\""))
-        for l in sorted(beta.ts.sectors):
-            rows.append(("beta", l, f"\"{beta.ts.sectors[l]}\""))
-        return write_csv(Path(outdir) / "groundstate.csv",
-                         ("object", "sector", "series"), rows)
-    return write_json(Path(outdir) / "groundstate.json", obj)
+        rows = [("f", l, f.sectors[l]) for l in sorted(f.sectors)]
+        rows += [("beta", l, beta.sectors[l]) for l in sorted(beta.sectors)]
+        return _emit(outdir, "groundstate", fmt,
+                     ("object", "sector", "series"), rows, quoted=("series",))
+    return _write(Path(outdir) / "groundstate.json",
+                  _json({"transseries": f.to_jsonable(),
+                         "beta": beta.to_jsonable()}))

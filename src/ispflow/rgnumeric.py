@@ -58,7 +58,7 @@ class QuantizationSolution:
     iterations: int = 0    # residual evaluations, bracket included
     widenings: int = 0     # steps that grew the bracket around the seed
     # scattering datum K of the solved condition; None for the bound one
-    k_value: object = field(default=None, init=False)
+    k_value: object = None
 
     def beta(self, dps: int = DEFAULT_DPS):
         """Lambda dg/dLambda at this root by implicit differentiation of the
@@ -88,17 +88,18 @@ def _eta_failure():
         raise SolverError(f"eta series: {exc}") from exc
 
 
-def _residual(g, ratio, n, sign, k_value):
-    """F(g, ln ratio) of the module docstring at the working precision."""
-    g = mp.mpf(g)
-    ratio = mp.mpf(ratio)
-    with _eta_failure():
-        eta = _eta(g, 1 / ratio, sign, mp.mp.dps + 5)
-    f = (n * mp.pi - g * mp.log(ratio) - mp.im(mp.loggamma(mp.mpc(1, g)))
-         + mp.arg(eta))
-    if k_value:
-        f += mp.atan(2 * mp.mpf(k_value) * mp.tanh(mp.pi * g / 2))
-    return f
+def _residual(g, ratio, n, sign, k_value, dps):
+    """F(g, ln ratio) of the module docstring at dps + 10 digits."""
+    with mp.workdps(dps + 10):
+        g = mp.mpf(g)
+        ratio = mp.mpf(ratio)
+        with _eta_failure():
+            eta = _eta(g, 1 / ratio, sign, dps + 15)
+        f = (n * mp.pi - g * mp.log(ratio)
+             - mp.im(mp.loggamma(mp.mpc(1, g))) + mp.arg(eta))
+        if k_value:
+            f += mp.atan(2 * mp.mpf(k_value) * mp.tanh(mp.pi * g / 2))
+        return f
 
 
 def _implicit_beta(g, ratio, sign, k_value, dps):
@@ -116,17 +117,19 @@ def _implicit_beta(g, ratio, sign, k_value, dps):
         return +(-f_l / f_g)
 
 
-def quantization_residual(g, ratio, b, n_level: int = 1):
-    """Residual of the running-coupling condition at coupling g, at the
-    working precision."""
-    return _residual(g, ratio, 2 * b + n_level, 1, 0)
+def quantization_residual(g, ratio, b, n_level: int = 1,
+                          dps: int = DEFAULT_DPS):
+    """Residual of the running-coupling condition at coupling g, at
+    dps + 10 digits."""
+    return _residual(g, ratio, 2 * b + n_level, 1, 0, dps)
 
 
-def scattering_residual(g, lam_over_p, k_value, n_level: int = 1):
+def scattering_residual(g, lam_over_p, k_value, n_level: int = 1,
+                        dps: int = DEFAULT_DPS):
     """Branch-resolved residual of the scattering phase condition:
     n pi + g ln(p/Lambda) - Arg Gamma(1+ig) + Arg eta~(p/Lambda)
-    - arctan(-2K tanh(pi g/2)), at the working precision."""
-    return _residual(g, lam_over_p, n_level, -1, k_value)
+    - arctan(-2K tanh(pi g/2)), at dps + 10 digits."""
+    return _residual(g, lam_over_p, n_level, -1, k_value, dps)
 
 
 def _bracket(f, seed):
@@ -210,7 +213,7 @@ def solve_running_coupling(ratio, b: int = 0, dps: int = DEFAULT_DPS,
         if ratio <= 1:
             raise ValueError("ratio = Lambda/Lambda_IR must exceed 1")
         g, resid, evals, widenings = _solve(
-            lambda g: quantization_residual(g, ratio, b, n_level),
+            lambda g: quantization_residual(g, ratio, b, n_level, dps),
             _seed(ratio, 2 * b + n_level, 0), dps)
         return QuantizationSolution(+g, b, +ratio, +mp.fabs(resid), n_level,
                                     evals, widenings)
@@ -224,12 +227,11 @@ def solve_scattering_coupling(lam_over_p, k_value, dps: int = DEFAULT_DPS,
         if lam_over_p <= 1:
             raise ValueError("Lambda/p must exceed 1")
         g, resid, evals, widenings = _solve(
-            lambda g: scattering_residual(g, lam_over_p, k_value, n_level),
+            lambda g: scattering_residual(g, lam_over_p, k_value, n_level,
+                                          dps),
             _seed(lam_over_p, n_level, k_value), dps)
-        sol = QuantizationSolution(+g, 0, +lam_over_p, +mp.fabs(resid),
-                                   n_level, evals, widenings)
-        sol.k_value = k_value
-        return sol
+        return QuantizationSolution(+g, 0, +lam_over_p, +mp.fabs(resid),
+                                    n_level, evals, widenings, k_value)
 
 
 def numeric_beta(ratio, b: int = 0, dps: int = DEFAULT_DPS):
@@ -263,7 +265,8 @@ def contour_grid(ratio_min, ratio_max, n_points: int, branches,
         ratios = [mp.mpf(ratio_min) * (mp.mpf(ratio_max) / mp.mpf(ratio_min))
                   ** (mp.mpf(i) / max(n_points - 1, 1))
                   for i in range(n_points)]
-    grid = ContourGrid([+r for r in ratios], list(branches), {}, dps)
+    with mp.workdps(dps):
+        grid = ContourGrid([+r for r in ratios], list(branches), {}, dps)
     for b in branches:
         for i, r in enumerate(grid.ratios):
             grid.solutions[(b, i)] = solve_running_coupling(r, b, dps)

@@ -26,7 +26,9 @@ from math import factorial
 
 import mpmath as mp
 
-from .constexpr import ConstExpr, GRat, _coerce, as_grat
+from .constexpr import (ConstExpr, GeneratorValues, GRat, _coerce, as_grat,
+                        generator_values)
+from .specfun import DEFAULT_DPS
 
 INF_ORDER = 10 ** 9  # sentinel: exact in this variable (polynomial)
 
@@ -420,14 +422,22 @@ class TruncSeries:
 
     # -- evaluation / output ---------------------------------------------------
 
-    def eval_mp(self, values: dict, assignment: dict | None = None):
-        """Numeric evaluation: values maps variable name -> mpf/mpc."""
+    def eval_mp(self, values: dict, assignment: dict | None = None,
+                dps: int = DEFAULT_DPS):
+        """Numeric evaluation at ``dps`` digits: values maps variable name
+        -> number; all coefficients are evaluated by one GeneratorValues."""
+        with generator_values(assignment, dps) as gens:
+            return self._eval(values, gens)
+
+    def _eval(self, values: dict, gens: GeneratorValues):
+        """The series at ``values``, its coefficients evaluated by gens."""
+        xs = [mp.mpmathify(values[v]) for v in self.variables]
         total = mp.mpc(0)
         for e, c in self.coeffs.items():
-            term = c.eval_mp(assignment)
-            for i, k in enumerate(e):
+            term = gens(c)
+            for x, k in zip(xs, e):
                 if k:
-                    term *= mp.mpmathify(values[self.variables[i]]) ** k
+                    term *= x ** k
             total += term
         return total
 

@@ -4,7 +4,8 @@ Bessel and Hankel functions of order nu = i g (g > 0 real) evaluated at
 real positive argument, a complex gamma wrapper, and a continuity-tracked
 total argument of I_{ig}.  Everything runs on mpmath with guard digits at
 the precision passed per call (DEFAULT_DPS when none is), whatever the
-process-global mp.mp.dps; inputs are converted at that precision too.
+process-global mpmath precision; inputs are converted at that precision
+too.
 
 Both Bessel series are the one small-argument series
 
@@ -49,8 +50,8 @@ class ComplexHP:
 
     __slots__ = ("mpc", "dps")
 
-    def __init__(self, value, dps=None):
-        self.dps = dps or DEFAULT_DPS
+    def __init__(self, value, dps=DEFAULT_DPS):
+        self.dps = dps
         with mp.workdps(self.dps):
             z = mp.mpc(value)
         if not (mp.isfinite(z.real) and mp.isfinite(z.imag)):
@@ -65,12 +66,6 @@ class ComplexHP:
     def im(self):
         return self.mpc.imag
 
-    def __abs__(self):
-        return mp.fabs(self.mpc)
-
-    def arg(self):
-        return mp.arg(self.mpc)
-
     def conjugate(self):
         # exact negation: unary minus would round at the global precision
         re, im = self.mpc._mpc_
@@ -84,9 +79,8 @@ def _work(dps, guard):
     return mp.workdps(int(dps + guard))
 
 
-def complex_gamma(z, dps=None) -> ComplexHP:
+def complex_gamma(z, dps=DEFAULT_DPS) -> ComplexHP:
     """Gamma(z) for complex z away from the non-positive integers."""
-    dps = dps or DEFAULT_DPS
     with _work(dps, 10):
         z = mp.mpc(z)
         if z.imag == 0 and z.real <= 0 and z.real == mp.floor(z.real):
@@ -210,12 +204,12 @@ def _asym_crossover(dps):
     return max(ASYMPTOTIC_MIN_X, (dps + 6) * mp.log(10) / 2)
 
 
-def bessel_i_imag(g, x, dps=None, force=None) -> ComplexHP:
+def bessel_i_imag(g, x, dps=DEFAULT_DPS, force=None) -> ComplexHP:
     """I_{ig}(x) for g > 0, x > 0."""
     return _bessel_imag(g, x, dps, force, 1)
 
 
-def bessel_j_imag(g, x, dps=None, force=None) -> ComplexHP:
+def bessel_j_imag(g, x, dps=DEFAULT_DPS, force=None) -> ComplexHP:
     """J_{ig}(x) for g > 0, x > 0."""
     return _bessel_imag(g, x, dps, force, -1)
 
@@ -224,7 +218,6 @@ def _bessel_imag(g, x, dps, force, sign):
     """I_{ig}(x) for sign = +1, J_{ig}(x) for sign = -1: the eta_+- series,
     or beyond the crossover the Hankel mean at z = ix (times e^{-i pi nu/2},
     for I) or z = x (for J)."""
-    dps = dps or DEFAULT_DPS
     g, x = _check_gx(g, x, dps)
     route = force or ("asymptotic" if x > _asym_crossover(dps) else "series")
     with _work(dps, 15):
@@ -241,9 +234,8 @@ def _bessel_imag(g, x, dps, force, sign):
         return ComplexHP(val, dps)
 
 
-def bessel_k_imag(g, x, dps=None) -> ComplexHP:
+def bessel_k_imag(g, x, dps=DEFAULT_DPS) -> ComplexHP:
     """K_{ig}(x) = (pi/2)(I_{-ig} - I_{ig})/sin(i pi g); real for real input."""
-    dps = dps or DEFAULT_DPS
     g, x = _check_gx(g, x, dps)
     with _work(dps, 15):
         ip = bessel_i_imag(g, x, dps + 10).mpc
@@ -252,12 +244,12 @@ def bessel_k_imag(g, x, dps=None) -> ComplexHP:
         return ComplexHP(val, dps)
 
 
-def hankel1_imag(g, x, dps=None) -> ComplexHP:
+def hankel1_imag(g, x, dps=DEFAULT_DPS) -> ComplexHP:
     """H^(1)_{ig}(x) = J_{ig} + i Y_{ig}."""
     return _hankel_imag(g, x, dps, 1)
 
 
-def hankel2_imag(g, x, dps=None) -> ComplexHP:
+def hankel2_imag(g, x, dps=DEFAULT_DPS) -> ComplexHP:
     """H^(2)_{ig}(x) = J_{ig} - i Y_{ig}."""
     return _hankel_imag(g, x, dps, 2)
 
@@ -265,7 +257,6 @@ def hankel2_imag(g, x, dps=None) -> ComplexHP:
 def _hankel_imag(g, x, dps, kind):
     """H^(kind)_{ig}(x): the large-argument expansion beyond the crossover,
     else J_{ig} +- i Y_{ig}, with Y from J_{ig} and J_{-ig} = conj J_{ig}."""
-    dps = dps or DEFAULT_DPS
     g, x = _check_gx(g, x, dps)
     with _work(dps, 15):
         nu = mp.mpc(0, 1) * g
@@ -290,15 +281,14 @@ def _check_gx(g, x, dps):
 # Continuity-tracked argument of I_{ig}.
 # ---------------------------------------------------------------------------
 
-def arg_i_tilde_principal(g, x, dps=None):
+def arg_i_tilde_principal(g, x, dps=DEFAULT_DPS):
     """Principal argument of I-tilde_{ig}(x) = (x/2)^{-ig} I_{ig}(x)."""
-    dps = dps or DEFAULT_DPS
     g, x = _check_gx(g, x, dps)
     with _work(dps, 15):
         return mp.arg(_series_sum(g, x, False, dps))
 
 
-def arg_i_unwrapped(g, x, dps=None):
+def arg_i_unwrapped(g, x, dps=DEFAULT_DPS):
     """Total argument of I_{ig}(x), continuous in x from x -> 0+.
 
     Decomposition: arg I = g ln(x/2) + theta(x), where theta is the
@@ -307,7 +297,6 @@ def arg_i_unwrapped(g, x, dps=None):
     The step along the path is halved until consecutive principal
     arguments move by less than pi/2.
     """
-    dps = dps or DEFAULT_DPS
     g, x = _check_gx(g, x, dps)
     with _work(dps, 15):
         # unwound value at x -> 0+ comes from the continuous log-gamma;
@@ -352,10 +341,9 @@ def _round_to_branch(offset):
     return 2 * mp.pi * mp.nint(offset / (2 * mp.pi))
 
 
-def arg_i_branch_residue(g, x, dps=None):
+def arg_i_branch_residue(g, x, dps=DEFAULT_DPS):
     """(unwound - principal) difference of Arg I-tilde in units of 2 pi;
     an integer up to rounding error."""
-    dps = dps or DEFAULT_DPS
     with _work(dps, 10):
         total = arg_i_unwrapped(g, x, dps)
         principal = arg_i_tilde_principal(g, x, dps)

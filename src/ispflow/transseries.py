@@ -20,8 +20,9 @@ import json
 
 import mpmath as mp
 
-from .constexpr import ConstExpr
+from .constexpr import ConstExpr, generator_values
 from .series import INF_ORDER, SeriesError, TruncSeries
+from .specfun import DEFAULT_DPS
 
 FLAVORS = ("bound", "scatter")
 
@@ -152,32 +153,29 @@ class Transseries:
 
     # -- evaluation -----------------------------------------------------------
 
-    def unit_value(self, g, assignment: dict | None = None):
-        """Numeric value of the non-perturbative unit eps at coupling g."""
-        g = mp.mpmathify(g)
-        npi = (2 * self.branch + 1) * mp.pi
-        expo = -npi / g - mp.euler
-        if self.flavor == "scatter":
-            K = mp.mpmathify((assignment or {})["K"])
-            expo -= K * mp.pi
-        return mp.e ** expo
-
-    def eval_mp(self, g, assignment: dict | None = None):
-        """Evaluate the full transseries numerically at coupling g."""
-        g = mp.mpmathify(g)
-        eps = self.unit_value(g, assignment)
-        total = mp.mpc(0)
-        for l, s in self.sectors.items():
-            total += s.eval_mp({"g": g}, assignment) * eps ** l
-        return total
+    def eval_mp(self, g, assignment: dict | None = None,
+                max_sector: int | None = None, dps: int = DEFAULT_DPS):
+        """The sectors up to ``max_sector`` (all by default) at coupling g
+        and ``dps`` digits, evaluated by one GeneratorValues, which also
+        gives the unit eps = exp(-(2b+1) pi/g - gamma [- K pi]) its values."""
+        with generator_values(assignment, dps) as gens:
+            g = mp.mpmathify(g)
+            npi = (2 * self.branch + 1) * gens["pi"]
+            expo = -npi / g - gens["gamma"]
+            if self.flavor == "scatter":
+                expo -= gens["K"] * gens["pi"]
+            eps = mp.e ** expo
+            total = mp.mpc(0)
+            for l, s in self.sectors.items():
+                if max_sector is None or l <= max_sector:
+                    total += s._eval({"g": g}, gens) * eps ** l
+            return total
 
     def eval_sector_mp(self, l, g, assignment: dict | None = None,
-                       with_unit=True):
-        g = mp.mpmathify(g)
-        v = self.sector(l).eval_mp({"g": g}, assignment)
-        if with_unit:
-            v *= self.unit_value(g, assignment) ** l
-        return v
+                       dps: int = DEFAULT_DPS):
+        """Sector l times eps^l at coupling g (see eval_mp)."""
+        return Transseries({l: self.sector(l)}, self.branch,
+                           self.flavor).eval_mp(g, assignment, dps=dps)
 
     # -- output ----------------------------------------------------------------
 

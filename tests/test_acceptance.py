@@ -6,7 +6,6 @@ stated numeric bands for the dual-oracle checks.
 """
 
 import time
-import warnings
 
 import mpmath as mp
 import pytest
@@ -14,8 +13,11 @@ import pytest
 from ispflow import golden
 from ispflow.constexpr import ConstExpr, GRat
 
-warnings.filterwarnings("ignore")
-mp.mp.dps = 60
+
+@pytest.fixture(autouse=True, scope="module")
+def _working_precision():
+    with mp.workdps(60):
+        yield
 
 
 def report(criterion, ok, detail=""):

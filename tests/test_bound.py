@@ -17,7 +17,11 @@ from ispflow.bound import bound_condition_series
 from ispflow.expansions import growth_unit_series
 from ispflow.series import TruncSeries
 
-mp.mp.dps = 50
+
+@pytest.fixture(autouse=True, scope="module")
+def _working_precision():
+    with mp.workdps(50):
+        yield
 
 
 @pytest.fixture(scope="module")
@@ -54,18 +58,38 @@ def test_a0_numeric_limit(cond):
     assert abs(cond.a0_value(mp.mpf("1e-25")) + mp.e ** (-mp.euler)) < 1e-45
 
 
-def test_numeric_evaluations_ignore_global_precision(cond):
+def test_numeric_evaluations_ignore_global_precision(cond, f, beta):
     """a0_value and beta_exact_sector_eval default to 60 digits, not to the
-    global mpmath precision."""
+    global mpmath precision; every evaluation of an exact object and both
+    flow residuals run at the dps they are given."""
+    from ispflow.rgnumeric import quantization_residual, scattering_residual
+    from ispflow.scatter import scatter_beta
+    scatter = scatter_beta(4, g_order=7)
+    entry = golden.BOUND_TABLE[(0, 4)]      # pi, gamma, zeta3 and n
+    g, k = "0.4", "0.3"
+    at_60 = {
+        "ConstExpr": lambda: entry.eval_mp({"n": 1}, dps=60),
+        "TruncSeries": lambda: cond.a0_scaled.eval_mp({"g": g}, dps=60),
+        "Transseries": lambda: f.eval_mp(g, dps=60),
+        "bound beta": lambda: beta.eval_mp(g, dps=60),
+        "scattering beta": lambda: scatter.eval_mp(g, {"K": k}, dps=60),
+        "bound residual": lambda: quantization_residual(g, 1000, 0, dps=60),
+        "scattering residual": lambda: scattering_residual(g, 1000, k,
+                                                           dps=60),
+    }
     ref_a0 = cond.a0_value("0.4", dps=60)
     ref_beta = {s: beta_exact_sector_eval("0.4", s, dps=60) for s in (0, 2, 4)}
     with mp.workdps(15):
         a0 = cond.a0_value("0.4")
-        beta = {s: beta_exact_sector_eval("0.4", s) for s in (0, 2, 4)}
+        exact = {s: beta_exact_sector_eval("0.4", s) for s in (0, 2, 4)}
+        low = {name: fn() for name, fn in at_60.items()}
     with mp.workdps(60):
+        high = {name: fn() for name, fn in at_60.items()}
         assert abs(a0 - ref_a0) < 1e-50 * abs(ref_a0)
         for s, ref in ref_beta.items():
-            assert abs(beta[s] - ref) < 1e-50 * abs(ref)
+            assert abs(exact[s] - ref) < 1e-50 * abs(ref)
+        for name, ref in high.items():
+            assert abs(low[name] - ref) < 1e-50 * abs(ref), name
 
 
 def test_arg_eta_reconciles_with_a3():

@@ -1,12 +1,8 @@
 """CLI behavior: determinism, exit codes, config handling."""
 
-import warnings
-
 import pytest
 
 from ispflow.cli import main
-
-warnings.filterwarnings("ignore")
 
 
 def read(path):

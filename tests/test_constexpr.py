@@ -10,7 +10,11 @@ import pytest
 from ispflow.constexpr import (GENERATORS, ConstExpr, GRat, GAMMA, K_GEN,
                                L_GEN, N_GEN, PI, ZETA3)
 
-mp.mp.dps = 50
+
+@pytest.fixture(autouse=True, scope="module")
+def _working_precision():
+    with mp.workdps(50):
+        yield
 
 
 def random_expr(rng, n_terms=3, max_pow=3):
@@ -77,7 +81,7 @@ def test_float_eval_path():
 
 
 def test_eval_known_values():
-    assert abs(PI.eval_mp() - mp.pi) == 0
+    assert abs(PI.eval_mp(dps=50) - mp.pi) == 0
     sixth_psi2 = ConstExpr.psi(2, Fraction(1, 6))
     # frozen from the independent polygamma oracle psi(2,1)/6
     assert abs(sixth_psi2.eval_mp()

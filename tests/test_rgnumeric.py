@@ -15,7 +15,11 @@ from ispflow.rgnumeric import (SolverError, contour_grid, numeric_beta,
                                solve_running_coupling,
                                solve_scattering_coupling)
 
-mp.mp.dps = 60
+
+@pytest.fixture(autouse=True, scope="module")
+def _working_precision():
+    with mp.workdps(60):
+        yield
 
 
 @pytest.fixture(scope="module")

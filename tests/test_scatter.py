@@ -24,7 +24,11 @@ from ispflow.scatter import (analytic_continuation_check,
                              scatter_structure_fit)
 from ispflow.series import SeriesError, TruncSeries
 
-mp.mp.dps = 50
+
+@pytest.fixture(autouse=True, scope="module")
+def _working_precision():
+    with mp.workdps(50):
+        yield
 
 
 @pytest.fixture(scope="module")

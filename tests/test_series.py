@@ -13,7 +13,11 @@ from ispflow.series import (INF_ORDER, SeriesError, TruncSeries,
                             arctan_series, coth_series, exp_series,
                             lagrange_coefficients, tan_series, tanh_series)
 
-mp.mp.dps = 50
+
+@pytest.fixture(autouse=True, scope="module")
+def _working_precision():
+    with mp.workdps(50):
+        yield
 GV = ("g",)
 
 

@@ -11,7 +11,11 @@ from ispflow.specfun import (ComplexHP, SpecFunError, _asym_crossover, _eta,
                              bessel_i_imag, bessel_j_imag, bessel_k_imag,
                              complex_gamma, hankel1_imag, hankel2_imag)
 
-mp.mp.dps = 60
+
+@pytest.fixture(autouse=True, scope="module")
+def _working_precision():
+    with mp.workdps(60):
+        yield
 
 
 def stirling_gamma(z, dps=80):
@@ -155,7 +159,7 @@ def test_eta_reads_only_the_working_precision():
 
 
 def test_default_precision_ignores_global_dps():
-    """dps=None means DEFAULT_DPS (60), whatever the global precision."""
+    """The default dps is DEFAULT_DPS (60), whatever the global precision."""
     g, x = 0.7, 2.5
     with mp.workdps(15):
         j = bessel_j_imag(g, x)

@@ -4,12 +4,19 @@ import random
 from fractions import Fraction
 
 import mpmath as mp
+import pytest
 
 from ispflow.constexpr import ConstExpr
 from ispflow.series import TruncSeries
 from ispflow.transseries import Transseries
 
 GV = ("g",)
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _working_precision():
+    with mp.workdps(60):
+        yield
 
 
 def rand_sector(rng, order=4):
