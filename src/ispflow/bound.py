@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
-from .constexpr import ConstExpr, generator_values
+from .constexpr import DEFAULT_DPS, ConstExpr, GeneratorValues
 from .coupling import (BOUND_COLUMNS, BOUND_COLUMN_IDS, GAMMA_LADDER,
                        CouplingTable, N_PI, resummation_check,
                        solve_coupling_table, structure_fit)
@@ -27,7 +27,6 @@ from .expansions import (ARG_GAMMA_MAX_ORDER, arg_eta_over_g,
                          odd_coefficient_family, sector_condition_residual,
                          solve_sector_ansatz)
 from .series import SeriesError, TruncSeries, lagrange_coefficients
-from .specfun import DEFAULT_DPS
 from .transseries import Transseries
 
 
@@ -48,7 +47,7 @@ class GroundStateCondition:
     def a0_value(self, g, dps: int = DEFAULT_DPS):
         """Numeric a0(g) = -e^{-gamma} E(g) at ``dps`` digits;
         a0(0) = -e^{-gamma}."""
-        with generator_values(dps=dps) as gens:
+        with GeneratorValues(dps=dps) as gens:
             return -mp.e ** (-gens["gamma"]) * self.a0_scaled._eval(
                 {"g": g}, gens)
 
@@ -130,10 +129,9 @@ class BetaTransseries:
         assert c2 == ConstExpr.monomial(-1, pi=-1), \
             f"leading perturbative coefficient is {c2}"
 
-    def eval_mp(self, g, assignment=None, max_sector=None,
-                dps: int = DEFAULT_DPS):
+    def eval_mp(self, g, assignment=None, dps: int = DEFAULT_DPS):
         """Real part of ``Transseries.eval_mp``."""
-        return mp.re(self.ts.eval_mp(g, assignment, max_sector, dps))
+        return mp.re(self.ts.eval_mp(g, assignment, dps))
 
 
 def beta_transseries(f: Transseries, max_sector: int | None = None) -> BetaTransseries:

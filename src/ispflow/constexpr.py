@@ -25,7 +25,6 @@ zeta basis via psi^(m)(1) = (-1)^(m+1) m! zeta(m+1).
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
 from fractions import Fraction
 from math import factorial, gcd
 from operator import add
@@ -33,7 +32,8 @@ from operator import add
 import mpmath as mp
 from mpmath.libmp import dps_to_prec, from_rational
 
-from .specfun import DEFAULT_DPS
+# digits of every numeric evaluation that is not given its own precision
+DEFAULT_DPS = 60
 
 GENERATORS = ("pi", "gamma", "zeta3", "zeta5", "zeta7", "zeta9", "zeta11",
               "zeta13", "zeta15", "zeta17", "zeta19", "K", "n", "L", "lam",
@@ -382,7 +382,7 @@ class ConstExpr:
         """Evaluate to an mpmath complex at ``dps`` digits, whatever the
         global precision.  ``assignment`` supplies values for K, n, L, lam
         as needed; the transcendental generators take their true values."""
-        with generator_values(assignment, dps) as values:
+        with GeneratorValues(assignment, dps) as values:
             return values(self)
 
     def generators_used(self):
@@ -520,24 +520,20 @@ class ConstExpr:
         return cls.from_jsonable(json.loads(s))
 
 
-@contextmanager
-def generator_values(assignment: dict | None = None,
-                     dps: int = DEFAULT_DPS):
-    """Work at ``dps`` digits; yield the GeneratorValues of one evaluation."""
-    with mp.workdps(dps):
-        yield GeneratorValues(assignment or {}, dps)
-
-
 class GeneratorValues:
-    """The numbers of one evaluation at the working precision.
+    """The numbers of one evaluation at ``dps`` digits.
 
-    ``values[name]`` is the only map from generator names to numbers: pi,
-    gamma and zeta(3..19) by default, the rest from the assignment (which
-    may override any).  ``values(expr)`` is a ConstExpr's mpc value.  Each
-    value and each power of it is built once, when first used."""
+    Used as ``with GeneratorValues(assignment, dps) as values:``, which
+    works at ``dps`` digits inside the block.  ``values[name]`` is the only
+    map from generator names to numbers: pi, gamma and zeta(3..19) by
+    default, the rest from the assignment (which may override any).
+    ``values(expr)`` is a ConstExpr's mpc value.  Each value and each power
+    of it is built once, when first used."""
 
-    def __init__(self, assignment: dict, dps: int):
-        self._assignment = assignment
+    def __init__(self, assignment: dict | None = None,
+                 dps: int = DEFAULT_DPS):
+        self._assignment = assignment or {}
+        self._workdps = mp.workdps(dps)
         self._prec = dps_to_prec(dps)
         self._values = {}       # generator name -> value
         self._powers = {}       # (generator index, exponent) -> power
@@ -557,6 +553,13 @@ class GeneratorValues:
                 raise ValueError(f"no value supplied for generator '{name}'")
             self._values[name] = v
         return v
+
+    def __enter__(self):
+        self._workdps.__enter__()
+        return self
+
+    def __exit__(self, *exc):
+        return self._workdps.__exit__(*exc)
 
     def __call__(self, expr: ConstExpr):
         prec, powers = self._prec, self._powers

@@ -12,8 +12,7 @@ from pathlib import Path
 
 import mpmath as mp
 
-from .constexpr import generator_values
-from .specfun import DEFAULT_DPS
+from .constexpr import DEFAULT_DPS, GeneratorValues
 
 FLOAT_DIGITS = 30
 RESIDUAL_DIGITS = 3  # |F| at a root is rounding noise: print its size
@@ -50,7 +49,7 @@ def _emit(outdir, name, fmt, header, rows, quoted=()):
 def emit_coeffs(outdir, fmt, table, assignment, dps=DEFAULT_DPS):
     """The table's entries with their values at ``assignment``, all
     evaluated at ``dps`` digits against one GeneratorValues."""
-    with generator_values(assignment, dps) as gens:
+    with GeneratorValues(assignment, dps) as gens:
         rows = [(table.sector_tag, p, l, str(expr), fnum(gens(expr).real))
                 for p, l, expr in table.rows()]
     return _emit(outdir, f"coeffs_{table.sector_tag}", fmt,

@@ -26,9 +26,8 @@ from math import factorial
 
 import mpmath as mp
 
-from .constexpr import (ConstExpr, GeneratorValues, GRat, _coerce, as_grat,
-                        generator_values)
-from .specfun import DEFAULT_DPS
+from .constexpr import (DEFAULT_DPS, ConstExpr, GeneratorValues, GRat,
+                        _coerce, as_grat)
 
 INF_ORDER = 10 ** 9  # sentinel: exact in this variable (polynomial)
 
@@ -426,17 +425,21 @@ class TruncSeries:
                 dps: int = DEFAULT_DPS):
         """Numeric evaluation at ``dps`` digits: values maps variable name
         -> number; all coefficients are evaluated by one GeneratorValues."""
-        with generator_values(assignment, dps) as gens:
+        with GeneratorValues(assignment, dps) as gens:
             return self._eval(values, gens)
 
     def _eval(self, values: dict, gens: GeneratorValues):
-        """The series at ``values``, its coefficients evaluated by gens."""
-        xs = [mp.mpmathify(values[v]) for v in self.variables]
+        """The series at ``values``, its coefficients evaluated by gens;
+        a variable no term uses needs no value."""
+        xs = {}     # variable index -> value, converted when first used
         total = mp.mpc(0)
         for e, c in self.coeffs.items():
             term = gens(c)
-            for x, k in zip(xs, e):
+            for i, k in enumerate(e):
                 if k:
+                    x = xs.get(i)
+                    if x is None:
+                        x = xs[i] = mp.mpmathify(values[self.variables[i]])
                     term *= x ** k
             total += term
         return total

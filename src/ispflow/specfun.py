@@ -33,7 +33,7 @@ from __future__ import annotations
 import mpmath as mp
 from mpmath.libmp import from_man_exp, mpf_neg, to_fixed
 
-DEFAULT_DPS = 60
+from .constexpr import DEFAULT_DPS
 
 ASYMPTOTIC_MIN_X = 30.0
 

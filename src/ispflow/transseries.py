@@ -20,9 +20,8 @@ import json
 
 import mpmath as mp
 
-from .constexpr import ConstExpr, generator_values
+from .constexpr import DEFAULT_DPS, ConstExpr, GeneratorValues
 from .series import INF_ORDER, SeriesError, TruncSeries
-from .specfun import DEFAULT_DPS
 
 FLAVORS = ("bound", "scatter")
 
@@ -154,11 +153,11 @@ class Transseries:
     # -- evaluation -----------------------------------------------------------
 
     def eval_mp(self, g, assignment: dict | None = None,
-                max_sector: int | None = None, dps: int = DEFAULT_DPS):
-        """The sectors up to ``max_sector`` (all by default) at coupling g
-        and ``dps`` digits, evaluated by one GeneratorValues, which also
-        gives the unit eps = exp(-(2b+1) pi/g - gamma [- K pi]) its values."""
-        with generator_values(assignment, dps) as gens:
+                dps: int = DEFAULT_DPS):
+        """The sum of the sectors at coupling g and ``dps`` digits,
+        evaluated by one GeneratorValues, which also gives the unit
+        eps = exp(-(2b+1) pi/g - gamma [- K pi]) its values."""
+        with GeneratorValues(assignment, dps) as gens:
             g = mp.mpmathify(g)
             npi = (2 * self.branch + 1) * gens["pi"]
             expo = -npi / g - gens["gamma"]
@@ -167,8 +166,7 @@ class Transseries:
             eps = mp.e ** expo
             total = mp.mpc(0)
             for l, s in self.sectors.items():
-                if max_sector is None or l <= max_sector:
-                    total += s._eval({"g": g}, gens) * eps ** l
+                total += s._eval({"g": g}, gens) * eps ** l
             return total
 
     def eval_sector_mp(self, l, g, assignment: dict | None = None,

@@ -389,6 +389,12 @@ def test_tan_tanh_arctan_values():
     assert abs(arctan_series("t", 9).eval_mp({"t": x}) - mp.atan(x)) < 1e-13
 
 
+def test_eval_needs_no_value_for_an_unused_variable():
+    f = TruncSeries(("g", "x"), {(0, 0): ConstExpr.one(),
+                                 (2, 0): ConstExpr.number(3)}, None, (4, 3))
+    assert f.eval_mp({"g": mp.mpf("0.5")}, dps=50) == mp.mpf("1.75")
+
+
 def test_json_roundtrip():
     rng = random.Random(46)
     for _ in range(50):
