@@ -163,50 +163,46 @@ def _w_mp(g):
 
 
 def beta_exact_sector_eval(g, sector: int, dps: int = DEFAULT_DPS):
-    """Closed-form numeric evaluation of the beta sectors l = 0, 2, 4
-    (branch 0), including the non-perturbative exponential prefactor.
+    """Closed-form numeric evaluation of beta sector ``sector`` (branch 0),
+    including its non-perturbative factor u^sector, u = E eps
+    = exp((Arg Gamma(1+ig) - pi)/g).
 
-    The sector forms follow from the graded division with the rational
-    sector prefactors R_3 = 1/(1+g^2), R_5 = 3(5+2g^2)/(2(1+g^2)^2(4+g^2)):
+    With the exact sector prefactors R_l of ``golden.SECTOR_PREFACTORS``,
+    f = u sum_i R_{2i+1} t^i and f' = u sum_i b_i t^i in t = u^2, where
+    b_i = R_l' + l V R_l (l = 2i+1) and V = (log u)' = pi/g^2 + W.  The
+    graded division beta = -f/f' = -sum_j q_j t^j gives
 
-        beta_0 = -(g^2/pi) / den,        den = 1 + g^2 W / pi ,
-        beta_2 = (2 g^2/pi^2) [pi(1+g^2) - g^3 + (1+g^2) g^2 W]
-                 / ((1+g^2)^2 den^2) ,
-        beta_4 = (g^2/pi) [ 6/(uv den) + (g^3/pi)(49+11g^2-2g^4)/(u^3 v^2 den^2)
-                 - 4 g^6/(pi^2 u^4 den^3) ],   u = 1+g^2, v = 4+g^2 ,
+        q_j = (R_{2j+1} - sum_{i<j} q_i b_{j-i}) / b_0 ,
 
-    each times e^{2l ArgGamma(1+ig)/g} e^{-2l pi/g} at sector index 2l.
-    (The printed closed form for the second non-perturbative order carries a
-    spurious global factor (1+g^2)^4/(4+g^2)^2: its weak-coupling limit is
-    3/(32 pi) g^2, inconsistent with the printed transseries lead
-    3/(2 pi) g^2; the form above reproduces the transseries exactly.)
+    and sector 2j is -q_j u^{2j}: one sector per known prefactor.
 
     Evaluated at ``dps`` digits, whatever the global mpmath precision.
     """
-    if sector not in (0, 2, 4):
-        raise ValueError("closed forms are available for sectors 0, 2, 4")
+    # imported here: building golden's tables would slow every import of bound
+    from .golden import SECTOR_PREFACTORS
+    top = max(SECTOR_PREFACTORS) - 1
+    if sector % 2 or not 0 <= sector <= top:
+        raise ValueError(f"closed forms are available for the even sectors "
+                         f"0..{top}")
     with mp.workdps(dps):
         g = mp.mpf(g)
         if not 0 < g < 2:
             raise ValueError("g must lie in (0, 2)")
-        w = _w_mp(g)
-        den = 1 + g ** 2 * w / mp.pi
-        if sector == 0:
-            return -(g ** 2 / mp.pi) / den
-        ag = _arg_gamma_mp(g)
-        u = 1 + g ** 2
-        v = 4 + g ** 2
-        if sector == 2:
-            pref = (2 / mp.pi ** 2) * g ** 2 / u ** 2
-            num = mp.pi + (mp.pi - g) * g ** 2 + u * g ** 2 * w
-            return (pref * num / den ** 2
-                    * mp.e ** (2 * ag / g) * mp.e ** (-2 * mp.pi / g))
-        bracket = (6 / (u * v * den)
-                   + (g ** 3 / mp.pi) * (49 + 11 * g ** 2 - 2 * g ** 4)
-                   / (u ** 3 * v ** 2 * den ** 2)
-                   - 4 * g ** 6 / (mp.pi ** 2 * u ** 4 * den ** 3))
-        return (g ** 2 / mp.pi * bracket
-                * mp.e ** (4 * ag / g) * mp.e ** (-4 * mp.pi / g))
+        v = mp.pi / g ** 2 + _w_mp(g)
+        t = g ** 2
+        b, q = [], []
+        for j in range(sector // 2 + 1):
+            l = 2 * j + 1
+            num, den, scale = SECTOR_PREFACTORS[l]
+            # R = N(t)/(scale D(t)) and, by the quotient rule with
+            # d/dg = 2g d/dt, R' = 2g (N_t - N D_t/D)/(scale D)
+            n, n_t = mp.polyval(num[::-1], t, derivative=True)
+            d = scale * mp.fprod(a + c * t for a, c in den)
+            dlog_d = mp.fsum(c / (a + c * t) for a, c in den)
+            r = n / d
+            b.append(2 * g * (n_t - n * dlog_d) / d + l * v * r)
+            q.append((r - mp.fsum(q[i] * b[j - i] for i in range(j))) / b[0])
+        return -q[-1] * mp.e ** (sector * (_arg_gamma_mp(g) - mp.pi) / g)
 
 
 def excited_state_scale(n_level: int, g):

@@ -198,7 +198,6 @@ def as_grat(x) -> GRat:
 
 
 ONE_G = GRat(1)
-I_G = GRat(0, 1)
 
 
 class ConstExpr:
@@ -258,16 +257,6 @@ class ConstExpr:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_number(self) -> bool:
-        return all(e == _ZERO_EXP for e in self.terms)
-
-    def as_grat(self) -> GRat:
-        if not self.terms:
-            return GRat(0)
-        if not self.is_number():
-            raise ValueError(f"not a pure number: {self}")
-        return self.terms[_ZERO_EXP]
 
     def __bool__(self):
         return bool(self.terms)

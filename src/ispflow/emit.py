@@ -19,7 +19,7 @@ RESIDUAL_DIGITS = 3  # |F| at a root is rounding noise: print its size
 
 
 def fnum(x, digits=FLOAT_DIGITS) -> str:
-    return mp.nstr(mp.mpf(x), digits)
+    return mp.nstr(mp.mpmathify(x), digits)
 
 
 def _write(path: Path, text: str):

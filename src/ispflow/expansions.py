@@ -26,9 +26,6 @@ from .transseries import Transseries
 # which covers every g-power up to 20 (the g^21 term would need zeta21).
 ARG_GAMMA_MAX_ORDER = 20
 
-_ZETA_BY_ARG = {3: "zeta3", 5: "zeta5", 7: "zeta7", 9: "zeta9", 11: "zeta11",
-                13: "zeta13", 15: "zeta15", 17: "zeta17", 19: "zeta19"}
-
 
 def arg_gamma_series(g_order: int) -> TruncSeries:
     """Arg Gamma(1+ig) = -gamma g + zeta3 g^3/3 - zeta5 g^5/5 + ..."""
@@ -39,10 +36,9 @@ def arg_gamma_series(g_order: int) -> TruncSeries:
     coeffs = {(1,): ConstExpr.monomial(-1, gamma=1)}
     k = 1
     while 2 * k + 1 <= g_order:
-        name = _ZETA_BY_ARG[2 * k + 1]
         sign = (-1) ** (k + 1)
         coeffs[(2 * k + 1,)] = ConstExpr.monomial(
-            Fraction(sign, 2 * k + 1), **{name: 1})
+            Fraction(sign, 2 * k + 1), **{f"zeta{2 * k + 1}": 1})
         k += 1
     return TruncSeries(("g",), coeffs, (0,), (g_order,))
 

@@ -3,15 +3,19 @@
 These are the independently known closed forms the derivation modules must
 reproduce: the ground-state condition coefficients, the transseries sector
 prefactors, both running-coupling tables, and the printed beta and
-cross-sector coefficients.  Two entries are corrected relative to their
-printed sources, with the corrections forced by internal consistency (the
-binomial column ladder and flow covariance); see the repository notes:
+cross-sector coefficients.  Three printed results are corrected, with the
+corrections forced by internal consistency (the binomial column ladder,
+flow covariance and the beta transseries); see the repository notes:
 
 * the gamma^5 psi2-part of c_(0,9) is 56/6 (not 46/6), as the column sum
   C(8,3)/6 requires and the plug-back residual confirms;
 * the g_B^4 cross-sector coefficient carries pi^2/12 (not 1/12), and the
   g_B^5 one an extra (K-L) psi2/(3 pi) term, both fixed by requiring
-  beta_S(g_S) = (dg_S/dg_B) beta_B(g_B).
+  beta_S(g_S) = (dg_S/dg_B) beta_B(g_B);
+* the printed closed form of beta sector 4 carries a spurious global factor
+  (1+g^2)^4/(4+g^2)^2: its weak-coupling limit 3/(32 pi) g^2 contradicts
+  the printed transseries lead 3/(2 pi) g^2.  ``bound.beta_exact_sector_eval``
+  generates the sector from SECTOR_PREFACTORS instead.
 """
 
 from __future__ import annotations
@@ -230,20 +234,23 @@ def gs_a7(order: int) -> TruncSeries:
                            order, scale=6)
 
 
+# Rational prefactor R_l of transseries sector l (S_l = R_l E^l) as
+# (numerator coefficients of g^0, g^2, ..., denominator factors (a, b)
+# meaning (a + b g^2), divisor), the form ``rational_series`` reads.
+SECTOR_PREFACTORS = {
+    1: ([1], [], 1),
+    3: ([1], [(1, 1)], 1),
+    5: ([15, 6], [(1, 1), (1, 1), (4, 1)], 2),
+    7: ([911, 625, 74], [(1, 1), (1, 1), (1, 1), (4, 1), (9, 1)], 6),
+}
+
+
 def f_sector_prefactor(l: int, order: int) -> TruncSeries:
     """Rational prefactor R_l of transseries sector l: S_l = R_l * E^l."""
-    if l == 1:
-        return TruncSeries.const(1, ("g",), (order,))
-    if l == 3:
-        return rational_series([1], [(1, 1)], order)
-    if l == 5:
-        return rational_series([15, 6], [(1, 1), (1, 1), (4, 1)], order,
-                               scale=2)
-    if l == 7:
-        return rational_series([911, 625, 74],
-                               [(1, 1), (1, 1), (1, 1), (4, 1), (9, 1)],
-                               order, scale=6)
-    raise ValueError(f"no reference prefactor for sector {l}")
+    if l not in SECTOR_PREFACTORS:
+        raise ValueError(f"no reference prefactor for sector {l}")
+    num, den, scale = SECTOR_PREFACTORS[l]
+    return rational_series(num, den, order, scale=scale)
 
 
 # expanded-transseries g^2 coefficients of the f sectors (branch 0 display)

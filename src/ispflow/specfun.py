@@ -235,10 +235,14 @@ def _bessel_imag(g, x, dps, force, sign):
 
 
 def bessel_k_imag(g, x, dps=DEFAULT_DPS) -> ComplexHP:
-    """K_{ig}(x) = (pi/2)(I_{-ig} - I_{ig})/sin(i pi g); real for real input."""
+    """K_{ig}(x) = (pi/2)(I_{-ig} - I_{ig})/sin(i pi g); real for real input.
+
+    The two I ~ e^x/sqrt(2 pi x) cancel to K ~ e^{-x}, so I is taken and
+    differenced with 2x/ln 10 more digits."""
     g, x = _check_gx(g, x, dps)
-    with _work(dps, 15):
-        ip = bessel_i_imag(g, x, dps + 10).mpc
+    idps = dps + 10 + int(mp.ceil(2 * x / mp.log(10)))
+    with mp.workdps(idps):
+        ip = bessel_i_imag(g, x, idps).mpc
         im_ = ip.conjugate()          # I_{-ig}(x) = conj I_{ig}(x) for x real
         val = mp.pi / 2 * (im_ - ip) / mp.sin(mp.pi * mp.mpc(0, 1) * mp.mpf(g))
         return ComplexHP(val, dps)

@@ -78,10 +78,11 @@ def test_numeric_evaluations_ignore_global_precision(cond, f, beta):
                                                            dps=60),
     }
     ref_a0 = cond.a0_value("0.4", dps=60)
-    ref_beta = {s: beta_exact_sector_eval("0.4", s, dps=60) for s in (0, 2, 4)}
+    ref_beta = {s: beta_exact_sector_eval("0.4", s, dps=60)
+                for s in (0, 2, 4, 6)}
     with mp.workdps(15):
         a0 = cond.a0_value("0.4")
-        exact = {s: beta_exact_sector_eval("0.4", s) for s in (0, 2, 4)}
+        exact = {s: beta_exact_sector_eval("0.4", s) for s in (0, 2, 4, 6)}
         low = {name: fn() for name, fn in at_60.items()}
     with mp.workdps(60):
         high = {name: fn() for name, fn in at_60.items()}
@@ -234,6 +235,56 @@ def test_beta_exact_sector_eval_matches_series(beta):
     closed4 = beta_exact_sector_eval(g, 4)
     series4 = beta.ts.eval_sector_mp(4, g)
     assert abs(closed4 - series4) / abs(closed4) < 1e-3
+    closed6 = beta_exact_sector_eval(g, 6)
+    series6 = beta.ts.eval_sector_mp(6, g)
+    assert abs(closed6 - series6) / abs(closed6) < 1e-3
+
+
+# sectors 0, 2, 4 from independently hand-derived closed forms, evaluated
+# at 80 digits and rounded to 60
+HAND_FORM_SECTORS = {
+    "1e-3": ("-3.18309886102594870119540995725691154331900277416012381502677e-7",
+             "3.54657539302069337161593848746723369801314423797494592291522e-2736",
+             "1.48183503922256384243538069115633741182074284380076500766038e-5465"),
+    "0.3": ("-2.84685184224175568714602990030316980364937488977318196263779e-2",
+            "1.40376889403678763400669245759383874542262248833936856884982e-11",
+            "2.85166820321295907290347041377858029825270380939120513390231e-21"),
+    "1.0": ("-2.82654886186828028107713290464744736319944640931202653031867e-1",
+            "2.47930478986526005613304767845967660343169653587213787038689e-4",
+            "1.95255757793012309556463597740310250404258239542189591578529e-7"),
+    "1.9": ("-8.30683808257469013408318847237884363158165205247103021070986e-1",
+            "9.25281522741790194062492901920350643956683991379277168109023e-3",
+            "2.10676669997656643100168100063273479139597388447215950910603e-4"),
+}
+
+
+def test_beta_exact_sector_eval_matches_hand_forms():
+    for g, values in HAND_FORM_SECTORS.items():
+        for sector, value in zip((0, 2, 4), values):
+            got = beta_exact_sector_eval(g, sector)
+            with mp.workdps(80):
+                ref = mp.mpf(value)
+                assert abs(got - ref) <= mp.mpf("1e-55") * abs(ref), (g, sector)
+
+
+@pytest.mark.parametrize("g0", ["0.3", "0.5", "0.8"])
+def test_beta_exact_sectors_through_6_match_numeric_beta(g0):
+    """The closed sectors 0..6 sum to the numeric beta within 1e-3 of
+    sector 6 (measured: 4e-10, 1.6e-6 and 1.5e-4 of it), so sector 6 is
+    right to at least three digits."""
+    from ispflow.rgnumeric import solve_running_coupling
+    with mp.workdps(70):
+        ratio = mp.e ** (mp.pi / mp.mpf(g0) + mp.euler)
+    sol = solve_running_coupling(ratio, 0)
+    sectors = [beta_exact_sector_eval(sol.g, s) for s in (0, 2, 4, 6)]
+    with mp.workdps(60):
+        assert abs(sol.beta() - mp.fsum(sectors)) <= 1e-3 * abs(sectors[-1])
+
+
+@pytest.mark.parametrize("sector", [8, 3, -2])
+def test_beta_exact_sector_eval_rejects_unreachable_sectors(sector):
+    with pytest.raises(ValueError, match="even sectors 0..6"):
+        beta_exact_sector_eval("0.5", sector)
 
 
 def test_excited_state_scale():

@@ -1,5 +1,6 @@
 """CLI behavior: determinism, exit codes, config handling."""
 
+import mpmath as mp
 import pytest
 
 from ispflow.cli import main
@@ -7,6 +8,17 @@ from ispflow.cli import main
 
 def read(path):
     return path.read_bytes()
+
+
+def test_fnum_prints_the_digits_its_value_carries():
+    """A 60-digit value prints its own 30 digits under a 15-digit global
+    precision, and a float prints its exact binary value as before."""
+    from ispflow.emit import fnum
+    with mp.workdps(60):
+        third = mp.mpf(1) / 3
+    with mp.workdps(15):
+        assert fnum(third) == "0." + "3" * 30
+        assert fnum(0.1) == "0.100000000000000005551115123126"
 
 
 def test_coeffs_check_passes(tmp_path):

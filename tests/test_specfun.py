@@ -195,6 +195,13 @@ def test_k_reality():
         assert abs(val.imag) < 1e-35
         ref = mp.besselk(mp.mpc(0, 1) * mp.mpf(g), mp.mpf(x))
         assert abs(val - ref) / abs(ref) < 1e-50
+    # at moderate x the two I ~ e^x cancel to K ~ e^-x: every digit asked
+    # for must survive the cancellation
+    for g, x, dps in ((0.8, 40, 30), (0.8, 80, 30), (0.8, 40, 60)):
+        val = bessel_k_imag(g, x, dps).mpc
+        with mp.workdps(dps + 80):
+            ref = mp.besselk(mp.mpc(0, 1) * mp.mpf(g), mp.mpf(x))
+            assert abs(val - ref) < mp.mpf(10) ** -(dps - 2) * abs(ref), (x, dps)
 
 
 def test_hankel_reflection_relation():
