@@ -205,14 +205,16 @@ def beta_exact_sector_eval(g, sector: int, dps: int = DEFAULT_DPS):
         return -q[-1] * mp.e ** (sector * (_arg_gamma_mp(g) - mp.pi) / g)
 
 
-def excited_state_scale(n_level: int, g):
-    """Scale ratio Lambda_n / Lambda_IR = exp(-(n_level - 1) pi / g)."""
+def excited_state_scale(n_level: int, g, dps: int = DEFAULT_DPS):
+    """Scale ratio Lambda_n / Lambda_IR = exp(-(n_level - 1) pi / g), at
+    ``dps`` digits."""
     if n_level < 1:
         raise ValueError("levels are labelled from 1")
-    g = mp.mpf(g)
-    if g <= 0:
-        raise ValueError("g must be positive")
-    return mp.e ** (-(n_level - 1) * mp.pi / g)
+    with mp.workdps(dps):
+        g = mp.mpf(g)
+        if g <= 0:
+            raise ValueError("g must be positive")
+        return mp.e ** (-(n_level - 1) * mp.pi / g)
 
 
 # ---------------------------------------------------------------------------

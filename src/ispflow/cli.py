@@ -30,6 +30,10 @@ EXIT_GOLDEN = 2
 EXIT_TOLERANCE = 3
 EXIT_INPUT = 4
 
+# default largest coupling of the beta sweep, by sector: the scattering
+# series band shrinks with K, so its sweep stops lower
+BETA_GMAX = {"bound": 0.5, "scattering": 0.3}
+
 
 @dataclass
 class RunConfig:
@@ -160,6 +164,7 @@ def cmd_groundstate(args, cfg: RunConfig) -> int:
 def cmd_beta(args, cfg: RunConfig) -> int:
     from .emit import emit_beta
     from .rgnumeric import solve_running_coupling, solve_scattering_coupling
+    gmax = mp.mpf(BETA_GMAX[args.sector] if args.gmax is None else args.gmax)
     if args.sector == "bound":
         from .bound import (beta_transseries, build_ground_state_condition,
                             ground_state_transseries)
@@ -167,7 +172,7 @@ def cmd_beta(args, cfg: RunConfig) -> int:
                                             cfg.orders["sector"] + 3, b=0)
         f = ground_state_transseries(cond, cfg.orders["sector"] + 1)
         beta = beta_transseries(f)
-        cut_lo = mp.e ** (mp.pi / mp.mpf(args.gmax) + mp.euler)
+        cut_lo = mp.e ** (mp.pi / gmax + mp.euler)
         solve = lambda cut: solve_running_coupling(cut, 0, cfg.precision)
         assignment = None
     else:
@@ -175,7 +180,7 @@ def cmd_beta(args, cfg: RunConfig) -> int:
         beta = scatter_beta(cfg.orders["sector"] // 2 * 2,
                             g_order=max(cfg.orders["g"], 16))
         kv = mp.mpf(cfg.k_value)
-        cut_lo = mp.e ** (mp.pi / mp.mpf(args.gmax) + mp.euler + kv * mp.pi)
+        cut_lo = mp.e ** (mp.pi / gmax + mp.euler + kv * mp.pi)
         solve = lambda cut: solve_scattering_coupling(cut, kv, cfg.precision)
         assignment = {"K": kv}
     rows = []
@@ -340,10 +345,10 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub_parser("beta", "numeric-vs-series beta sweep")
     p.add_argument("--sector", choices=("bound", "scattering"),
                    default="bound")
-    p.add_argument("--gmax", type=float, default=0.5,
-                   help="largest coupling in the sweep (the scattering "
-                        "series band shrinks with K; stay below ~0.3 "
-                        "there for nonzero K)")
+    p.add_argument("--gmax", type=float, default=None,
+                   help="largest coupling in the sweep (default 0.5 for "
+                        "bound and 0.3 for scattering, whose series band "
+                        "shrinks with K)")
     p.add_argument("--points", type=int, default=8)
     p.add_argument("--tolerance", type=float, default=1e-5)
     p.set_defaults(func=cmd_beta)

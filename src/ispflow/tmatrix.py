@@ -36,16 +36,17 @@ integrand; power counting cannot see the cancellation.  ``EXPECTED_TABLES``
 is kept unedited as the published record, and acceptance criterion 9 pins
 this one deviation together with its proof: cutoff-independent samples
 equal to the window-only integral.
+
+numpy and scipy are imported where they are first used, so importing the
+package (which imports this module) loads neither.  Every quadrature goes
+through the module-level ``quad``, which forwards to
+``scipy.integrate.quad``, so one name can be wrapped to count them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
-from scipy.integrate import quad
-from scipy.special import spence
 
 BASIS_NAMES = ("1", "lnL", "L", "L^2")
 
@@ -72,6 +73,12 @@ VERTEX_PHASES = {(1, "ckprime"): 1j}
 
 class TMatrixError(ValueError):
     pass
+
+
+def quad(*args, **kwargs):
+    """``scipy.integrate.quad``, imported at the first call."""
+    from scipy.integrate import quad as scipy_quad
+    return scipy_quad(*args, **kwargs)
 
 
 def solid_angle(d: int) -> float:
@@ -257,6 +264,8 @@ def _second_order_d2(term, lam, p_f, p_i):
         return lambda r: r / (2 * math.pi)
     if term not in ("ck", "c2"):
         raise TMatrixError(f"unsupported d=2 second-order term {term}")
+    if term == "c2":
+        from scipy.special import spence
 
     def radial(r):
         m_f, m_i = max(r, p_f), max(r, p_i)
@@ -314,6 +323,7 @@ class DivergenceReport:
 
 
 def _lstsq_basis(lams, ys):
+    import numpy as np
     b = np.stack([np.ones_like(lams), np.log(lams), lams, lams ** 2], axis=1)
     coef, *_ = np.linalg.lstsq(b, ys, rcond=None)
     resid = ys - b @ coef
@@ -331,6 +341,7 @@ def _compose_degree(loop_class: str, vertex_power: int) -> str:
 
 
 def _classify_part(lams, ys, slope_pts=3):
+    import numpy as np
     scale = float(np.max(np.abs(ys))) if len(ys) else 0.0
     if scale == 0.0 or scale < 1e-300:
         return "1"
@@ -356,6 +367,7 @@ def classify_divergence(term: str, d: int, lambdas=None,
                         i_epsilon: float | None = None,
                         first_order: bool = False) -> DivergenceReport:
     """Sample the term over log-spaced cutoffs and classify its growth."""
+    import numpy as np
     if lambdas is None:
         lambdas = np.geomspace(1e2, 1e4, 8)
     lambdas = np.asarray([float(x) for x in lambdas])

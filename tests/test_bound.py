@@ -59,12 +59,21 @@ def test_a0_numeric_limit(cond):
 
 
 def test_numeric_evaluations_ignore_global_precision(cond, f, beta):
-    """a0_value and beta_exact_sector_eval default to 60 digits, not to the
-    global mpmath precision; every evaluation of an exact object and both
-    flow residuals run at the dps they are given."""
+    """a0_value, beta_exact_sector_eval, excited_state_scale and the fixed
+    point relations default to 60 digits, not to the global mpmath
+    precision; every evaluation of an exact object and both flow residuals
+    run at the dps they are given."""
     from ispflow.rgnumeric import quantization_residual, scattering_residual
-    from ispflow.scatter import scatter_beta
+    from ispflow.scatter import fixed_point_relation, scatter_beta
     scatter = scatter_beta(4, g_order=7)
+    fp = fixed_point_relation()
+    by_default = {
+        "excited_state_scale": (excited_state_scale, (3, "0.4")),
+        "delta0": (fp.delta0, ("0.01",)),
+        "tan_delta_prime": (fp.tan_delta_prime, ("0.01",)),
+    }
+    ref_default = {name: fn(*args, dps=60)
+                   for name, (fn, args) in by_default.items()}
     entry = golden.BOUND_TABLE[(0, 4)]      # pi, gamma, zeta3 and n
     g, k = "0.4", "0.3"
     at_60 = {
@@ -83,12 +92,18 @@ def test_numeric_evaluations_ignore_global_precision(cond, f, beta):
     with mp.workdps(15):
         a0 = cond.a0_value("0.4")
         exact = {s: beta_exact_sector_eval("0.4", s) for s in (0, 2, 4, 6)}
+        default = {name: fn(*args) for name, (fn, args) in by_default.items()}
+        # an identity: zero to the working precision of its evaluation
+        residual = fp.two_momentum_residual("0.3", "2.2")
         low = {name: fn() for name, fn in at_60.items()}
     with mp.workdps(60):
         high = {name: fn() for name, fn in at_60.items()}
         assert abs(a0 - ref_a0) < 1e-50 * abs(ref_a0)
         for s, ref in ref_beta.items():
             assert abs(exact[s] - ref) < 1e-50 * abs(ref)
+        for name, ref in ref_default.items():
+            assert abs(default[name] - ref) < 1e-50 * abs(ref), name
+        assert abs(residual) < 1e-55
         for name, ref in high.items():
             assert abs(low[name] - ref) < 1e-50 * abs(ref), name
 
