@@ -205,12 +205,12 @@ def beta_exact_sector_eval(g, sector: int, dps: int = DEFAULT_DPS):
         return -q[-1] * mp.e ** (sector * (_arg_gamma_mp(g) - mp.pi) / g)
 
 
-def excited_state_scale(n_level: int, g, dps: int = DEFAULT_DPS):
+def excited_state_scale(n_level: int, g):
     """Scale ratio Lambda_n / Lambda_IR = exp(-(n_level - 1) pi / g), at
-    ``dps`` digits."""
+    DEFAULT_DPS digits."""
     if n_level < 1:
         raise ValueError("levels are labelled from 1")
-    with mp.workdps(dps):
+    with mp.workdps(DEFAULT_DPS):
         g = mp.mpf(g)
         if g <= 0:
             raise ValueError("g must be positive")

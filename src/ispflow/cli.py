@@ -30,10 +30,6 @@ EXIT_GOLDEN = 2
 EXIT_TOLERANCE = 3
 EXIT_INPUT = 4
 
-# default largest coupling of the beta sweep, by sector: the scattering
-# series band shrinks with K, so its sweep stops lower
-BETA_GMAX = {"bound": 0.5, "scattering": 0.3}
-
 
 @dataclass
 class RunConfig:
@@ -164,7 +160,14 @@ def cmd_groundstate(args, cfg: RunConfig) -> int:
 def cmd_beta(args, cfg: RunConfig) -> int:
     from .emit import emit_beta
     from .rgnumeric import solve_running_coupling, solve_scattering_coupling
-    gmax = mp.mpf(BETA_GMAX[args.sector] if args.gmax is None else args.gmax)
+    kv = mp.mpf(cfg.k_value if args.sector == "scattering" else 0)
+    if args.gmax is None:
+        # at the default orders the series meets 1e-5 below g = 1/2 at
+        # K = 0; its g^n coefficients grow like (pi K)^n, so the sweep top
+        # falls like 1/(6 |K|)
+        gmax = 1 / (2 + 6 * abs(kv))
+    else:
+        gmax = mp.mpf(args.gmax)
     if args.sector == "bound":
         from .bound import (beta_transseries, build_ground_state_condition,
                             ground_state_transseries)
@@ -179,7 +182,6 @@ def cmd_beta(args, cfg: RunConfig) -> int:
         from .scatter import scatter_beta
         beta = scatter_beta(cfg.orders["sector"] // 2 * 2,
                             g_order=max(cfg.orders["g"], 16))
-        kv = mp.mpf(cfg.k_value)
         cut_lo = mp.e ** (mp.pi / gmax + mp.euler + kv * mp.pi)
         solve = lambda cut: solve_scattering_coupling(cut, kv, cfg.precision)
         assignment = {"K": kv}
@@ -346,9 +348,9 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--sector", choices=("bound", "scattering"),
                    default="bound")
     p.add_argument("--gmax", type=float, default=None,
-                   help="largest coupling in the sweep (default 0.5 for "
-                        "bound and 0.3 for scattering, whose series band "
-                        "shrinks with K)")
+                   help="largest coupling in the sweep (default "
+                        "1/(2 + 6|K|): 0.5 for bound, lower for scattering "
+                        "as |K| grows and the series band shrinks)")
     p.add_argument("--points", type=int, default=8)
     p.add_argument("--tolerance", type=float, default=1e-5)
     p.set_defaults(func=cmd_beta)

@@ -276,30 +276,30 @@ def analytic_continuation_check(g_order: int = 5, max_sector: int = 2,
 class FixedPointRelation:
     """tan(delta0) = (ln(p/Lambda_IR) + pi/2) / (ln(p/Lambda_IR) - pi/2),
     equivalently tan(delta + pi/4) = (2/pi) ln(Lambda_IR / p).  Each
-    relation is evaluated at ``dps`` digits."""
+    relation is evaluated at DEFAULT_DPS digits."""
 
     description: str = ("tan(delta0) = (ln(p/L_IR) + pi/2)"
                         " / (ln(p/L_IR) - pi/2)")
     two_momentum_form: str = ("tan(delta'(p1)) = tan(delta'(p0))"
                               " - (2/pi) ln(p1/p0)")
 
-    def delta0(self, p_over_lambda_ir, dps: int = DEFAULT_DPS):
-        with mp.workdps(dps):
+    def delta0(self, p_over_lambda_ir):
+        with mp.workdps(DEFAULT_DPS):
             x = mp.log(mp.mpf(p_over_lambda_ir))
             den = x - mp.pi / 2
             if den == 0:
                 raise ZeroDivisionError("singular at ln(p/Lambda_IR) = pi/2")
             return mp.atan((x + mp.pi / 2) / den)
 
-    def tan_delta_prime(self, p_over_lambda_ir, dps: int = DEFAULT_DPS):
+    def tan_delta_prime(self, p_over_lambda_ir):
         """tan(delta + pi/4) at the fixed point: (2/pi) ln(Lambda_IR/p)."""
-        with mp.workdps(dps):
+        with mp.workdps(DEFAULT_DPS):
             return -(2 / mp.pi) * mp.log(mp.mpf(p_over_lambda_ir))
 
-    def two_momentum_residual(self, p0, p1, dps: int = DEFAULT_DPS):
-        with mp.workdps(dps):
-            lhs = self.tan_delta_prime(p1, dps)
-            rhs = self.tan_delta_prime(p0, dps) - (2 / mp.pi) * mp.log(
+    def two_momentum_residual(self, p0, p1):
+        with mp.workdps(DEFAULT_DPS):
+            lhs = self.tan_delta_prime(p1)
+            rhs = self.tan_delta_prime(p0) - (2 / mp.pi) * mp.log(
                 mp.mpf(p1) / mp.mpf(p0))
             return lhs - rhs
 

@@ -264,8 +264,7 @@ def _second_order_d2(term, lam, p_f, p_i):
         return lambda r: r / (2 * math.pi)
     if term not in ("ck", "c2"):
         raise TMatrixError(f"unsupported d=2 second-order term {term}")
-    if term == "c2":
-        from scipy.special import spence
+    from scipy.special import spence
 
     def radial(r):
         m_f, m_i = max(r, p_f), max(r, p_i)

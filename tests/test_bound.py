@@ -59,10 +59,10 @@ def test_a0_numeric_limit(cond):
 
 
 def test_numeric_evaluations_ignore_global_precision(cond, f, beta):
-    """a0_value, beta_exact_sector_eval, excited_state_scale and the fixed
-    point relations default to 60 digits, not to the global mpmath
-    precision; every evaluation of an exact object and both flow residuals
-    run at the dps they are given."""
+    """a0_value and beta_exact_sector_eval default to 60 digits, and
+    excited_state_scale and the fixed point relations work at 60 digits,
+    not at the global mpmath precision; every evaluation of an exact object
+    and both flow residuals run at the dps they are given."""
     from ispflow.rgnumeric import quantization_residual, scattering_residual
     from ispflow.scatter import fixed_point_relation, scatter_beta
     scatter = scatter_beta(4, g_order=7)
@@ -72,8 +72,9 @@ def test_numeric_evaluations_ignore_global_precision(cond, f, beta):
         "delta0": (fp.delta0, ("0.01",)),
         "tan_delta_prime": (fp.tan_delta_prime, ("0.01",)),
     }
-    ref_default = {name: fn(*args, dps=60)
-                   for name, (fn, args) in by_default.items()}
+    with mp.workdps(60):
+        ref_default = {name: fn(*args)
+                       for name, (fn, args) in by_default.items()}
     entry = golden.BOUND_TABLE[(0, 4)]      # pi, gamma, zeta3 and n
     g, k = "0.4", "0.3"
     at_60 = {

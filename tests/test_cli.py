@@ -141,24 +141,19 @@ def test_beta_sweep_smoke(tmp_path):
         assert mp.mpf(line.split(",")[4]) <= 1e-5
 
 
-def test_beta_gmax_default_resolves_by_sector():
-    """--gmax defaults by sector: 0.5 for bound, 0.3 for scattering, whose
-    series band shrinks with K."""
-    from ispflow.cli import BETA_GMAX, make_parser
-    assert make_parser().parse_args(["beta"]).gmax is None
-    assert BETA_GMAX == {"bound": 0.5, "scattering": 0.3}
-
-
-def test_beta_default_scattering_sweep_passes(tmp_path):
-    """``beta --sector scattering --kval 0.3 --points 4`` with the default
-    --gmax passes (with --gmax 0.5 its first point, g = 0.48, misses by
-    1.2e-3 relative).  Sector order 2 keeps it cheap; the dropped sectors
-    carry at least u^4, u = exp(-pi/g - gamma - K pi) < 1e-5."""
-    assert main(["beta", "--sector", "scattering", "--kval", "0.3",
+@pytest.mark.parametrize("kval", ["0.3", "1.0"])
+def test_beta_default_scattering_sweep_passes(tmp_path, kval):
+    """``beta --sector scattering --kval K --points 4`` passes with the
+    default --gmax 1/(2 + 6|K|) (with the former fixed default 0.5, K = 0.3
+    misses by 1.2e-3 relative at g = 0.48; with 0.3, K = 1.0 misses at all
+    four points).  Sector order 2 keeps it cheap; the dropped sectors carry
+    at least u^4, u = exp(-pi/g - gamma - K pi) < 1e-5."""
+    assert main(["beta", "--sector", "scattering", "--kval", kval,
                  "--points", "4", "--orders", "sector=2",
                  "--out", str(tmp_path)]) == 0
     rows = (tmp_path / "beta_scattering.csv").read_text().splitlines()[1:]
-    assert 0.29 < max(float(r.split(",")[0]) for r in rows) <= 0.3
+    top = max(float(r.split(",")[0]) for r in rows)
+    assert abs(top - 1 / (2 + 6 * float(kval))) < 0.01
 
 
 def test_beta_sweep_solves_each_point_once(tmp_path, monkeypatch):

@@ -8,7 +8,7 @@ import mpmath as mp
 import pytest
 
 from ispflow import golden
-from ispflow.constexpr import ConstExpr, GRat
+from ispflow.constexpr import DEFAULT_DPS, ConstExpr, GRat
 from ispflow.coupling import condition_residual_box
 from ispflow.expansions import (arg_eta_over_g, eta_series,
                                 imaginary_argument, log_growth_unit_scatter,
@@ -234,9 +234,11 @@ def test_fixed_point_relation():
     assert prev_gap < 1e-8
     # numerator zero at ln(p/Lambda_IR) = -pi/2
     assert abs(mp.tan(fp.delta0(mp.e ** (-mp.pi / 2)))) < 1e-40
-    # singular denominator, at the 50 digits its input is rounded to
+    # singular denominator: e^(pi/2) rounded at the relation's own digits
+    with mp.workdps(DEFAULT_DPS):
+        singular = mp.e ** (mp.pi / 2)
     with pytest.raises(ZeroDivisionError):
-        fp.delta0(mp.e ** (mp.pi / 2), dps=50)
+        fp.delta0(singular)
     # two-momentum identity, the engineered pair gives exactly -2/pi
     lhs = fp.tan_delta_prime(mp.e) - fp.tan_delta_prime(1)
     assert abs(lhs + 2 / mp.pi) < 1e-45
