@@ -35,8 +35,7 @@ EXIT_INPUT = 4
 class RunConfig:
     precision: int = 60
     orders: dict = field(default_factory=lambda: {
-        "g": 10, "xi": 4, "sigma": 4, "rho": 9, "sector": 8})
-    branches: list = field(default_factory=lambda: [0, 1, 2, 3, 4, 5])
+        "g": 10, "rho": 9, "sector": 8})
     out: str = "out"
     format: str = "csv"
     check: bool = False
@@ -157,18 +156,11 @@ def cmd_groundstate(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_beta(args, cfg: RunConfig) -> int:
-    from .emit import emit_beta
+def _beta_sweep(cfg: RunConfig, sector: str, kv, gmax, points: int) -> list:
+    """(g, numeric beta, series beta) at `points` cutoffs spread over three
+    decades up from the one where the first-order coupling is gmax."""
     from .rgnumeric import solve_running_coupling, solve_scattering_coupling
-    kv = mp.mpf(cfg.k_value if args.sector == "scattering" else 0)
-    if args.gmax is None:
-        # at the default orders the series meets 1e-5 below g = 1/2 at
-        # K = 0; its g^n coefficients grow like (pi K)^n, so the sweep top
-        # falls like 1/(6 |K|)
-        gmax = 1 / (2 + 6 * abs(kv))
-    else:
-        gmax = mp.mpf(args.gmax)
-    if args.sector == "bound":
+    if sector == "bound":
         from .bound import (beta_transseries, build_ground_state_condition,
                             ground_state_transseries)
         cond = build_ground_state_condition(max(cfg.orders["g"], 18),
@@ -186,11 +178,25 @@ def cmd_beta(args, cfg: RunConfig) -> int:
         solve = lambda cut: solve_scattering_coupling(cut, kv, cfg.precision)
         assignment = {"K": kv}
     rows = []
-    for i in range(args.points):
-        cut = cut_lo * mp.mpf(10) ** (mp.mpf(i) * 3 / max(args.points - 1, 1))
+    for i in range(points):
+        cut = cut_lo * mp.mpf(10) ** (mp.mpf(i) * 3 / max(points - 1, 1))
         sol = solve(cut)
         rows.append((sol.g, sol.beta(cfg.precision),
                      beta.eval_mp(sol.g, assignment, dps=cfg.precision)))
+    return rows
+
+
+def cmd_beta(args, cfg: RunConfig) -> int:
+    from .emit import emit_beta
+    kv = mp.mpf(cfg.k_value if args.sector == "scattering" else 0)
+    if args.gmax is None:
+        # at the default orders the series meets 1e-5 below g = 1/2 at
+        # K = 0; its g^n coefficients grow like (pi K)^n, so the sweep top
+        # falls like 1/(6 |K|)
+        gmax = 1 / (2 + 6 * abs(kv))
+    else:
+        gmax = mp.mpf(args.gmax)
+    rows = _beta_sweep(cfg, args.sector, kv, gmax, args.points)
     path = emit_beta(cfg.out, cfg.format, rows, args.sector)
     print(f"wrote {path}")
     tol_fail = False
@@ -205,9 +211,8 @@ def cmd_beta(args, cfg: RunConfig) -> int:
 def cmd_contour(args, cfg: RunConfig) -> int:
     from .emit import emit_contour
     from .rgnumeric import contour_grid
-    branches = _parse_branches(args.branches) if args.branches else cfg.branches
     grid = contour_grid(args.ratio_min, args.ratio_max, args.points,
-                        branches, cfg.precision)
+                        _parse_branches(args.branches), cfg.precision)
     path = emit_contour(cfg.out, cfg.format, grid)
     print(f"wrote {path}")
     return EXIT_OK
@@ -256,9 +261,7 @@ def cmd_divergence(args, cfg: RunConfig) -> int:
 def cmd_crosscheck(args, cfg: RunConfig) -> int:
     failures = []
 
-    from .bound import (beta_transseries, bound_resummation_report,
-                        build_ground_state_condition,
-                        ground_state_transseries, running_coupling_coeffs)
+    from .bound import bound_resummation_report, running_coupling_coeffs
     from .rgnumeric import smatrix_pole_check, solve_running_coupling
     from .scatter import analytic_continuation_check
 
@@ -274,17 +277,9 @@ def cmd_crosscheck(args, cfg: RunConfig) -> int:
     if not ok:
         failures.append("analytic-continuation")
 
-    cond = build_ground_state_condition(18, 12, b=0)
-    f = ground_state_transseries(cond, 9)
-    beta = beta_transseries(f)
-    worst = mp.mpf(0)
-    ratio_lo = mp.e ** (mp.pi / mp.mpf("0.5") + mp.euler)
-    for i in range(args.points):
-        ratio = ratio_lo * mp.mpf(10) ** (mp.mpf(3 * i) / max(args.points - 1, 1))
-        sol = solve_running_coupling(ratio, 0, cfg.precision)
-        bn = sol.beta(cfg.precision)
-        bs = beta.eval_mp(sol.g, dps=cfg.precision)
-        worst = max(worst, abs(bn - bs) / abs(bs))
+    rows = _beta_sweep(cfg, "bound", mp.mpf(0), mp.mpf("0.5"), args.points)
+    worst = max((abs(bn - bs) / abs(bs) for _, bn, bs in rows),
+                default=mp.mpf(0))
     ok = worst <= mp.mpf("1e-5")
     print(f"numeric-vs-symbolic beta (worst rel {mp.nstr(worst, 3)}): "
           f"{'pass' if ok else 'FAIL'}")
@@ -315,7 +310,7 @@ def make_parser() -> argparse.ArgumentParser:
     common.add_argument("--precision", type=int,
                         help="working precision in digits (>= 30)")
     common.add_argument("--orders",
-                        help="comma list like g=10,xi=4,rho=9,sector=8")
+                        help="comma list like g=10,rho=9,sector=8")
     common.add_argument("--out", help="output directory")
     common.add_argument("--format", choices=("csv", "json"))
     common.add_argument("--kval", type=float,
@@ -359,7 +354,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratio-min", type=float, default=10.0)
     p.add_argument("--ratio-max", type=float, default=1e6)
     p.add_argument("--points", type=int, default=24)
-    p.add_argument("--branches", help="e.g. 0..5 or 0,2,4")
+    p.add_argument("--branches", default="0..5", help="e.g. 0..5 or 0,2,4")
     p.set_defaults(func=cmd_contour)
 
     p = sub_parser("phase", "phase shifts with dual-formula check")

@@ -160,14 +160,6 @@ BOUND_COLUMNS = {
 BOUND_COLUMN_IDS = ("level", "psi2", "psi4", "psi2sq")
 
 
-def column_prediction(col: ResummedColumn, l: int,
-                      ladder: ConstExpr = GAMMA_LADDER) -> ConstExpr:
-    """Ladder entry of a single column at rho^l (x-power fixed at p0)."""
-    if l < col.q:
-        return ConstExpr.zero()
-    return col.head * comb(l - 1, col.q - 1) * ladder ** (l - col.q)
-
-
 def resummation_check(table: CouplingTable, column: ResummedColumn,
                       l_max: int, ladder: ConstExpr = GAMMA_LADDER):
     """Compare a column's ladder against the matching signature terms of the
@@ -191,7 +183,8 @@ def resummation_check(table: CouplingTable, column: ResummedColumn,
         extracted = ConstExpr(
             {e: c for e, c in entry.terms.items()
              if e[:gidx] == head_exp[:gidx] and e[gidx + 1:] == head_exp[gidx + 1:]})
-        diff = extracted - column_prediction(column, l, ladder)
+        diff = extracted - predicted_entry(
+            {(column.p0, column.q): column.head}, column.p0, l, ladder, +1)
         if not diff.is_zero():
             ok = False
             residuals[l] = diff

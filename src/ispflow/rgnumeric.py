@@ -36,8 +36,7 @@ from dataclasses import dataclass, field
 import mpmath as mp
 
 from .specfun import (DEFAULT_DPS, SpecFunError, _eta, _eta_partials,
-                      arg_i_unwrapped, bessel_j_imag, hankel1_imag,
-                      hankel2_imag)
+                      arg_i_unwrapped, bessel_j_hankels)
 
 # residual evaluations that regula falsi may spend after the bracket; a
 # simple root takes about seven at 60 digits, bisection alone about 200
@@ -277,21 +276,21 @@ def phase_shift(g, p_over_lambda, dps: int = DEFAULT_DPS, check: bool = False):
     """delta = -pi/4 - Arg H1_{ig}(2p/Lambda) (principal branch).
 
     With check=True the tangent form of the phase condition is evaluated as
-    well and the residual |2K + coth(pi g/2) tan(Arg J)| is returned along
-    with delta; the two agree modulo pi.
+    well, and delta is returned with its residual
+    |tan(delta + pi/4) + coth(pi g/2) tan(Arg J)| and the unitarity defect
+    ||S| - 1|; the two forms agree modulo pi.  J, H1 and H2 all come from
+    one evaluation of J.
     """
     with mp.workdps(dps + 10):
         g = mp.mpf(g)
         x = 2 * mp.mpf(p_over_lambda)
         if not 0 < mp.mpf(p_over_lambda) < 1:
             raise ValueError("p/Lambda must lie in (0, 1)")
-        h1 = hankel1_imag(g, x, dps).mpc
+        j, h1, h2 = (v.mpc for v in bessel_j_hankels(g, x, dps))
         delta = -mp.pi / 4 - mp.arg(h1)
         if not check:
             return +delta
-        h2 = hankel2_imag(g, x, dps).mpc
-        s = -mp.mpc(0, 1) * h2 / h1 * mp.e ** (mp.pi * g)
-        j = bessel_j_imag(g, x, dps).mpc
+        s = _smatrix(g, h1, h2)
         resid = (mp.tan(delta + mp.pi / 4)
                  + mp.coth(mp.pi * g / 2) * mp.tan(mp.arg(j)))
         return +delta, +mp.fabs(resid), +mp.fabs(mp.fabs(s) - 1)
@@ -302,9 +301,12 @@ def smatrix(g, p_over_lambda, dps: int = DEFAULT_DPS):
     with mp.workdps(dps + 10):
         g = mp.mpf(g)
         x = 2 * mp.mpf(p_over_lambda)
-        h1 = hankel1_imag(g, x, dps).mpc
-        h2 = hankel2_imag(g, x, dps).mpc
-        return +( -mp.mpc(0, 1) * h2 / h1 * mp.e ** (mp.pi * g))
+        _, h1, h2 = (v.mpc for v in bessel_j_hankels(g, x, dps))
+        return +_smatrix(g, h1, h2)
+
+
+def _smatrix(g, h1, h2):
+    return -mp.mpc(0, 1) * h2 / h1 * mp.e ** (mp.pi * g)
 
 
 def smatrix_pole_check(g, ratio, dps: int = DEFAULT_DPS):

@@ -377,10 +377,6 @@ class TruncSeries:
                                           self.trunc_order),
                            self.min_degree, self.trunc_order)
 
-    def arg(self):
-        """Argument of a complex series with constant term 1: Im log."""
-        return self.log().imag_part()
-
     def real_part(self):
         return TruncSeries(self.variables,
                            {e: c.real_part() for e, c in self.coeffs.items()},

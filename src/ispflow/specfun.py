@@ -21,11 +21,12 @@ g and z derivatives, summed from the terms of the same loop; the flow
 solver in ``rgnumeric`` calls the first for its residuals and the second
 for its beta.
 
-The modified/oscillatory series converge for every argument, so they are
-the default route.  The classical large-argument expansions are exposed as
-well and are selected automatically once their smallest-term error floor
-(~e^{-2x}) beats the requested precision; at low precision that crossover
-sits at x = 30, which is where the two routes are cross-validated.
+The series converge for every argument, and they are the only route:
+I and J are the two sums, K is a difference of I and its conjugate, and
+``bessel_j_hankels`` builds H^(1) and H^(2) from one J through
+Y = (J cos(pi nu) - conj J)/sin(pi nu).  The alternating sum cancels by
+about x/ln 10 digits, so it carries 0.9x guard digits and J slows as x
+grows; the package itself evaluates at x <= 2.
 """
 
 from __future__ import annotations
@@ -34,8 +35,6 @@ import mpmath as mp
 from mpmath.libmp import from_man_exp, mpf_neg, to_fixed
 
 from .constexpr import DEFAULT_DPS
-
-ASYMPTOTIC_MIN_X = 30.0
 
 # fractional bits of the fixed-point eta sum beyond the working precision
 ETA_GUARD_BITS = 20
@@ -165,73 +164,23 @@ def _series_sum(g, x, alternating, dps):
         return eta / mp.gamma(mp.mpc(1, g))
 
 
-def _hankel_asym(nu, z, kind, dps):
-    """Large-argument Hankel expansion, truncated at its smallest term.
-
-    Returns (value, relative error floor)."""
-    with _work(dps, 10):
-        nu = mp.mpc(nu)
-        z = mp.mpc(z)
-        sgn = 1 if kind == 1 else -1
-        total = mp.mpc(1)
-        term = mp.mpc(1)
-        best = mp.inf
-        tol = mp.mpf(10) ** (-(dps + 8))
-        n = 0
-        while True:
-            n += 1
-            term = term * (4 * nu ** 2 - (2 * n - 1) ** 2) / (n * 8) / z \
-                * (sgn * mp.mpc(0, 1))
-            size = mp.fabs(term)
-            if size >= best:
-                err = best
-                break
-            best = size
-            total += term
-            if size < tol:
-                err = size
-                break
-            if n > 4 * abs(z) + 50:
-                err = size
-                break
-        pref = mp.sqrt(2 / (mp.pi * z)) * mp.e ** (
-            sgn * mp.mpc(0, 1) * (z - nu * mp.pi / 2 - mp.pi / 4))
-        return pref * total, err
-
-
-def _asym_crossover(dps):
-    """Smallest x where the asymptotic error floor e^{-2x} meets dps digits."""
-    return max(ASYMPTOTIC_MIN_X, (dps + 6) * mp.log(10) / 2)
-
-
-def bessel_i_imag(g, x, dps=DEFAULT_DPS, force=None) -> ComplexHP:
+def bessel_i_imag(g, x, dps=DEFAULT_DPS) -> ComplexHP:
     """I_{ig}(x) for g > 0, x > 0."""
-    return _bessel_imag(g, x, dps, force, 1)
+    return _bessel_imag(g, x, dps, False)
 
 
-def bessel_j_imag(g, x, dps=DEFAULT_DPS, force=None) -> ComplexHP:
+def bessel_j_imag(g, x, dps=DEFAULT_DPS) -> ComplexHP:
     """J_{ig}(x) for g > 0, x > 0."""
-    return _bessel_imag(g, x, dps, force, -1)
+    return _bessel_imag(g, x, dps, True)
 
 
-def _bessel_imag(g, x, dps, force, sign):
-    """I_{ig}(x) for sign = +1, J_{ig}(x) for sign = -1: the eta_+- series,
-    or beyond the crossover the Hankel mean at z = ix (times e^{-i pi nu/2},
-    for I) or z = x (for J)."""
+def _bessel_imag(g, x, dps, alternating):
+    """(x/2)^{ig} eta_+-(g, x/2)/Gamma(1+ig): I_{ig}(x) with the + sum,
+    J_{ig}(x) with the alternating one."""
     g, x = _check_gx(g, x, dps)
-    route = force or ("asymptotic" if x > _asym_crossover(dps) else "series")
     with _work(dps, 15):
-        if route == "series":
-            phase = mp.e ** (mp.mpc(0, 1) * g * mp.log(x / 2))
-            val = phase * _series_sum(g, x, sign < 0, dps)
-        else:
-            nu = mp.mpc(0, 1) * g
-            z = mp.mpc(0, 1) * x if sign > 0 else x
-            h1, _ = _hankel_asym(nu, z, 1, dps)
-            h2, _ = _hankel_asym(nu, z, 2, dps)
-            pref = mp.e ** (-nu * mp.pi * mp.mpc(0, 1) / 2) if sign > 0 else 1
-            val = pref * (h1 + h2) / 2
-        return ComplexHP(val, dps)
+        phase = mp.e ** (mp.mpc(0, 1) * g * mp.log(x / 2))
+        return ComplexHP(phase * _series_sum(g, x, alternating, dps), dps)
 
 
 def bessel_k_imag(g, x, dps=DEFAULT_DPS) -> ComplexHP:
@@ -248,28 +197,27 @@ def bessel_k_imag(g, x, dps=DEFAULT_DPS) -> ComplexHP:
         return ComplexHP(val, dps)
 
 
+def bessel_j_hankels(g, x, dps=DEFAULT_DPS):
+    """(J_{ig}(x), H^(1)_{ig}(x), H^(2)_{ig}(x)) from one J_{ig} at dps + 10:
+    H^(1,2) = J +- i Y with Y = (J cos(pi nu) - J_{-ig})/sin(pi nu),
+    nu = ig, and J_{-ig} = conj J_{ig}."""
+    g, x = _check_gx(g, x, dps)
+    with _work(dps, 15):
+        nu = mp.mpc(0, 1) * g
+        j = bessel_j_imag(g, x, dps + 10).mpc
+        iy = mp.mpc(0, 1) * (
+            (j * mp.cos(mp.pi * nu) - j.conjugate()) / mp.sin(mp.pi * nu))
+        return ComplexHP(j, dps), ComplexHP(j + iy, dps), ComplexHP(j - iy, dps)
+
+
 def hankel1_imag(g, x, dps=DEFAULT_DPS) -> ComplexHP:
     """H^(1)_{ig}(x) = J_{ig} + i Y_{ig}."""
-    return _hankel_imag(g, x, dps, 1)
+    return bessel_j_hankels(g, x, dps)[1]
 
 
 def hankel2_imag(g, x, dps=DEFAULT_DPS) -> ComplexHP:
     """H^(2)_{ig}(x) = J_{ig} - i Y_{ig}."""
-    return _hankel_imag(g, x, dps, 2)
-
-
-def _hankel_imag(g, x, dps, kind):
-    """H^(kind)_{ig}(x): the large-argument expansion beyond the crossover,
-    else J_{ig} +- i Y_{ig}, with Y from J_{ig} and J_{-ig} = conj J_{ig}."""
-    g, x = _check_gx(g, x, dps)
-    with _work(dps, 15):
-        nu = mp.mpc(0, 1) * g
-        if x > _asym_crossover(dps):
-            val, _ = _hankel_asym(nu, x, kind, dps)
-            return ComplexHP(val, dps)
-        j = bessel_j_imag(g, x, dps + 10).mpc
-        y = (j * mp.cos(mp.pi * nu) - j.conjugate()) / mp.sin(mp.pi * nu)
-        return ComplexHP(j + mp.mpc(0, 1 if kind == 1 else -1) * y, dps)
+    return bessel_j_hankels(g, x, dps)[2]
 
 
 def _check_gx(g, x, dps):

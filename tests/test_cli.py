@@ -87,7 +87,7 @@ def test_phase_and_groundstate_smoke(tmp_path):
     body = (tmp_path / "phase.csv").read_text()
     assert body.startswith("g,p_over_lambda,delta")
     assert main(["groundstate", "--max-sector", "3", "--orders",
-                 "g=8,xi=4,rho=6,sector=4", "--out", str(tmp_path)]) == 0
+                 "g=8,rho=6,sector=4", "--out", str(tmp_path)]) == 0
     assert (tmp_path / "groundstate.csv").exists()
 
 

@@ -1,11 +1,12 @@
 """Numerical flow: solver residuals, monotonicity, dual-formula checks."""
 
 import random
+import sys
 
 import mpmath as mp
 import pytest
 
-from ispflow import rgnumeric
+from ispflow import rgnumeric, specfun
 from ispflow.bound import (beta_transseries, build_ground_state_condition,
                            ground_state_transseries)
 from ispflow.rgnumeric import (SolverError, contour_grid, numeric_beta,
@@ -156,6 +157,26 @@ def test_unitarity():
         p = mp.mpf(rng.uniform(0.05, 0.9))
         s = smatrix(g, p, dps=45)
         assert abs(abs(s) - 1) < 1e-35
+
+
+def test_phase_and_smatrix_evaluate_j_once(monkeypatch):
+    """J, H1 and H2 at one point all come from a single J_{ig}: every
+    package binding of bessel_j_imag is counted."""
+    original = specfun.bessel_j_imag
+    count = {"n": 0}
+
+    def counted(*args, **kwargs):
+        count["n"] += 1
+        return original(*args, **kwargs)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ispflow") and \
+                getattr(module, "bessel_j_imag", None) is original:
+            monkeypatch.setattr(module, "bessel_j_imag", counted)
+    for call in (lambda: phase_shift(0.7, 0.4, check=True),
+                 lambda: smatrix(0.7, 0.4)):
+        count["n"] = 0
+        call()
+        assert count["n"] == 1
 
 
 def test_smatrix_pole_at_bound_state():

@@ -5,8 +5,8 @@ import random
 import mpmath as mp
 import pytest
 
-from ispflow.specfun import (ComplexHP, SpecFunError, _asym_crossover, _eta,
-                             _eta_terms, _series_sum, arg_i_branch_residue,
+from ispflow.specfun import (ComplexHP, SpecFunError, _eta, _eta_terms,
+                             _series_sum, arg_i_branch_residue,
                              arg_i_tilde_principal, arg_i_unwrapped,
                              bessel_i_imag, bessel_j_imag, bessel_k_imag,
                              complex_gamma, hankel1_imag, hankel2_imag)
@@ -81,9 +81,9 @@ def test_bessel_j_against_mpmath():
 def test_eta_series_against_mpmath_bessel():
     """eta_+-(g, x/2) = Gamma(1+ig) (x/2)^{-ig} I_{ig}(x) (+) or J_{ig}(x) (-),
     from mpmath's own Bessel functions at 120 digits, against the shared
-    series at 60 digits up to just below the asymptotic crossover, where the
-    alternating sum cancels most and needs its guard digits."""
-    top = float(_asym_crossover(60)) - 0.5
+    series at 60 digits up to x = 75.5, where the alternating sum cancels
+    by about 33 digits and needs its guard digits."""
+    top = 75.5
     rng = random.Random(4711)
     points = [(0.1, top), (2.5, top), (1.0, 0.3)] + [
         (rng.uniform(0.1, 2.5), rng.uniform(0.5, top)) for _ in range(9)]
@@ -123,9 +123,8 @@ def mpc_eta_oracle(g, z, sign, digits):
 def test_fixed_point_eta_against_mpc_recurrence():
     """The fixed-point kernel sums as many terms as the mpc recurrence and
     agrees with it to 10^-digits relative, at the working precision and
-    digits _series_sum asks for, from z = 1e-6 to just below the dps-60
-    crossover."""
-    top = float(_asym_crossover(60)) / 2 - 0.25
+    digits _series_sum asks for, from z = 1e-6 to z = 37.75 (x = 75.5)."""
+    top = 37.75
     rng = random.Random(2718)
     # at z = 1e-6 and 30 digits t_3 is below the tolerance already, and
     # only the rule's m > 3 keeps the fourth term
@@ -233,23 +232,18 @@ def test_precision_halving_randomized():
         assert abs(lo - hi) / abs(hi) < 1e-18
 
 
-def test_series_asymptotic_overlap_window():
-    """The two evaluation routes agree in the 25..35 crossover window at the
-    precision where the asymptotic floor allows it."""
-    for x in (25.0, 28.0, 30.0, 33.0, 35.0):
-        s = bessel_i_imag(0.9, x, dps=15, force="series").mpc
-        a = bessel_i_imag(0.9, x, dps=15, force="asymptotic").mpc
-        assert abs(s - a) / abs(s) < 1e-15
-        sj = bessel_j_imag(0.6, x, dps=15, force="series").mpc
-        aj = bessel_j_imag(0.6, x, dps=15, force="asymptotic").mpc
-        assert abs(sj - aj) / abs(sj) < 1e-13
-
-
-def test_automatic_asymptotic_route():
-    # far beyond the crossover the automatic route is the expansion
-    val = bessel_i_imag(0.5, 220.0, dps=40).mpc
-    ref = mp.besseli(mp.mpc(0, 0.5), 220.0)
-    assert abs(val - ref) / abs(ref) < 1e-38
+@pytest.mark.parametrize("x", [80, 150, 220])
+def test_series_route_at_large_argument(x):
+    """The series is the only route at every argument: far above the x <= 2
+    the package uses, I, J, K and H1 still carry their 40 digits against
+    mpmath at 90."""
+    g = mp.mpf("0.5")
+    for mine, ref in ((bessel_i_imag, mp.besseli), (bessel_j_imag, mp.besselj),
+                      (bessel_k_imag, mp.besselk), (hankel1_imag, mp.hankel1)):
+        val = mine(g, x, dps=40).mpc
+        with mp.workdps(90):
+            want = ref(mp.mpc(0, g), mp.mpf(x))
+            assert abs(val - want) / abs(want) < 1e-38, (mine.__name__, x)
 
 
 def test_arg_unwrapped_small_argument_limit():
