@@ -27,6 +27,7 @@ from .expansions import (ARG_GAMMA_MAX_ORDER, arg_eta_over_g,
                          odd_coefficient_family, sector_condition_residual,
                          solve_sector_ansatz)
 from .series import SeriesError, TruncSeries, lagrange_coefficients
+from .specfun import arg_gamma, re_digamma
 from .transseries import Transseries
 
 
@@ -85,7 +86,7 @@ def bound_condition_series(g_order: int, xi_order: int) -> TruncSeries:
     """rho-free part of the running-coupling condition:
     n pi - Arg Gamma(1+ig) + Arg eta(g, xi), as a series in (g, xi)."""
     ag = arg_gamma_series(min(g_order, ARG_GAMMA_MAX_ORDER))
-    arg_eta = eta_series(g_order, xi_order, "xi").log().imag_part()
+    arg_eta = eta_series(g_order, xi_order).log().imag_part()
     vars_ = ("g", "xi")
     out = (TruncSeries.const(N_PI, vars_, (g_order, xi_order))
            - ag.extend_to(vars_) + arg_eta)
@@ -153,15 +154,6 @@ def beta_transseries(f: Transseries, max_sector: int | None = None) -> BetaTrans
     return out
 
 
-def _arg_gamma_mp(g):
-    return mp.im(mp.loggamma(1 + mp.mpc(0, 1) * g))
-
-
-def _w_mp(g):
-    """W(g) = d/dg [Arg Gamma(1+ig) / g]."""
-    return (g * mp.re(mp.psi(0, 1 + mp.mpc(0, 1) * g)) - _arg_gamma_mp(g)) / g ** 2
-
-
 def beta_exact_sector_eval(g, sector: int, dps: int = DEFAULT_DPS):
     """Closed-form numeric evaluation of beta sector ``sector`` (branch 0),
     including its non-perturbative factor u^sector, u = E eps
@@ -169,8 +161,10 @@ def beta_exact_sector_eval(g, sector: int, dps: int = DEFAULT_DPS):
 
     With the exact sector prefactors R_l of ``golden.SECTOR_PREFACTORS``,
     f = u sum_i R_{2i+1} t^i and f' = u sum_i b_i t^i in t = u^2, where
-    b_i = R_l' + l V R_l (l = 2i+1) and V = (log u)' = pi/g^2 + W.  The
-    graded division beta = -f/f' = -sum_j q_j t^j gives
+    b_i = R_l' + l V R_l (l = 2i+1) and V = (log u)' = pi/g^2 + W, with
+    W = (Arg Gamma(1+ig)/g)' = (g Re psi(1+ig) - Arg Gamma(1+ig))/g^2;
+    Arg Gamma(1+ig) is evaluated once, for W and u.  The graded division
+    beta = -f/f' = -sum_j q_j t^j gives
 
         q_j = (R_{2j+1} - sum_{i<j} q_i b_{j-i}) / b_0 ,
 
@@ -188,7 +182,8 @@ def beta_exact_sector_eval(g, sector: int, dps: int = DEFAULT_DPS):
         g = mp.mpf(g)
         if not 0 < g < 2:
             raise ValueError("g must lie in (0, 2)")
-        v = mp.pi / g ** 2 + _w_mp(g)
+        a = arg_gamma(g)
+        v = mp.pi / g ** 2 + (g * re_digamma(g) - a) / g ** 2
         t = g ** 2
         b, q = [], []
         for j in range(sector // 2 + 1):
@@ -202,7 +197,7 @@ def beta_exact_sector_eval(g, sector: int, dps: int = DEFAULT_DPS):
             r = n / d
             b.append(2 * g * (n_t - n * dlog_d) / d + l * v * r)
             q.append((r - mp.fsum(q[i] * b[j - i] for i in range(j))) / b[0])
-        return -q[-1] * mp.e ** (sector * (_arg_gamma_mp(g) - mp.pi) / g)
+        return -q[-1] * mp.e ** (sector * (a - mp.pi) / g)
 
 
 def excited_state_scale(n_level: int, g):

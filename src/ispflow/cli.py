@@ -38,7 +38,6 @@ class RunConfig:
         "g": 10, "rho": 9, "sector": 8})
     out: str = "out"
     format: str = "csv"
-    check: bool = False
     k_value: float = 0.0
 
     def validate(self):
@@ -97,8 +96,6 @@ def build_config(args) -> RunConfig:
         cfg.out = args.out
     if getattr(args, "format", None):
         cfg.format = args.format
-    if getattr(args, "check", False):
-        cfg.check = True
     if getattr(args, "kval", None) is not None:
         cfg.k_value = args.kval
     cfg.validate()
@@ -125,7 +122,7 @@ def cmd_coeffs(args, cfg: RunConfig) -> int:
     path = emit_coeffs(cfg.out, cfg.format, table, _assignment(cfg),
                        cfg.precision)
     print(f"wrote {path}")
-    if cfg.check:
+    if args.check:
         from .golden import BOUND_TABLE, SCATTER_TABLE
         ref = BOUND_TABLE if args.sector == "bound" else SCATTER_TABLE
         bad = [key for key, expr in ref.items()
@@ -248,7 +245,7 @@ def cmd_divergence(args, cfg: RunConfig) -> int:
     print(f"wrote {path}")
     for term in sorted(reports):
         print(f"  d={args.d} {term}: {reports[term].classification}")
-    if cfg.check:
+    if args.check:
         expected = EXPECTED_TABLES[args.d]
         bad = {t: (reports[t].classification, expected[t])
                for t in reports if reports[t].classification != expected[t]}

@@ -223,9 +223,9 @@ class ConstExpr:
         return cls({_ZERO_EXP: c}) if c else cls()
 
     @classmethod
-    def generator(cls, name: str, power: int = 1) -> "ConstExpr":
+    def generator(cls, name: str) -> "ConstExpr":
         e = [0] * _NGEN
-        e[_GIDX[name]] = power
+        e[_GIDX[name]] = 1
         return cls({tuple(e): ONE_G})
 
     @classmethod

@@ -161,18 +161,18 @@ BOUND_COLUMN_IDS = ("level", "psi2", "psi4", "psi2sq")
 
 
 def resummation_check(table: CouplingTable, column: ResummedColumn,
-                      l_max: int, ladder: ConstExpr = GAMMA_LADDER):
-    """Compare a column's ladder against the matching signature terms of the
-    solved table.
+                      l_max: int):
+    """Compare a column's gamma ladder against the matching signature terms
+    of the solved (bound-sector) table.
 
     The signature of a (single-monomial head, pure-gamma ladder) column is
     the head's exponent pattern with the gamma slot left free; columns of a
     sector differ in their zeta/level content, so extraction is unambiguous.
     Returns (ok, residuals) where residuals maps l -> ConstExpr difference.
     """
-    if len(column.head.terms) != 1 or ladder != GAMMA_LADDER:
-        raise ValueError("signature extraction needs a single-monomial head "
-                         "and a pure-gamma ladder; use structure_fit instead")
+    if len(column.head.terms) != 1:
+        raise ValueError("signature extraction needs a single-monomial head; "
+                         "use structure_fit instead")
     (head_exp, _), = column.head.terms.items()
     from .constexpr import _GIDX
     gidx = _GIDX["gamma"]
@@ -184,7 +184,8 @@ def resummation_check(table: CouplingTable, column: ResummedColumn,
             {e: c for e, c in entry.terms.items()
              if e[:gidx] == head_exp[:gidx] and e[gidx + 1:] == head_exp[gidx + 1:]})
         diff = extracted - predicted_entry(
-            {(column.p0, column.q): column.head}, column.p0, l, ladder, +1)
+            {(column.p0, column.q): column.head}, column.p0, l, GAMMA_LADDER,
+            +1)
         if not diff.is_zero():
             ok = False
             residuals[l] = diff
@@ -208,21 +209,18 @@ def predicted_entry(heads: dict, p: int, l: int, ladder: ConstExpr,
     return out
 
 
-def structure_fit(table: CouplingTable, ladder: ConstExpr, x2_sign: int,
-                  p_max=None, l_max=None):
+def structure_fit(table: CouplingTable, ladder: ConstExpr, x2_sign: int):
     """Fit the closed-form structure sum_{p0,q} head * x^p0 / D^q to the table.
 
     Heads are read off cell by cell from the gamma-free part of what the
     already-known columns fail to explain; any gamma-dependent remainder
     falsifies the structure.  Returns (heads, ok, failures).
     """
-    p_max = table.p_max if p_max is None else p_max
-    l_max = table.l_max if l_max is None else l_max
     heads = {}
     failures = []
     ok = True
-    for l in range(1, l_max + 1):
-        for p in range(0, p_max + 1, 2):
+    for l in range(1, table.l_max + 1):
+        for p in range(0, table.p_max + 1, 2):
             diff = table.entry(p, l) - predicted_entry(heads, p, l, ladder,
                                                        x2_sign)
             if diff.is_zero():

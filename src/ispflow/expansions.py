@@ -80,20 +80,20 @@ def log_growth_unit_scatter(g_order: int) -> TruncSeries:
     return out.truncate((g_order,))
 
 
-def eta_series(g_order: int, x_order: int, x_var: str = "xi") -> TruncSeries:
-    """The small-argument profile
+def eta_series(g_order: int, x_order: int) -> TruncSeries:
+    """The small-argument profile in (g, xi)
 
-        eta(g, x) = 1 + sum_{m>=1} (1 / m!) prod_{j=0}^{m-1} 1/(1+ig+j) x^{2m}
+        eta(g, xi) = 1 + sum_{m>=1} (1/m!) prod_{j=0}^{m-1} 1/(1+ig+j) xi^{2m}
 
     with the rational factors expanded exactly in g.
     """
-    vars_ = ("g", x_var)
+    vars_ = ("g", "xi")
     to = (g_order, x_order)
     out = TruncSeries.const(1, vars_, to)
     term = TruncSeries.const(1, ("g",), (g_order,))
     for m in range(1, x_order // 2 + 1):
         term = term * _inv_linear(m - 1, g_order) * GRat(Fraction(1, m))
-        out = out + term.extend_to(vars_, to).shift(x_var, 2 * m)
+        out = out + term.extend_to(vars_, to).shift("xi", 2 * m)
     return out
 
 
@@ -127,10 +127,9 @@ def imaginary_argument(s: TruncSeries, x_var: str,
     return TruncSeries(variables, coeffs, s.min_degree, s.trunc_order)
 
 
-def arg_eta_over_g(g_order: int, x_order: int,
-                   x_var: str = "xi") -> TruncSeries:
-    """(1/g) Arg eta, an even g-series whose x-expansion starts at x^2."""
-    eta = eta_series(g_order + 1, x_order, x_var)
+def arg_eta_over_g(g_order: int, x_order: int) -> TruncSeries:
+    """(1/g) Arg eta, an even g-series whose xi-expansion starts at xi^2."""
+    eta = eta_series(g_order + 1, x_order)
     arg = eta.log().imag_part()
     lead = arg.lead_exponents()
     if not arg.is_zero() and lead[0] < 1:

@@ -23,7 +23,9 @@ eta_+- is summed by the fixed-point loop ``specfun._eta_terms``, the same
 code that sums the Bessel series.  A residual takes eta alone
 (``specfun._eta``); only the beta of a solved root asks for d eta/dg and
 z d eta/dz as well (``specfun._eta_partials``, from the terms of that one
-loop).  A ``QuantizationSolution``
+loop).  The gamma phase comes from ``specfun`` too: Arg Gamma(1+ig) from
+``arg_gamma`` in every residual, and dF/dg's Re psi(1+ig) from
+``re_digamma`` once per beta.  A ``QuantizationSolution``
 knows which condition it solves, so its ``beta`` needs no second root
 solve; it also records its residual evaluations and bracket widenings.
 """
@@ -36,7 +38,8 @@ from dataclasses import dataclass, field
 import mpmath as mp
 
 from .specfun import (DEFAULT_DPS, SpecFunError, _eta, _eta_partials,
-                      arg_i_unwrapped, bessel_j_hankels)
+                      arg_gamma, arg_i_unwrapped, bessel_j_hankels,
+                      re_digamma)
 
 # residual evaluations that regula falsi may spend after the bracket; a
 # simple root takes about seven at 60 digits, bisection alone about 200
@@ -94,8 +97,7 @@ def _residual(g, ratio, n, sign, k_value, dps):
         ratio = mp.mpf(ratio)
         with _eta_failure():
             eta = _eta(g, 1 / ratio, sign, dps + 15)
-        f = (n * mp.pi - g * mp.log(ratio)
-             - mp.im(mp.loggamma(mp.mpc(1, g))) + mp.arg(eta))
+        f = n * mp.pi - g * mp.log(ratio) - arg_gamma(g) + mp.arg(eta)
         if k_value:
             f += mp.atan(2 * mp.mpf(k_value) * mp.tanh(mp.pi * g / 2))
         return f
@@ -106,8 +108,7 @@ def _implicit_beta(g, ratio, sign, k_value, dps):
     with mp.workdps(dps + 10):
         with _eta_failure():
             eta, eta_g, z_eta_z = _eta_partials(g, 1 / ratio, sign, dps + 15)
-        f_g = (-mp.log(ratio) - mp.re(mp.digamma(mp.mpc(1, g)))
-               + mp.im(eta_g / eta))
+        f_g = -mp.log(ratio) - re_digamma(g) + mp.im(eta_g / eta)
         if k_value:
             k = mp.mpf(k_value)
             th = mp.tanh(mp.pi * g / 2)

@@ -180,8 +180,7 @@ def scatter_beta(max_sector: int, g_order: int = 10) -> BetaTransseries:
 # Cross-sector expansion and the analytic continuation check.
 # ---------------------------------------------------------------------------
 
-def cross_sector_expansion(g_order: int, max_sector: int,
-                           table: CouplingTable | None = None) -> Transseries:
+def cross_sector_expansion(g_order: int, max_sector: int) -> Transseries:
     """The scattering coupling expanded in the bound coupling g_B (n = 1,
     branch 0).
 
@@ -192,10 +191,8 @@ def cross_sector_expansion(g_order: int, max_sector: int,
     """
     eps_max = 2 * max_sector
     l_max = g_order + 1
-    if table is None:
-        table = scatter_coupling_coeffs(min(4, 2 * max_sector + 2), l_max,
-                                        g_order=max(l_max, 6))
-    table = table.substitute_level(1)
+    table = scatter_coupling_coeffs(min(4, 2 * max_sector + 2), l_max,
+                                    g_order=max(l_max, 6)).substitute_level(1)
 
     vars_ = ("g", "eps")
     to = (g_order + 2, eps_max)
@@ -275,13 +272,9 @@ def analytic_continuation_check(g_order: int = 5, max_sector: int = 2,
 @dataclass(frozen=True)
 class FixedPointRelation:
     """tan(delta0) = (ln(p/Lambda_IR) + pi/2) / (ln(p/Lambda_IR) - pi/2),
-    equivalently tan(delta + pi/4) = (2/pi) ln(Lambda_IR / p).  Each
+    equivalently tan(delta + pi/4) = (2/pi) ln(Lambda_IR / p), and across
+    two momenta tan(delta'(p1)) = tan(delta'(p0)) - (2/pi) ln(p1/p0).  Each
     relation is evaluated at DEFAULT_DPS digits."""
-
-    description: str = ("tan(delta0) = (ln(p/L_IR) + pi/2)"
-                        " / (ln(p/L_IR) - pi/2)")
-    two_momentum_form: str = ("tan(delta'(p1)) = tan(delta'(p0))"
-                              " - (2/pi) ln(p1/p0)")
 
     def delta0(self, p_over_lambda_ir):
         with mp.workdps(DEFAULT_DPS):

@@ -1,11 +1,11 @@
 """High-precision special functions for pure imaginary order.
 
 Bessel and Hankel functions of order nu = i g (g > 0 real) evaluated at
-real positive argument, a complex gamma wrapper, and a continuity-tracked
-total argument of I_{ig}.  Everything runs on mpmath with guard digits at
-the precision passed per call (DEFAULT_DPS when none is), whatever the
-process-global mpmath precision; inputs are converted at that precision
-too.
+real positive argument, a complex gamma wrapper, the gamma phase, and a
+continuity-tracked total argument of I_{ig}.  Everything runs on mpmath
+with guard digits at the precision passed per call (DEFAULT_DPS when none
+is), whatever the process-global mpmath precision; inputs are converted
+at that precision too.
 
 Both Bessel series are the one small-argument series
 
@@ -27,6 +27,10 @@ I and J are the two sums, K is a difference of I and its conjugate, and
 Y = (J cos(pi nu) - conj J)/sin(pi nu).  The alternating sum cancels by
 about x/ln 10 digits, so it carries 0.9x guard digits and J slows as x
 grows; the package itself evaluates at x <= 2.
+
+``arg_gamma`` and ``re_digamma`` are the package's only evaluations of
+Arg Gamma(1+ig) and Re psi(1+ig).  The phase does not depend on x, so
+``arg_i_unwrapped`` tracks the argument of eta alone and subtracts it once.
 """
 
 from __future__ import annotations
@@ -230,6 +234,21 @@ def _check_gx(g, x, dps):
 
 
 # ---------------------------------------------------------------------------
+# The gamma phase: the only evaluations of Arg Gamma(1+ig) and Re psi(1+ig).
+# ---------------------------------------------------------------------------
+
+def arg_gamma(g):
+    """Arg Gamma(1+ig) = Im log Gamma(1+ig) at the working precision, on
+    mpmath's log-gamma branch, continuous in g."""
+    return mp.im(mp.loggamma(mp.mpc(1, g)))
+
+
+def re_digamma(g):
+    """Re psi(1+ig) = d/dg Arg Gamma(1+ig) at the working precision."""
+    return mp.re(mp.digamma(mp.mpc(1, g)))
+
+
+# ---------------------------------------------------------------------------
 # Continuity-tracked argument of I_{ig}.
 # ---------------------------------------------------------------------------
 
@@ -243,33 +262,31 @@ def arg_i_tilde_principal(g, x, dps=DEFAULT_DPS):
 def arg_i_unwrapped(g, x, dps=DEFAULT_DPS):
     """Total argument of I_{ig}(x), continuous in x from x -> 0+.
 
-    Decomposition: arg I = g ln(x/2) + theta(x), where theta is the
-    argument of I-tilde tracked continuously from theta(0) =
-    -Arg Gamma(1+ig) (the unwound value, from the continuous log-gamma).
-    The step along the path is halved until consecutive principal
-    arguments move by less than pi/2.
+    Decomposition: arg I = g ln(x/2) - Arg Gamma(1+ig) + theta(x), where
+    theta is the argument of eta_+(g, x/2) tracked continuously from
+    theta(0) = 0 (eta(g, 0) = 1).  Gamma(1+ig) does not change along the
+    path, so only eta is summed there; the step is halved until
+    consecutive principal arguments of eta move by less than pi/2.
     """
     g, x = _check_gx(g, x, dps)
     with _work(dps, 15):
-        # unwound value at x -> 0+ comes from the continuous log-gamma;
-        # at a small enough start point the branch has not moved yet
-        theta0 = -mp.im(mp.loggamma(1 + mp.mpc(0, 1) * mp.mpf(g)))
-        x0 = min(mp.mpf(x), mp.mpf("0.25") / (1 + mp.mpf(g)))
-        prev = arg_i_tilde_principal(g, x0, dps)
-        theta = prev + _round_to_branch(theta0 - prev)
+        # eta is within 0.02 of 1 at the start point, so its principal
+        # argument is the continuous one
+        x0 = min(x, mp.mpf("0.25") / (1 + g))
+        theta = prev = mp.arg(_eta(g, x0 / 2, 1, dps + 10))
         cur_x = x0
         while cur_x < x:
-            step = min(cur_x * mp.mpf("1.5") + mp.mpf("0.5"), mp.mpf(x))
+            step = min(cur_x * mp.mpf("1.5") + mp.mpf("0.5"), x)
             prev, delta = _advance(g, cur_x, step, prev, dps)
             theta += delta
             cur_x = step
-        return mp.mpf(g) * mp.log(mp.mpf(x) / 2) + theta
+        return g * mp.log(x / 2) - arg_gamma(g) + theta
 
 
 def _advance(g, x_from, x_to, prev_principal, dps):
-    """One adaptive step of the argument tracker; returns (principal at
-    x_to, accumulated continuous increment)."""
-    cur = arg_i_tilde_principal(g, x_to, dps)
+    """One adaptive step of the argument tracker; returns (principal Arg eta
+    at x_to, accumulated continuous increment)."""
+    cur = mp.arg(_eta(g, x_to / 2, 1, dps + 10))
     delta = _principal_delta(cur, prev_principal)
     if abs(delta) < mp.pi / 2:
         return cur, delta
@@ -287,10 +304,6 @@ def _principal_delta(cur, prev):
     while d < -mp.pi:
         d += two_pi
     return d
-
-
-def _round_to_branch(offset):
-    return 2 * mp.pi * mp.nint(offset / (2 * mp.pi))
 
 
 def arg_i_branch_residue(g, x, dps=DEFAULT_DPS):

@@ -64,6 +64,8 @@ SECOND_ORDER_TERMS = {
 DEFAULT_MOMENTA = (0.7, 1.3)
 DEFAULT_ENERGY = 1.0
 SIGNIFICANCE = 1e3
+# largest cutoffs whose log-log slope gives the power of a loop's growth
+SLOPE_POINTS = 3
 
 # explicit cutoff powers carried by momentum-independent contact vertices
 VERTEX_POWERS = {(1, "k2"): 2, (1, "ck"): 1}
@@ -339,14 +341,14 @@ def _compose_degree(loop_class: str, vertex_power: int) -> str:
     return "L" if total == 1 else "L^2"
 
 
-def _classify_part(lams, ys, slope_pts=3):
+def _classify_part(lams, ys):
     import numpy as np
     scale = float(np.max(np.abs(ys))) if len(ys) else 0.0
     if scale == 0.0 or scale < 1e-300:
         return "1"
     ay = np.maximum(np.abs(ys), 1e-300)
-    lt = np.log(lams[-slope_pts:])
-    slope = np.polyfit(lt, np.log(ay[-slope_pts:]), 1)[0]
+    lt = np.log(lams[-SLOPE_POINTS:])
+    slope = np.polyfit(lt, np.log(ay[-SLOPE_POINTS:]), 1)[0]
     power = int(np.clip(round(slope), 0, 2))
     if power == 2:
         return "L^2"
@@ -362,7 +364,6 @@ def _classify_part(lams, ys, slope_pts=3):
 
 
 def classify_divergence(term: str, d: int, lambdas=None,
-                        e_i: float = DEFAULT_ENERGY,
                         i_epsilon: float | None = None,
                         first_order: bool = False) -> DivergenceReport:
     """Sample the term over log-spaced cutoffs and classify its growth."""
@@ -377,7 +378,7 @@ def classify_divergence(term: str, d: int, lambdas=None,
         vals = np.array([el.evaluate(l) for l in lambdas], dtype=complex)
         phase, power = 1, 0
     else:
-        vals = np.array([second_order_integral(term, d, l, e_i, i_epsilon)
+        vals = np.array([second_order_integral(term, d, l, i_epsilon=i_epsilon)
                          for l in lambdas], dtype=complex)
         phase = VERTEX_PHASES.get((d, term), 1)
         power = VERTEX_POWERS.get((d, term), 0)
@@ -393,17 +394,17 @@ def classify_divergence(term: str, d: int, lambdas=None,
                              "vertex_power": power})
 
 
-def divergence_table(d: int, lambdas=None, e_i: float = DEFAULT_ENERGY,
+def divergence_table(d: int, lambdas=None,
                      i_epsilon: float | None = None) -> dict:
     """Full classification table for a dimension; keys are term labels."""
     if d not in FIRST_ORDER_TERMS:
         raise TMatrixError(f"no table for d={d}")
     out = {}
     for term in FIRST_ORDER_TERMS[d]:
-        out[term] = classify_divergence(term, d, lambdas, e_i, i_epsilon,
+        out[term] = classify_divergence(term, d, lambdas, i_epsilon,
                                         first_order=True)
     for term in SECOND_ORDER_TERMS[d]:
-        out[term] = classify_divergence(term, d, lambdas, e_i, i_epsilon)
+        out[term] = classify_divergence(term, d, lambdas, i_epsilon)
     return out
 
 

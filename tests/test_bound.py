@@ -113,8 +113,8 @@ def test_arg_eta_reconciles_with_a3():
     """Leading small-argument phase of the profile: once exponentiated, its
     first coefficient reproduces a_3 = -1/(1+g^2)."""
     from ispflow.expansions import arg_eta_over_g
-    w = arg_eta_over_g(6, 2, x_var="x")
-    # (1/g) Arg eta = -x^2/(1+g^2) + O(x^4)
+    w = arg_eta_over_g(6, 2)
+    # (1/g) Arg eta = -xi^2/(1+g^2) + O(xi^4)
     expect = -golden.rational_series([1], [(1, 1)], 6)
     got = {e[:1]: c for e, c in w.coeffs.items() if e[1] == 2}
     from ispflow.series import TruncSeries

@@ -84,7 +84,7 @@ def _even_coefficients(w):
 def test_scattering_profile_is_bound_profile_at_imaginary_argument(
         g_order, x_order):
     osc = _oscillatory_eta(g_order + 1, x_order)
-    assert imaginary_argument(eta_series(g_order + 1, x_order, "xi"),
+    assert imaginary_argument(eta_series(g_order + 1, x_order),
                               "xi", "sigma") == osc
     osc_arg = osc.log().imag_part().shift("g", -1).truncate((g_order,
                                                              x_order))

@@ -1,10 +1,13 @@
 """Special-function evaluators against independent oracles."""
 
 import random
+import sys
 
 import mpmath as mp
 import pytest
 
+from ispflow import specfun
+from ispflow.bound import beta_exact_sector_eval
 from ispflow.specfun import (ComplexHP, SpecFunError, _eta, _eta_terms,
                              _series_sum, arg_i_branch_residue,
                              arg_i_tilde_principal, arg_i_unwrapped,
@@ -260,6 +263,40 @@ def test_arg_unwrapped_equals_oracle_mod_branch():
         orac = mp.arg(mp.besseli(mp.mpc(0, 1) * mp.mpf(g), mp.mpf(x)))
         k = (tot - orac) / (2 * mp.pi)
         assert abs(k - mp.nint(k)) < 1e-45
+
+
+def _count_gamma_calls(monkeypatch):
+    """Counters on mp.gamma and on every package binding of the two gamma
+    phase evaluations."""
+    calls = {"gamma": 0, "arg_gamma": 0, "re_digamma": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(mp, "gamma", counted("gamma", mp.gamma))
+    for name in ("arg_gamma", "re_digamma"):
+        original = getattr(specfun, name)
+        wrapper = counted(name, original)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "ispflow" and \
+                    getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_gamma_phase_is_evaluated_once_per_call(monkeypatch):
+    """Gamma(1+ig) does not change along the tracker's path, so it sums eta
+    alone and takes Arg Gamma(1+ig) once; a closed-form beta sector takes
+    Arg Gamma and Re psi once each, for both W and u."""
+    calls = _count_gamma_calls(monkeypatch)
+    arg_i_unwrapped(0.8, 6.0)
+    assert calls == {"gamma": 0, "arg_gamma": 1, "re_digamma": 0}
+    calls.update(dict.fromkeys(calls, 0))
+    beta_exact_sector_eval(0.4, 4)
+    assert calls == {"gamma": 0, "arg_gamma": 1, "re_digamma": 1}
 
 
 def test_decomposition_residue_randomized():
