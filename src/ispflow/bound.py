@@ -19,9 +19,8 @@ from dataclasses import dataclass
 import mpmath as mp
 
 from .constexpr import DEFAULT_DPS, ConstExpr, GeneratorValues
-from .coupling import (BOUND_COLUMNS, BOUND_COLUMN_IDS, GAMMA_LADDER,
-                       CouplingTable, N_PI, resummation_check,
-                       solve_coupling_table, structure_fit)
+from .coupling import (BOUND_COLUMNS, GAMMA_LADDER, CouplingTable, N_PI,
+                       resummation_check, solve_coupling_table, structure_fit)
 from .expansions import (ARG_GAMMA_MAX_ORDER, arg_eta_over_g,
                          arg_gamma_series, growth_unit_series, eta_series,
                          odd_coefficient_family, sector_condition_residual,
@@ -105,8 +104,8 @@ def running_coupling_coeffs(p_max: int, l_max: int,
 def bound_resummation_report(table: CouplingTable, l_max: int | None = None):
     """Run the four closed-form column checks; returns {label: (ok, residuals)}."""
     l_max = table.l_max if l_max is None else l_max
-    return {label: resummation_check(table, BOUND_COLUMNS[label], l_max)
-            for label in BOUND_COLUMN_IDS}
+    return {label: resummation_check(table, column, l_max)
+            for label, column in BOUND_COLUMNS.items()}
 
 
 def bound_structure_fit(table: CouplingTable):

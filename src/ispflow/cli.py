@@ -311,7 +311,9 @@ def make_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="output directory")
     common.add_argument("--format", choices=("csv", "json"))
     common.add_argument("--kval", type=float,
-                        help="numeric value for the scattering datum K")
+                        help="numeric value for the scattering datum K, "
+                             "read as a binary double (0.1 is evaluated at "
+                             "0.1000000000000000055...)")
     parser = argparse.ArgumentParser(
         prog="ispflow",
         description="Transseries renormalization of the one-dimensional "

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .constexpr import ConstExpr, GRat
-from .series import (SeriesError, TruncSeries, arctan_series,
-                     lagrange_coefficients, tanh_series)
+from .constexpr import PI, ConstExpr, GRat
+from .series import SeriesError, TruncSeries, lagrange_coefficients
 from .transseries import Transseries
 
 # Arg Gamma(1+ig) needs zeta(2k+1); the ring carries them through zeta19,
@@ -60,12 +59,12 @@ def growth_unit_series(g_order: int) -> TruncSeries:
 
 
 def phase_branch_offset(g_order: int) -> TruncSeries:
-    """arctan(-2 K tanh(pi g / 2)) as a g-series with K-polynomial coefficients."""
-    th = tanh_series("t", g_order)
-    half_pi_g = TruncSeries.var("g", ("g",), (g_order,),
-                                coef=ConstExpr.monomial(Fraction(1, 2), pi=1))
-    w = th.substitute_var("t", half_pi_g) * ConstExpr.monomial(-2, K=1)
-    return arctan_series("u", g_order).substitute_var("u", w)
+    """arctan(-2 K tanh(pi g / 2)) as a g-series with K-polynomial coefficients:
+    Im log(1 + i w) with w = -2K (e^(pi g) - 1)/(e^(pi g) + 1), exact because
+    w is real."""
+    e = TruncSeries.var("g", ("g",), (g_order,), coef=PI).exp()
+    w = (e - 1) / (e + 1) * ConstExpr.monomial(-2, K=1)
+    return (1 + w * GRat(0, 1)).log().imag_part()
 
 
 def log_growth_unit_scatter(g_order: int) -> TruncSeries:

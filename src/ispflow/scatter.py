@@ -28,14 +28,14 @@ import mpmath as mp
 
 from .bound import (BetaTransseries, beta_transseries, bound_condition_series,
                     build_ground_state_condition, ground_state_transseries)
-from .constexpr import DEFAULT_DPS, ConstExpr, GRat
+from .constexpr import DEFAULT_DPS, PI, ConstExpr, GRat
 from .coupling import (SCATTER_LADDER, CouplingTable, N_PI,
                        solve_coupling_table, structure_fit)
 from .expansions import (arg_eta_over_g, imaginary_argument,
                          log_growth_unit, log_growth_unit_scatter,
                          odd_coefficient_family, phase_branch_offset,
                          solve_sector_ansatz)
-from .series import SeriesError, TruncSeries, coth_series, tan_series
+from .series import SeriesError, TruncSeries
 from .transseries import Transseries
 
 
@@ -70,13 +70,17 @@ class PhaseCondition:
 
 
 def half_coth_series(g_order: int) -> TruncSeries:
-    """(1/2) coth(pi g / 2) = 1/(pi g) + pi g/12 - ... as a Laurent series."""
-    xc = coth_series("t", g_order + 1).shift("t", 1)  # t coth t, regular
-    half_pi_g = TruncSeries.var("g", ("g",), (g_order + 1,),
-                                coef=ConstExpr.monomial(Fraction(1, 2), pi=1))
-    sub = xc.substitute_var("t", half_pi_g)
-    return (sub.shift("g", -1) * ConstExpr.monomial(1, pi=-1)
-            ).truncate((g_order,))
+    """(1/2) coth(pi g / 2) = 1/(pi g) + pi g/12 - ... as a Laurent series,
+    (1/2)(e^(pi g) + 1)/(e^(pi g) - 1); dividing by e^(pi g) - 1 = pi g + ...
+    costs two orders of the exponential."""
+    e = TruncSeries.var("g", ("g",), (g_order + 2,), coef=PI).exp()
+    return ((e + 1) / (e - 1) * Fraction(1, 2)).truncate((g_order,))
+
+
+def _tan(w: TruncSeries) -> TruncSeries:
+    """tan w = Im e^(iw) / Re e^(iw) for w with real coefficients."""
+    e = (w * GRat(0, 1)).exp()
+    return e.imag_part() / e.real_part()
 
 
 def _tan_argument_over_g(g_order: int, sigma_order: int) -> TruncSeries:
@@ -92,7 +96,7 @@ def build_phase_condition(g_order: int, sigma_order: int) -> PhaseCondition:
         raise SeriesError("orders must be at least 3")
     u = _tan_argument_over_g(g_order + 1, sigma_order)
     gu = u.shift("g", 1)
-    tan_gu = tan_series("t", g_order + 1).substitute_var("t", gu)
+    tan_gu = _tan(gu)
     hc = half_coth_series(g_order + 1)
     series = (TruncSeries.const(ConstExpr.generator("K"), ("g", "sigma"),
                                 (g_order, sigma_order))
@@ -142,7 +146,7 @@ def phase_condition_residual(pc: PhaseCondition,
     w = gu + TruncSeries.const(N_PI, gu.variables, gu.trunc_order)
     if w.constant_term():
         raise SeriesError("branch shift failed to cancel the constant")
-    tan_w = tan_series("t", pc.g_order).substitute_var("t", w)
+    tan_w = _tan(w)
     # (1/2) coth(pi g/2) with the ansatz: split the pole as 1/(pi g) + rest
     pole = g_ansatz.inverse() * ConstExpr.monomial(1, pi=-1)
     rest = (pc.half_coth - TruncSeries.var(
@@ -167,7 +171,7 @@ def scatter_momentum_transseries(g_order: int, max_sector: int) -> Transseries:
     e_hat = log_growth_unit_scatter(g_order).exp()
     a_odd = odd_coefficient_family(imaginary_argument(
         arg_eta_over_g(g_order, max_sector + 1), "xi", "sigma"))
-    return solve_sector_ansatz(e_hat, a_odd, max_sector, "scatter", 0)
+    return solve_sector_ansatz(e_hat, a_odd, max_sector, "scattering", 0)
 
 
 def scatter_beta(max_sector: int, g_order: int = 10) -> BetaTransseries:

@@ -13,7 +13,9 @@ coefficient recurrences of (1+w)^-1, exp(w) and log(1+w) over the parts of
 w of equal total degree in the finitely truncated variables, each product
 truncated to the box.  ``lagrange_coefficients`` (Lagrange-Buermann
 inversion) solves y = t phi(y) in closed form for reversion, the coupling
-tables, the transseries sectors and the flow-ODE unit.
+tables, the transseries sectors and the flow-ODE unit.  There are no tables
+of elementary functions: their users build them from exp and log, e.g.
+tan w = Im e^(iw) / Re e^(iw) and arctan w = Im log(1 + iw) for real w.
 
 Truncation orders are explicit everywhere; there is no global default.
 """
@@ -22,7 +24,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import factorial
 
 import mpmath as mp
 
@@ -581,75 +582,3 @@ def lagrange_coefficients(phi: TruncSeries, var: str, n: int) -> dict:
                              power.trunc_order[:i] + power.trunc_order[i + 1:])
     return out
 
-
-# ---------------------------------------------------------------------------
-# Standard univariate expansions (exact rational Maclaurin coefficients).
-# ---------------------------------------------------------------------------
-
-def sin_series(var: str, order: int) -> TruncSeries:
-    coeffs = {}
-    k = 1
-    while k <= order:
-        coeffs[(k,)] = ConstExpr.number(Fraction((-1) ** ((k - 1) // 2),
-                                                 factorial(k)))
-        k += 2
-    return TruncSeries((var,), coeffs, (0,), (order,))
-
-
-def cos_series(var: str, order: int) -> TruncSeries:
-    coeffs = {}
-    k = 0
-    while k <= order:
-        coeffs[(k,)] = ConstExpr.number(Fraction((-1) ** (k // 2),
-                                                 factorial(k)))
-        k += 2
-    return TruncSeries((var,), coeffs, (0,), (order,))
-
-
-def sinh_series(var: str, order: int) -> TruncSeries:
-    coeffs = {}
-    k = 1
-    while k <= order:
-        coeffs[(k,)] = ConstExpr.number(Fraction(1, factorial(k)))
-        k += 2
-    return TruncSeries((var,), coeffs, (0,), (order,))
-
-
-def cosh_series(var: str, order: int) -> TruncSeries:
-    coeffs = {}
-    k = 0
-    while k <= order:
-        coeffs[(k,)] = ConstExpr.number(Fraction(1, factorial(k)))
-        k += 2
-    return TruncSeries((var,), coeffs, (0,), (order,))
-
-
-def tan_series(var: str, order: int) -> TruncSeries:
-    return (sin_series(var, order + 2) / cos_series(var, order + 2)
-            ).truncate((order,))
-
-
-def tanh_series(var: str, order: int) -> TruncSeries:
-    return (sinh_series(var, order + 2) / cosh_series(var, order + 2)
-            ).truncate((order,))
-
-
-def coth_series(var: str, order: int) -> TruncSeries:
-    """coth as a Laurent series: 1/x + x/3 - x^3/45 + ..."""
-    return (cosh_series(var, order + 2) / sinh_series(var, order + 2)
-            ).truncate((order,))
-
-
-def arctan_series(var: str, order: int) -> TruncSeries:
-    coeffs = {}
-    k = 1
-    while k <= order:
-        coeffs[(k,)] = ConstExpr.number(Fraction((-1) ** ((k - 1) // 2), k))
-        k += 2
-    return TruncSeries((var,), coeffs, (0,), (order,))
-
-
-def exp_series(var: str, order: int) -> TruncSeries:
-    coeffs = {(k,): ConstExpr.number(Fraction(1, factorial(k)))
-              for k in range(order + 1)}
-    return TruncSeries((var,), coeffs, (0,), (order,))

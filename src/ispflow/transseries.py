@@ -4,8 +4,8 @@ non-perturbative exponential unit.
 A ``Transseries`` maps a sector index ``l >= 0`` to a ``TruncSeries`` in the
 coupling ``g``.  Sector ``l`` multiplies the l-th power of the flavor unit
 
-    bound   : eps = exp(-(2b+1) pi / g - gamma)
-    scatter : eps = exp(-(2b+1) pi / g - gamma - K pi)
+    bound      : eps = exp(-(2b+1) pi / g - gamma)
+    scattering : eps = exp(-(2b+1) pi / g - gamma - K pi)
 
 The constant parts of the exponent (gamma, K pi) are absorbed into the unit
 rather than the coefficient ring, so every sector series keeps exact
@@ -23,7 +23,7 @@ import mpmath as mp
 from .constexpr import DEFAULT_DPS, ConstExpr, GeneratorValues
 from .series import INF_ORDER, SeriesError, TruncSeries
 
-FLAVORS = ("bound", "scatter")
+FLAVORS = ("bound", "scattering")
 
 
 class Transseries:
@@ -161,7 +161,7 @@ class Transseries:
             g = mp.mpmathify(g)
             npi = (2 * self.branch + 1) * gens["pi"]
             expo = -npi / g - gens["gamma"]
-            if self.flavor == "scatter":
+            if self.flavor == "scattering":
                 expo -= gens["K"] * gens["pi"]
             eps = mp.e ** expo
             total = mp.mpc(0)

@@ -28,6 +28,14 @@ def test_coeffs_check_passes(tmp_path):
     assert (tmp_path / "coeffs_bound.csv").exists()
 
 
+def test_scattering_coeffs_check_passes(tmp_path):
+    code = main(["--kval", "0.3", "coeffs", "--sector", "scattering",
+                 "--pmax", "4", "--lmax", "7", "--out", str(tmp_path),
+                 "--check"])
+    assert code == 0
+    assert (tmp_path / "coeffs_scattering.csv").exists()
+
+
 def test_coeffs_json_mirrors_csv(tmp_path):
     main(["coeffs", "--sector", "scattering", "--pmax", "2", "--lmax", "4",
           "--out", str(tmp_path)])

@@ -160,6 +160,22 @@ def test_phase_condition_residual_vanishes(phase_cond, table):
     assert resid.is_zero(), resid
 
 
+def test_derivations_compose_no_series(monkeypatch):
+    """The branch offset comes from exp/log, so the table, beta and
+    cross-sector derivations make no substitute_var call."""
+    calls = []
+    original = TruncSeries.substitute_var
+
+    def counted(self, *args, **kwargs):
+        calls.append(args[0])
+        return original(self, *args, **kwargs)
+    monkeypatch.setattr(TruncSeries, "substitute_var", counted)
+    scatter_coupling_coeffs(4, 7)
+    scatter_beta(4, 11)
+    cross_sector_expansion(5, 2)
+    assert calls == []
+
+
 def test_rho_series_reversion_roundtrip(table):
     """Invert the sigma=0 column of the coupling in rho, K kept formal."""
     level1 = table.substitute_level(1)

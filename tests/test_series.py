@@ -8,10 +8,10 @@ import mpmath as mp
 import pytest
 
 from ispflow.constexpr import ConstExpr, GRat
-from ispflow.expansions import arg_gamma_series
+from ispflow.expansions import arg_gamma_series, phase_branch_offset
+from ispflow.scatter import half_coth_series
 from ispflow.series import (INF_ORDER, SeriesError, TruncSeries,
-                            arctan_series, coth_series, exp_series,
-                            lagrange_coefficients, tan_series, tanh_series)
+                            lagrange_coefficients)
 
 
 @pytest.fixture(autouse=True, scope="module")
@@ -23,6 +23,11 @@ GV = ("g",)
 
 def g_series(order):
     return TruncSeries.var("g", GV, (order,))
+
+
+def exp_var(name, order):
+    """e^name through name^order, a univariate series with constant term 1."""
+    return TruncSeries.var(name, (name,), (order,)).exp()
 
 
 def one(order):
@@ -227,22 +232,7 @@ def test_laurent_floor_enforced():
         g_series(4).shift("g", -4)
 
 
-def test_coth_series_example():
-    ct = coth_series("g", 3)
-    expect = TruncSeries(GV, {(-1,): ConstExpr.one(),
-                              (1,): ConstExpr.number(Fraction(1, 3)),
-                              (3,): ConstExpr.number(Fraction(-1, 45))},
-                         (-2,), (3,))
-    assert ct == expect
-    # numeric confirmation at small argument before use; the residual is
-    # the omitted x^5 term, (2/945) x^5 ~ 2e-18 at x = 1e-3
-    x = mp.mpf("1e-3")
-    val = ct.eval_mp({"g": x})
-    assert abs(val - mp.coth(x)) < 1e-17
-
-
 def test_half_coth_of_pi_g():
-    from ispflow.scatter import half_coth_series
     hc = half_coth_series(3)
     assert hc.coefficient((-1,)) == ConstExpr.monomial(1, pi=-1)
     assert hc.coefficient((1,)) == ConstExpr.monomial(Fraction(1, 12), pi=1)
@@ -252,9 +242,8 @@ def test_half_coth_of_pi_g():
 
 
 def test_compose_exp_with_g_squared():
-    from ispflow.series import exp_series
     g = g_series(6)
-    cmp_ = exp_series("u", 6).substitute_var("u", g * g)
+    cmp_ = exp_var("u", 6).substitute_var("u", g * g)
     assert cmp_.coefficient((0,)) == ConstExpr.one()
     assert cmp_.coefficient((2,)) == ConstExpr.one()
     assert cmp_.coefficient((4,)) == ConstExpr.number(Fraction(1, 2))
@@ -266,7 +255,7 @@ def test_compose_rejects_inner_without_grading_variable():
     x = TruncSeries.var("x", ("x", "y"), (3, 3))
     y = TruncSeries.var("y", ("x", "y"), (3, 3))
     with pytest.raises(SeriesError):
-        tan_series("v", 3).substitute_var("v", x + y)
+        exp_var("v", 3).substitute_var("v", x + y)
 
 
 def test_inverse_keeps_exact_order_exact():
@@ -282,7 +271,7 @@ def test_inverse_keeps_exact_order_exact():
 
 def test_compose_rejects_constant_term():
     with pytest.raises(SeriesError):
-        tan_series("v", 3).substitute_var("v", one(3))
+        exp_var("v", 3).substitute_var("v", one(3))
 
 
 def test_arg_gamma_series_against_oracle():
@@ -341,8 +330,7 @@ def test_lagrange_catalan():
 
 def test_lagrange_tree_function():
     # y = t e^y counts rooted labelled trees: [t^l] y = l^(l-1) / l!
-    from math import factorial
-    coeffs = lagrange_coefficients(exp_series("y", 9), "y", 10)
+    coeffs = lagrange_coefficients(exp_var("y", 9), "y", 10)
     for l in range(1, 11):
         assert coeffs[l].constant_term() == ConstExpr.number(
             Fraction(l ** (l - 1), factorial(l)))
@@ -382,11 +370,48 @@ def test_derivative_and_shift():
     assert f.shift("g", -2).coefficient((1,)) == ConstExpr.one()
 
 
-def test_tan_tanh_arctan_values():
-    x = mp.mpf("0.05")
-    assert abs(tan_series("t", 9).eval_mp({"t": x}) - mp.tan(x)) < 1e-13
-    assert abs(tanh_series("t", 9).eval_mp({"t": x}) - mp.tanh(x)) < 1e-13
-    assert abs(arctan_series("t", 9).eval_mp({"t": x}) - mp.atan(x)) < 1e-13
+def _maclaurin(order, coef):
+    """sum_k coef(k) g^k through g^order, coef(k) a ConstExpr or None."""
+    return TruncSeries(GV, {(k,): coef(k) for k in range(order + 1)
+                            if coef(k) is not None}, None, (order,))
+
+
+def _half_pi_g_power(k, parity):
+    """(pi g/2)^k / k! when k has the given parity, else no term."""
+    if k % 2 != parity:
+        return None
+    return ConstExpr.monomial(Fraction(1, 2 ** k * factorial(k)), pi=k)
+
+
+@pytest.mark.parametrize("n", range(3, 22))
+def test_offset_and_half_coth_match_maclaurin_tables(n):
+    """arctan(-2K tanh(pi g/2)) and (1/2) coth(pi g/2), built from exp and
+    log, equal the classic tables: tanh and coth by dividing the sinh and
+    cosh series, arctan w = sum (-1)^j w^(2j+1)/(2j+1)."""
+    sinh = _maclaurin(n + 2, lambda k: _half_pi_g_power(k, 1))
+    cosh = _maclaurin(n + 2, lambda k: _half_pi_g_power(k, 0))
+    w = (sinh / cosh).truncate((n,)) * ConstExpr.monomial(-2, K=1)
+    arctan = TruncSeries.zero(GV, (n,))
+    for j in range(1, n + 1, 2):
+        arctan = arctan + w ** j * Fraction((-1) ** (j // 2), j)
+    offset = phase_branch_offset(n)
+    assert offset == arctan
+    assert offset.trunc_order == arctan.trunc_order == (n,)
+    oracle = (cosh / sinh * Fraction(1, 2)).truncate((n,))
+    hc = half_coth_series(n)
+    assert hc == oracle
+    assert hc.trunc_order == oracle.trunc_order == (n,)
+
+
+def test_offset_values():
+    """The offset series sums to arctan(-2K tanh(pi g/2)) at small g; the
+    omitted g^23 tail is about 1e-27 at g = 0.05, |K| = 0.3 or g = 0.03,
+    |K| = 0.7."""
+    offset = phase_branch_offset(21)
+    for gv, kv in (("0.01", "0.3"), ("0.05", "0.3"), ("0.03", "-0.7")):
+        gv, kv = mp.mpf(gv), mp.mpf(kv)
+        exact = mp.atan(-2 * kv * mp.tanh(mp.pi * gv / 2))
+        assert abs(offset.eval_mp({"g": gv}, {"K": kv}) - exact) < 1e-25
 
 
 def test_eval_needs_no_value_for_an_unused_variable():

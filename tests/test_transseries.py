@@ -77,7 +77,7 @@ def test_division_inverts_product():
 def test_numeric_evaluation_units():
     one = TruncSeries.const(1, GV, (2,))
     ts_b = Transseries({1: one}, 0, "bound", 1)
-    ts_s = Transseries({1: one}, 0, "scatter", 1)
+    ts_s = Transseries({1: one}, 0, "scattering", 1)
     g = mp.mpf("0.5")
     vb = ts_b.eval_mp(g)
     vs = ts_s.eval_mp(g, {"K": mp.mpf("0.25")})
