@@ -21,8 +21,8 @@ import mpmath as mp
 from .constexpr import DEFAULT_DPS, ConstExpr, GeneratorValues
 from .coupling import (BOUND_COLUMNS, GAMMA_LADDER, CouplingTable, N_PI,
                        resummation_check, solve_coupling_table, structure_fit)
-from .expansions import (ARG_GAMMA_MAX_ORDER, arg_eta_over_g,
-                         arg_gamma_series, growth_unit_series, eta_series,
+from .expansions import (arg_eta_over_g, arg_gamma_series,
+                         growth_unit_series, eta_series,
                          odd_coefficient_family, sector_condition_residual,
                          solve_sector_ansatz)
 from .series import SeriesError, TruncSeries, lagrange_coefficients
@@ -84,7 +84,7 @@ def ground_state_residual(cond: GroundStateCondition,
 def bound_condition_series(g_order: int, xi_order: int) -> TruncSeries:
     """rho-free part of the running-coupling condition:
     n pi - Arg Gamma(1+ig) + Arg eta(g, xi), as a series in (g, xi)."""
-    ag = arg_gamma_series(min(g_order, ARG_GAMMA_MAX_ORDER))
+    ag = arg_gamma_series(g_order)
     arg_eta = eta_series(g_order, xi_order).log().imag_part()
     vars_ = ("g", "xi")
     out = (TruncSeries.const(N_PI, vars_, (g_order, xi_order))
@@ -138,7 +138,8 @@ def beta_transseries(f: Transseries, max_sector: int | None = None) -> BetaTrans
     """beta = -f / (df/dg) by graded division.
 
     Requires branch b = 0 (the level substitutes to 1, so the coefficients
-    stay free of the formal level generator).
+    stay free of the formal level generator).  A ``max_sector`` past the
+    last sector the division yields raises ``SeriesError``.
     """
     if f.branch != 0:
         raise ValueError("beta is derived on branch 0; rescale the level "
@@ -146,6 +147,9 @@ def beta_transseries(f: Transseries, max_sector: int | None = None) -> BetaTrans
     fp = f.derivative_g()
     beta = (-f) / fp
     if max_sector is not None:
+        if max_sector > beta.max_sector:
+            raise SeriesError(f"f gives beta only through sector "
+                              f"{beta.max_sector}, not {max_sector}")
         # the constructor drops the sectors beyond max_sector
         beta = Transseries(beta.sectors, beta.branch, beta.flavor, max_sector)
     out = BetaTransseries(beta)

@@ -77,17 +77,15 @@ def _load_config(path: str | None) -> dict:
 
 def build_config(args) -> RunConfig:
     cfg = RunConfig()
-    file_vals = _load_config(getattr(args, "config", None))
-    if "precision" in file_vals:
-        cfg.precision = int(file_vals["precision"])
-    if "format" in file_vals:
-        cfg.format = file_vals["format"]
-    if "out" in file_vals:
-        cfg.out = file_vals["out"]
-    if "orders" in file_vals:
-        cfg.orders = _parse_orders(file_vals["orders"], cfg.orders)
-    if "k_value" in file_vals:
-        cfg.k_value = float(file_vals["k_value"])
+    # the RunConfig field each config-file key sets, and how it is read
+    readers = {"precision": int, "format": str, "out": str,
+               "orders": lambda v: _parse_orders(v, cfg.orders),
+               "k_value": float}
+    for key, val in _load_config(getattr(args, "config", None)).items():
+        if key not in readers:
+            raise ValueError(f"unknown config key {key!r}; the known keys "
+                             f"are {', '.join(readers)}")
+        setattr(cfg, key, readers[key](val))
     if getattr(args, "precision", None) is not None:
         cfg.precision = args.precision
     if getattr(args, "orders", None):
@@ -104,6 +102,22 @@ def build_config(args) -> RunConfig:
 
 def _assignment(cfg: RunConfig) -> dict:
     return {"n": 1, "K": mp.mpf(cfg.k_value), "L": 0, "lam": 0, "shat": 0}
+
+
+def _log_grid(lo, hi, n: int) -> list:
+    """n points from lo to hi, evenly spaced in log (lo alone for n = 1)."""
+    if lo <= 0 or hi <= 0:
+        raise ValueError(f"a log-spaced sweep needs positive ends, not "
+                         f"{mp.nstr(lo, 6)} .. {mp.nstr(hi, 6)}")
+    return [lo * (hi / lo) ** (mp.mpf(i) / max(n - 1, 1)) for i in range(n)]
+
+
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, "
+                                         f"not {n}")
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +189,7 @@ def _beta_sweep(cfg: RunConfig, sector: str, kv, gmax, points: int) -> list:
         solve = lambda cut: solve_scattering_coupling(cut, kv, cfg.precision)
         assignment = {"K": kv}
     rows = []
-    for i in range(points):
-        cut = cut_lo * mp.mpf(10) ** (mp.mpf(i) * 3 / max(points - 1, 1))
+    for cut in _log_grid(cut_lo, cut_lo * 1000, points):
         sol = solve(cut)
         rows.append((sol.g, sol.beta(cfg.precision),
                      beta.eval_mp(sol.g, assignment, dps=cfg.precision)))
@@ -193,6 +206,8 @@ def cmd_beta(args, cfg: RunConfig) -> int:
         gmax = 1 / (2 + 6 * abs(kv))
     else:
         gmax = mp.mpf(args.gmax)
+        if gmax <= 0:
+            raise ValueError(f"--gmax must be positive, not {args.gmax}")
     rows = _beta_sweep(cfg, args.sector, kv, gmax, args.points)
     path = emit_beta(cfg.out, cfg.format, rows, args.sector)
     print(f"wrote {path}")
@@ -226,9 +241,7 @@ def cmd_phase(args, cfg: RunConfig) -> int:
     from .emit import emit_phase
     from .rgnumeric import phase_shift
     rows = []
-    for i in range(args.points):
-        frac = mp.mpf(i) / max(args.points - 1, 1)
-        p = mp.mpf(args.pmin) * (mp.mpf(args.pmax) / mp.mpf(args.pmin)) ** frac
+    for p in _log_grid(mp.mpf(args.pmin), mp.mpf(args.pmax), args.points):
         delta, resid, udef = phase_shift(mp.mpf(args.g), p,
                                          cfg.precision, check=True)
         rows.append((mp.mpf(args.g), p, delta, resid, udef))
@@ -275,8 +288,7 @@ def cmd_crosscheck(args, cfg: RunConfig) -> int:
         failures.append("analytic-continuation")
 
     rows = _beta_sweep(cfg, "bound", mp.mpf(0), mp.mpf("0.5"), args.points)
-    worst = max((abs(bn - bs) / abs(bs) for _, bn, bs in rows),
-                default=mp.mpf(0))
+    worst = max(abs(bn - bs) / abs(bs) for _, bn, bs in rows)
     ok = worst <= mp.mpf("1e-5")
     print(f"numeric-vs-symbolic beta (worst rel {mp.nstr(worst, 3)}): "
           f"{'pass' if ok else 'FAIL'}")
@@ -284,8 +296,8 @@ def cmd_crosscheck(args, cfg: RunConfig) -> int:
         failures.append("beta-dual")
 
     worst = mp.mpf(0)
-    for i in range(args.points):
-        ratio = mp.mpf(10) ** (1 + mp.mpf(4 * i) / max(args.points - 1, 1))
+    for i, ratio in enumerate(_log_grid(mp.mpf(10), mp.mpf(10) ** 5,
+                                        args.points)):
         sol = solve_running_coupling(ratio, i % 3, cfg.precision)
         worst = max(worst, smatrix_pole_check(sol.g, sol.ratio, cfg.precision))
     ok = worst <= mp.mpf("1e-28")
@@ -307,7 +319,9 @@ def make_parser() -> argparse.ArgumentParser:
     common.add_argument("--precision", type=int,
                         help="working precision in digits (>= 30)")
     common.add_argument("--orders",
-                        help="comma list like g=10,rho=9,sector=8")
+                        help="comma list like g=10,rho=9,sector=8; beta "
+                             "runs its series at g-order max(g, 18) (bound) "
+                             "or max(g, 16) (scattering)")
     common.add_argument("--out", help="output directory")
     common.add_argument("--format", choices=("csv", "json"))
     common.add_argument("--kval", type=float,
@@ -345,14 +359,14 @@ def make_parser() -> argparse.ArgumentParser:
                    help="largest coupling in the sweep (default "
                         "1/(2 + 6|K|): 0.5 for bound, lower for scattering "
                         "as |K| grows and the series band shrinks)")
-    p.add_argument("--points", type=int, default=8)
+    p.add_argument("--points", type=_positive_int, default=8)
     p.add_argument("--tolerance", type=float, default=1e-5)
     p.set_defaults(func=cmd_beta)
 
     p = sub_parser("contour", "running-coupling contour data")
     p.add_argument("--ratio-min", type=float, default=10.0)
     p.add_argument("--ratio-max", type=float, default=1e6)
-    p.add_argument("--points", type=int, default=24)
+    p.add_argument("--points", type=_positive_int, default=24)
     p.add_argument("--branches", default="0..5", help="e.g. 0..5 or 0,2,4")
     p.set_defaults(func=cmd_contour)
 
@@ -360,7 +374,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", type=float, default=0.7)
     p.add_argument("--pmin", type=float, default=0.05)
     p.add_argument("--pmax", type=float, default=0.9)
-    p.add_argument("--points", type=int, default=16)
+    p.add_argument("--points", type=_positive_int, default=16)
     p.set_defaults(func=cmd_phase)
 
     p = sub_parser("divergence", "transition-matrix divergence table")
@@ -369,7 +383,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_divergence)
 
     p = sub_parser("crosscheck", "full invariant battery")
-    p.add_argument("--points", type=int, default=6)
+    p.add_argument("--points", type=_positive_int, default=6)
     p.set_defaults(func=cmd_crosscheck)
     return parser
 

@@ -35,17 +35,17 @@ from mpmath.libmp import dps_to_prec, from_rational
 # digits of every numeric evaluation that is not given its own precision
 DEFAULT_DPS = 60
 
-GENERATORS = ("pi", "gamma", "zeta3", "zeta5", "zeta7", "zeta9", "zeta11",
-              "zeta13", "zeta15", "zeta17", "zeta19", "K", "n", "L", "lam",
-              "shat")
+# the zeta ladder, odd arguments; Arg Gamma(1+ig) needs zeta(k) at g^k
+ZETA_ARGS = tuple(range(3, 20, 2))
+GENERATORS = ("pi", "gamma", *(f"zeta{k}" for k in ZETA_ARGS), "K", "n", "L",
+              "lam", "shat")
 _GIDX = {g: i for i, g in enumerate(GENERATORS)}
 _NGEN = len(GENERATORS)
 _ZERO_EXP = (0,) * _NGEN
 _new = object.__new__
 
 # zeta generators by odd argument, for the psi display map
-_ZETA_ARG = {"zeta3": 3, "zeta5": 5, "zeta7": 7, "zeta9": 9, "zeta11": 11,
-             "zeta13": 13, "zeta15": 15, "zeta17": 17, "zeta19": 19}
+_ZETA_ARG = {f"zeta{k}": k for k in ZETA_ARGS}
 
 
 class GRat:
@@ -247,7 +247,7 @@ class ConstExpr:
     @classmethod
     def psi(cls, m: int, coef=1) -> "ConstExpr":
         """psi^(m)(1) for even m >= 2, stored as a zeta-basis monomial."""
-        if m % 2 or m < 2 or m > 18:
+        if m + 1 not in ZETA_ARGS:
             raise ValueError(f"psi^({m})(1) not supported")
         zeta_name = f"zeta{m + 1}"
         factor = Fraction((-1) ** (m + 1) * factorial(m))

@@ -17,21 +17,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .constexpr import PI, ConstExpr, GRat
+from .constexpr import PI, ZETA_ARGS, ConstExpr, GRat
 from .series import SeriesError, TruncSeries, lagrange_coefficients
 from .transseries import Transseries
-
-# Arg Gamma(1+ig) needs zeta(2k+1); the ring carries them through zeta19,
-# which covers every g-power up to 20 (the g^21 term would need zeta21).
-ARG_GAMMA_MAX_ORDER = 20
 
 
 def arg_gamma_series(g_order: int) -> TruncSeries:
     """Arg Gamma(1+ig) = -gamma g + zeta3 g^3/3 - zeta5 g^5/5 + ..."""
-    if g_order > ARG_GAMMA_MAX_ORDER:
+    if g_order > ZETA_ARGS[-1] + 1:
         raise SeriesError(
-            f"Arg Gamma(1+ig) beyond g^{ARG_GAMMA_MAX_ORDER} needs zeta21+, "
-            "which the constants ring does not carry")
+            f"Arg Gamma(1+ig) to g^{g_order} needs zeta values past "
+            f"zeta{ZETA_ARGS[-1]}, the top of the constants ring's ladder")
     coeffs = {(1,): ConstExpr.monomial(-1, gamma=1)}
     k = 1
     while 2 * k + 1 <= g_order:
@@ -48,7 +44,7 @@ def log_growth_unit(g_order: int) -> TruncSeries:
     E is the residual growth factor of the leading transseries sector after
     exp(-(2b+1) pi/g - gamma) has been split off.
     """
-    ag = arg_gamma_series(min(g_order + 1, ARG_GAMMA_MAX_ORDER))
+    ag = arg_gamma_series(g_order + 1)
     out = ag.shift("g", -1) + ConstExpr.generator("gamma")
     return out.truncate((g_order,))
 
@@ -69,9 +65,8 @@ def phase_branch_offset(g_order: int) -> TruncSeries:
 
 def log_growth_unit_scatter(g_order: int) -> TruncSeries:
     """log E_hat = gamma + K pi + Arg Gamma(1+ig)/g + arctan(-2K tanh(pi g/2))/g."""
-    a = phase_branch_offset(min(g_order + 1, ARG_GAMMA_MAX_ORDER + 1))
     out = (log_growth_unit(g_order)
-           + a.shift("g", -1)
+           + phase_branch_offset(g_order + 1).shift("g", -1)
            + ConstExpr.monomial(1, K=1, pi=1))
     if out.constant_term():
         raise SeriesError("scattering growth-unit exponent has a constant "

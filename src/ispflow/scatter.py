@@ -195,7 +195,8 @@ def cross_sector_expansion(g_order: int, max_sector: int) -> Transseries:
     """
     eps_max = 2 * max_sector
     l_max = g_order + 1
-    table = scatter_coupling_coeffs(min(4, 2 * max_sector + 2), l_max,
+    # sigma^p starts at eps^p, so the table reaches p = eps_max
+    table = scatter_coupling_coeffs(eps_max, l_max,
                                     g_order=max(l_max, 6)).substitute_level(1)
 
     vars_ = ("g", "eps")

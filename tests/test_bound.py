@@ -1,5 +1,7 @@
 """Bound-sector derivations against their published closed forms."""
 
+from math import factorial
+
 import mpmath as mp
 import pytest
 
@@ -14,8 +16,9 @@ from ispflow.constexpr import ConstExpr
 from ispflow.coupling import (BOUND_COLUMNS, CouplingTable, N_PI,
                               condition_residual_box, resummation_check)
 from ispflow.bound import bound_condition_series
-from ispflow.expansions import growth_unit_series
-from ispflow.series import TruncSeries
+from ispflow.expansions import (growth_unit_series, log_growth_unit,
+                                log_growth_unit_scatter)
+from ispflow.series import SeriesError, TruncSeries
 
 
 @pytest.fixture(autouse=True, scope="module")
@@ -235,6 +238,29 @@ def test_beta_requires_branch_zero(cond):
     f1 = ground_state_transseries(c1, 3)
     with pytest.raises(ValueError):
         beta_transseries(f1)
+
+
+def test_beta_refuses_sectors_past_the_division():
+    f5 = ground_state_transseries(build_ground_state_condition(8, 8), 5)
+    assert beta_transseries(f5, 4).ts.max_sector == 4
+    with pytest.raises(SeriesError, match="through sector 4, not 8"):
+        beta_transseries(f5, 8)
+
+
+def test_zeta_ladder_bounds_every_builder():
+    """zeta19 tops the ladder: log E reaches g^19 and the conditions g^20;
+    one order more raises instead of returning a shorter series."""
+    assert log_growth_unit(19).trunc_order == (19,)
+    assert bound_condition_series(20, 2).trunc_order == (20, 2)
+    assert ConstExpr.psi(18) == ConstExpr.monomial(-factorial(18), zeta19=1)
+    with pytest.raises(ValueError):
+        ConstExpr.psi(20)
+    for build in (lambda: log_growth_unit(20),
+                  lambda: log_growth_unit_scatter(20),
+                  lambda: bound_condition_series(21, 2),
+                  lambda: build_ground_state_condition(20, 8)):
+        with pytest.raises(SeriesError, match="past zeta19"):
+            build()
 
 
 def test_beta_exact_sector_eval_matches_series(beta):

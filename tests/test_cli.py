@@ -73,6 +73,25 @@ def test_input_error_codes(tmp_path):
     assert main(["coeffs", "--orders", "bogus=3", "--out", str(tmp_path)]) == 4
 
 
+@pytest.mark.parametrize("argv", [
+    ["phase", "--pmin", "0"],
+    ["beta", "--gmax", "0"],
+    ["beta", "--points", "0"],
+    ["phase", "--points", "0"],
+    ["contour", "--points", "0"],
+    ["crosscheck", "--points", "0"],
+    ["beta", "--orders", "g=30", "--points", "1"],
+    ["groundstate", "--orders", "g=20"],
+], ids=["phase-pmin0", "beta-gmax0", "beta-points0", "phase-points0",
+        "contour-points0", "crosscheck-points0", "beta-g30",
+        "groundstate-g20"])
+def test_refused_requests_exit_4(tmp_path, argv):
+    """Empty or non-positive sweeps and orders past the zeta ladder are
+    input errors, not a traceback, an empty file or a shorter series."""
+    assert main(argv + ["--out", str(tmp_path)]) == 4
+    assert not any(tmp_path.iterdir())
+
+
 def test_config_file_and_flag_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("precision=42\nformat=json\nout=" + str(tmp_path / "x")
@@ -87,6 +106,11 @@ def test_config_file_and_flag_override(tmp_path):
                  "--out", str(tmp_path / "y")])
     assert code == 0
     assert (tmp_path / "y" / "coeffs_bound.csv").exists()
+    # a misspelt key is refused, not ignored
+    cfg.write_text("precison=80\nformat=json\n")
+    assert main(["--config", str(cfg), "coeffs", "--pmax", "0", "--lmax",
+                 "3", "--out", str(tmp_path / "z")]) == 4
+    assert not (tmp_path / "z").exists()
 
 
 def test_phase_and_groundstate_smoke(tmp_path):

@@ -47,8 +47,10 @@ def beta():
 
 
 @pytest.fixture(scope="module")
-def cross():
-    return cross_sector_expansion(5, 2)
+def cross(request):
+    """cross_sector_expansion(g_order, max_sector), (5, 2) unless a test
+    passes other orders."""
+    return cross_sector_expansion(*getattr(request, "param", (5, 2)))
 
 
 def test_phase_condition_pole_free(phase_cond):
@@ -229,6 +231,8 @@ def test_cross_sector_printed_orders(cross):
         assert s1.coefficient((k,)) == coef, f"sector 1 g_B^{k}"
 
 
+@pytest.mark.parametrize("cross", [(5, 2), (4, 3)], indirect=True,
+                         ids=["5-2", "4-3"])
 def test_analytic_continuation_collapse(cross):
     assert analytic_continuation_check(cross=cross)
     # term-level checks of the substitution
