@@ -56,6 +56,8 @@ def build_ground_state_condition(g_order: int, xi_order: int,
                                  b: int = 0) -> GroundStateCondition:
     if g_order < 3 or xi_order < 3:
         raise SeriesError("orders must be at least 3")
+    if b < 0:
+        raise ValueError("branches are labelled b >= 0")
     e = growth_unit_series(g_order)
     a_odd = odd_coefficient_family(arg_eta_over_g(g_order, xi_order + 1))
     return GroundStateCondition(e, a_odd, b, g_order, xi_order)

@@ -11,16 +11,16 @@ deterministic subcommand:
     divergence   transition-matrix divergence table for a dimension
     crosscheck   the full invariant battery
 
-Configuration comes from an optional key=value file plus flags; flags win.
-Exit codes: 0 success, 2 golden mismatch, 3 numeric tolerance failure,
-4 input error.
+Global settings come from the flags, then an optional key=value file,
+then the defaults; the orders merge key by key.  The argparse namespace is
+the only settings object.  Exit codes: 0 success, 2 golden mismatch,
+3 numeric tolerance failure, 4 input error.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import mpmath as mp
@@ -30,24 +30,11 @@ EXIT_GOLDEN = 2
 EXIT_TOLERANCE = 3
 EXIT_INPUT = 4
 
-
-@dataclass
-class RunConfig:
-    precision: int = 60
-    orders: dict = field(default_factory=lambda: {
-        "g": 10, "rho": 9, "sector": 8})
-    out: str = "out"
-    format: str = "csv"
-    k_value: float = 0.0
-
-    def validate(self):
-        if self.precision < 30:
-            raise ValueError("precision must be at least 30 digits")
-        for k, v in self.orders.items():
-            if v < 2:
-                raise ValueError(f"order {k}={v} must be at least 2")
-        if self.format not in ("csv", "json"):
-            raise ValueError("format must be csv or json")
+# the global settings a flag or the --config file may set, with their
+# defaults; a file value is read by the default's type.  ``sector`` is the
+# top beta sector (even); the f transseries is built through sector + 1.
+DEFAULTS = {"precision": 60, "format": "csv", "out": "out", "k_value": 0.0,
+            "orders": {"g": 10, "sector": 8}}
 
 
 def _parse_orders(text: str, base: dict) -> dict:
@@ -75,33 +62,33 @@ def _load_config(path: str | None) -> dict:
     return values
 
 
-def build_config(args) -> RunConfig:
-    cfg = RunConfig()
-    # the RunConfig field each config-file key sets, and how it is read
-    readers = {"precision": int, "format": str, "out": str,
-               "orders": lambda v: _parse_orders(v, cfg.orders),
-               "k_value": float}
-    for key, val in _load_config(getattr(args, "config", None)).items():
-        if key not in readers:
+def fill_settings(args) -> None:
+    """Give each global setting that no flag set its --config file value,
+    or else its default; merge the orders key by key (default, file, flag);
+    then check every value."""
+    conf = _load_config(getattr(args, "config", None))
+    for key in conf:
+        if key not in DEFAULTS:
             raise ValueError(f"unknown config key {key!r}; the known keys "
-                             f"are {', '.join(readers)}")
-        setattr(cfg, key, readers[key](val))
-    if getattr(args, "precision", None) is not None:
-        cfg.precision = args.precision
-    if getattr(args, "orders", None):
-        cfg.orders = _parse_orders(args.orders, cfg.orders)
-    if getattr(args, "out", None):
-        cfg.out = args.out
-    if getattr(args, "format", None):
-        cfg.format = args.format
-    if getattr(args, "kval", None) is not None:
-        cfg.k_value = args.kval
-    cfg.validate()
-    return cfg
-
-
-def _assignment(cfg: RunConfig) -> dict:
-    return {"n": 1, "K": mp.mpf(cfg.k_value), "L": 0, "lam": 0, "shat": 0}
+                             f"are {', '.join(DEFAULTS)}")
+    orders = DEFAULTS["orders"]
+    for text in (conf.get("orders", ""), getattr(args, "orders", "")):
+        orders = _parse_orders(text, orders)
+    args.orders = orders
+    for key, default in DEFAULTS.items():
+        if key not in args:
+            setattr(args, key,
+                    type(default)(conf[key]) if key in conf else default)
+    if args.precision < 30:
+        raise ValueError("precision must be at least 30 digits")
+    for k, v in orders.items():
+        if v < 2:
+            raise ValueError(f"order {k}={v} must be at least 2")
+    if orders["sector"] % 2:
+        raise ValueError(f"order sector={orders['sector']} must be even: it "
+                         f"is the top beta sector")
+    if args.format not in ("csv", "json"):
+        raise ValueError("format must be csv or json")
 
 
 def _log_grid(lo, hi, n: int) -> list:
@@ -124,17 +111,16 @@ def _positive_int(text: str) -> int:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_coeffs(args, cfg: RunConfig) -> int:
+def cmd_coeffs(args) -> int:
     from . import bound, scatter
     from .emit import emit_coeffs
-    p_max = args.pmax if args.pmax is not None else 4
-    l_max = args.lmax if args.lmax is not None else cfg.orders["rho"]
+    p_max, l_max = args.pmax, args.lmax
     if args.sector == "bound":
         table = bound.running_coupling_coeffs(p_max, l_max)
     else:
         table = scatter.scatter_coupling_coeffs(p_max, l_max)
-    path = emit_coeffs(cfg.out, cfg.format, table, _assignment(cfg),
-                       cfg.precision)
+    at = {"n": 1, "K": mp.mpf(args.k_value), "L": 0, "lam": 0, "shat": 0}
+    path = emit_coeffs(args.out, args.format, table, at, args.precision)
     print(f"wrote {path}")
     if args.check:
         from .golden import BOUND_TABLE, SCATTER_TABLE
@@ -149,56 +135,55 @@ def cmd_coeffs(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_groundstate(args, cfg: RunConfig) -> int:
+def _bound_transseries(g_order: int, sector: int, branch: int = 0):
+    """The ground-state f through sector + 1 (condition xi-order sector + 2)
+    and its beta through ``sector``; off branch 0 the beta is empty."""
     from .bound import (beta_transseries, build_ground_state_condition,
                         ground_state_transseries)
-    from .emit import emit_groundstate
     from .transseries import Transseries
-    max_sector = args.max_sector or cfg.orders["sector"] + 1
-    if max_sector % 2 == 0:
-        max_sector += 1
-    cond = build_ground_state_condition(cfg.orders["g"],
-                                        max_sector + 1, b=args.branch)
-    f = ground_state_transseries(cond, max_sector)
-    beta = (beta_transseries(f).ts if args.branch == 0
-            else Transseries({}, args.branch, "bound", 0))
-    path = emit_groundstate(cfg.out, cfg.format, f, beta)
+    cond = build_ground_state_condition(g_order, sector + 2, b=branch)
+    f = ground_state_transseries(cond, sector + 1)
+    beta = (beta_transseries(f).ts if branch == 0
+            else Transseries({}, branch, "bound", 0))
+    return f, beta
+
+
+def cmd_groundstate(args) -> int:
+    from .emit import emit_groundstate
+    f, beta = _bound_transseries(args.orders["g"], args.orders["sector"],
+                                 args.branch)
+    path = emit_groundstate(args.out, args.format, f, beta)
     print(f"wrote {path}")
     return EXIT_OK
 
 
-def _beta_sweep(cfg: RunConfig, sector: str, kv, gmax, points: int) -> list:
-    """(g, numeric beta, series beta) at `points` cutoffs spread over three
+def _beta_sweep(args, sector: str, kv, gmax) -> list:
+    """(g, numeric beta, series beta) at `args.points` cutoffs spread over three
     decades up from the one where the first-order coupling is gmax."""
     from .rgnumeric import solve_running_coupling, solve_scattering_coupling
+    g, top, dps = args.orders["g"], args.orders["sector"], args.precision
     if sector == "bound":
-        from .bound import (beta_transseries, build_ground_state_condition,
-                            ground_state_transseries)
-        cond = build_ground_state_condition(max(cfg.orders["g"], 18),
-                                            cfg.orders["sector"] + 3, b=0)
-        f = ground_state_transseries(cond, cfg.orders["sector"] + 1)
-        beta = beta_transseries(f)
+        beta = _bound_transseries(max(g, 18), top)[1]
         cut_lo = mp.e ** (mp.pi / gmax + mp.euler)
-        solve = lambda cut: solve_running_coupling(cut, 0, cfg.precision)
+        solve = lambda cut: solve_running_coupling(cut, 0, dps)
         assignment = None
     else:
         from .scatter import scatter_beta
-        beta = scatter_beta(cfg.orders["sector"] // 2 * 2,
-                            g_order=max(cfg.orders["g"], 16))
+        beta = scatter_beta(top, g_order=max(g, 16)).ts
         cut_lo = mp.e ** (mp.pi / gmax + mp.euler + kv * mp.pi)
-        solve = lambda cut: solve_scattering_coupling(cut, kv, cfg.precision)
+        solve = lambda cut: solve_scattering_coupling(cut, kv, dps)
         assignment = {"K": kv}
     rows = []
-    for cut in _log_grid(cut_lo, cut_lo * 1000, points):
+    for cut in _log_grid(cut_lo, cut_lo * 1000, args.points):
         sol = solve(cut)
-        rows.append((sol.g, sol.beta(cfg.precision),
-                     beta.eval_mp(sol.g, assignment, dps=cfg.precision)))
+        rows.append((sol.g, sol.beta(dps),
+                     mp.re(beta.eval_mp(sol.g, assignment, dps=dps))))
     return rows
 
 
-def cmd_beta(args, cfg: RunConfig) -> int:
+def cmd_beta(args) -> int:
     from .emit import emit_beta
-    kv = mp.mpf(cfg.k_value if args.sector == "scattering" else 0)
+    kv = mp.mpf(args.k_value if args.sector == "scattering" else 0)
     if args.gmax is None:
         # at the default orders the series meets 1e-5 below g = 1/2 at
         # K = 0; its g^n coefficients grow like (pi K)^n, so the sweep top
@@ -208,8 +193,11 @@ def cmd_beta(args, cfg: RunConfig) -> int:
         gmax = mp.mpf(args.gmax)
         if gmax <= 0:
             raise ValueError(f"--gmax must be positive, not {args.gmax}")
-    rows = _beta_sweep(cfg, args.sector, kv, gmax, args.points)
-    path = emit_beta(cfg.out, cfg.format, rows, args.sector)
+    if not args.tolerance > 0:
+        raise ValueError(f"--tolerance must be positive, not "
+                         f"{args.tolerance}")
+    rows = _beta_sweep(args, args.sector, kv, gmax)
+    path = emit_beta(args.out, args.format, rows, args.sector)
     print(f"wrote {path}")
     tol_fail = False
     for g, bn, bs in rows:
@@ -220,12 +208,12 @@ def cmd_beta(args, cfg: RunConfig) -> int:
     return EXIT_TOLERANCE if tol_fail else EXIT_OK
 
 
-def cmd_contour(args, cfg: RunConfig) -> int:
+def cmd_contour(args) -> int:
     from .emit import emit_contour
     from .rgnumeric import contour_grid
     grid = contour_grid(args.ratio_min, args.ratio_max, args.points,
-                        _parse_branches(args.branches), cfg.precision)
-    path = emit_contour(cfg.out, cfg.format, grid)
+                        _parse_branches(args.branches), args.precision)
+    path = emit_contour(args.out, args.format, grid)
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -233,28 +221,32 @@ def cmd_contour(args, cfg: RunConfig) -> int:
 def _parse_branches(text: str) -> list:
     if ".." in text:
         lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(b) for b in text.split(",")]
+        branches = list(range(int(lo), int(hi) + 1))
+    else:
+        branches = [int(b) for b in text.split(",")]
+    if not branches:
+        raise ValueError(f"--branches {text} names no branch")
+    return branches
 
 
-def cmd_phase(args, cfg: RunConfig) -> int:
+def cmd_phase(args) -> int:
     from .emit import emit_phase
     from .rgnumeric import phase_shift
     rows = []
     for p in _log_grid(mp.mpf(args.pmin), mp.mpf(args.pmax), args.points):
         delta, resid, udef = phase_shift(mp.mpf(args.g), p,
-                                         cfg.precision, check=True)
+                                         args.precision, check=True)
         rows.append((mp.mpf(args.g), p, delta, resid, udef))
-    path = emit_phase(cfg.out, cfg.format, rows)
+    path = emit_phase(args.out, args.format, rows)
     print(f"wrote {path}")
     return EXIT_OK
 
 
-def cmd_divergence(args, cfg: RunConfig) -> int:
+def cmd_divergence(args) -> int:
     from .emit import emit_divergence
     from .tmatrix import EXPECTED_TABLES, divergence_table
     reports = divergence_table(args.d)
-    path = emit_divergence(cfg.out, cfg.format, reports, args.d)
+    path = emit_divergence(args.out, args.format, reports, args.d)
     print(f"wrote {path}")
     for term in sorted(reports):
         print(f"  d={args.d} {term}: {reports[term].classification}")
@@ -268,7 +260,7 @@ def cmd_divergence(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_crosscheck(args, cfg: RunConfig) -> int:
+def cmd_crosscheck(args) -> int:
     failures = []
 
     from .bound import bound_resummation_report, running_coupling_coeffs
@@ -287,7 +279,7 @@ def cmd_crosscheck(args, cfg: RunConfig) -> int:
     if not ok:
         failures.append("analytic-continuation")
 
-    rows = _beta_sweep(cfg, "bound", mp.mpf(0), mp.mpf("0.5"), args.points)
+    rows = _beta_sweep(args, "bound", mp.mpf(0), mp.mpf("0.5"))
     worst = max(abs(bn - bs) / abs(bs) for _, bn, bs in rows)
     ok = worst <= mp.mpf("1e-5")
     print(f"numeric-vs-symbolic beta (worst rel {mp.nstr(worst, 3)}): "
@@ -298,8 +290,8 @@ def cmd_crosscheck(args, cfg: RunConfig) -> int:
     worst = mp.mpf(0)
     for i, ratio in enumerate(_log_grid(mp.mpf(10), mp.mpf(10) ** 5,
                                         args.points)):
-        sol = solve_running_coupling(ratio, i % 3, cfg.precision)
-        worst = max(worst, smatrix_pole_check(sol.g, sol.ratio, cfg.precision))
+        sol = solve_running_coupling(ratio, i % 3, args.precision)
+        worst = max(worst, smatrix_pole_check(sol.g, sol.ratio, args.precision))
     ok = worst <= mp.mpf("1e-28")
     print(f"S-matrix pole residual (worst {mp.nstr(worst, 3)}): "
           f"{'pass' if ok else 'FAIL'}")
@@ -319,12 +311,14 @@ def make_parser() -> argparse.ArgumentParser:
     common.add_argument("--precision", type=int,
                         help="working precision in digits (>= 30)")
     common.add_argument("--orders",
-                        help="comma list like g=10,rho=9,sector=8; beta "
-                             "runs its series at g-order max(g, 18) (bound) "
-                             "or max(g, 16) (scattering)")
+                        help="comma list like g=10,sector=8: the series "
+                             "g-order and the top beta sector (even; f is "
+                             "built through sector + 1); beta runs its "
+                             "series at g-order max(g, 18) (bound) or "
+                             "max(g, 16) (scattering)")
     common.add_argument("--out", help="output directory")
     common.add_argument("--format", choices=("csv", "json"))
-    common.add_argument("--kval", type=float,
+    common.add_argument("--kval", type=float, dest="k_value", metavar="K",
                         help="numeric value for the scattering datum K, "
                              "read as a binary double (0.1 is evaluated at "
                              "0.1000000000000000055...)")
@@ -342,13 +336,12 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub_parser("coeffs", "running-coupling coefficient tables")
     p.add_argument("--sector", choices=("bound", "scattering"),
                    default="bound")
-    p.add_argument("--pmax", type=int)
-    p.add_argument("--lmax", type=int)
+    p.add_argument("--pmax", type=int, default=4)
+    p.add_argument("--lmax", type=int, default=9)
     p.add_argument("--check", action="store_true")
     p.set_defaults(func=cmd_coeffs)
 
     p = sub_parser("groundstate", "ground-state transseries")
-    p.add_argument("--max-sector", type=int)
     p.add_argument("--branch", type=int, default=0)
     p.set_defaults(func=cmd_groundstate)
 
@@ -395,9 +388,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else 0
     try:
-        cfg = build_config(args)
-        with mp.workdps(cfg.precision):
-            return args.func(args, cfg)
+        fill_settings(args)
+        with mp.workdps(args.precision):
+            return args.func(args)
     except (ValueError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

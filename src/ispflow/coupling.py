@@ -63,8 +63,12 @@ class CouplingTable:
         return CouplingTable(self.sector_tag, out, self.p_max, self.l_max)
 
     def as_series(self, x_var: str, p_max=None, l_max=None) -> TruncSeries:
-        p_max = self.p_max if p_max is None else min(p_max, self.p_max)
-        l_max = self.l_max if l_max is None else min(l_max, self.l_max)
+        p_max = self.p_max if p_max is None else p_max
+        l_max = self.l_max if l_max is None else l_max
+        if p_max > self.p_max or l_max > self.l_max:
+            raise SeriesError(f"table holds p <= {self.p_max}, l <= "
+                              f"{self.l_max}; cannot give p <= {p_max}, "
+                              f"l <= {l_max}")
         coeffs = {(p, l): c for (p, l), c in self.entries.items()
                   if p <= p_max and l <= l_max}
         return TruncSeries((x_var, "rho"), coeffs, (0, 0), (p_max, l_max))

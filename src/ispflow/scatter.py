@@ -189,9 +189,10 @@ def cross_sector_expansion(g_order: int, max_sector: int) -> Transseries:
     branch 0).
 
     Sector l of the returned (bound-flavored) transseries multiplies
-    exp(-2l (pi/g_B + gamma)); its series carry the generators K, L and
-    shat = p/Lambda_IR.  ``max_sector`` counts those even non-perturbative
-    orders, so sectors 0..max_sector are returned.
+    eps^l = exp(-l (pi/g_B + gamma)), as ``Transseries.eval_mp`` weights
+    it, and only even l occur; its series carry the generators K, L and
+    shat = p/Lambda_IR.  ``max_sector`` counts the even non-perturbative
+    orders, so sectors 0, 2, .., 2 max_sector are returned.
     """
     eps_max = 2 * max_sector
     l_max = g_order + 1
@@ -238,12 +239,12 @@ def cross_sector_expansion(g_order: int, max_sector: int) -> Transseries:
         if ek % 2:
             raise SeriesError("odd non-perturbative order in the cross-"
                               "sector expansion")
-        sectors.setdefault(ek // 2, {})[(gk,)] = c
+        sectors.setdefault(ek, {})[(gk,)] = c
     g_trunc = out.trunc_order[0]
     return Transseries(
         {l: TruncSeries(("g",), coeffs, (0,), (g_trunc,))
          for l, coeffs in sectors.items()},
-        0, "bound", max_sector)
+        0, "bound", eps_max)
 
 
 def analytic_continuation_check(g_order: int = 5, max_sector: int = 2,

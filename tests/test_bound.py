@@ -240,6 +240,21 @@ def test_beta_requires_branch_zero(cond):
         beta_transseries(f1)
 
 
+def test_condition_refuses_negative_branches():
+    """b = -1 would give the unit exp(+pi/g - gamma), not a branch."""
+    with pytest.raises(ValueError, match="branches are labelled b >= 0"):
+        build_ground_state_condition(6, 6, b=-1)
+
+
+def test_table_as_series_refuses_orders_past_the_table(table):
+    """A (4, 9) table gives any sub-box, and refuses a larger one instead of
+    returning the table's own box under the larger name."""
+    assert table.as_series("xi", 4, 8).trunc_order == (4, 8)
+    for p_max, l_max in ((6, 9), (4, 10)):
+        with pytest.raises(SeriesError, match="table holds p <= 4, l <= 9"):
+            table.as_series("xi", p_max, l_max)
+
+
 def test_beta_refuses_sectors_past_the_division():
     f5 = ground_state_transseries(build_ground_state_condition(8, 8), 5)
     assert beta_transseries(f5, 4).ts.max_sector == 4

@@ -1,9 +1,30 @@
 """CLI behavior: determinism, exit codes, config handling."""
 
+import argparse
+import re
+from pathlib import Path
+
 import mpmath as mp
 import pytest
 
-from ispflow.cli import main
+from ispflow.cli import DEFAULTS, main, make_parser
+
+# the whole settable surface: the options of the root parser and of each
+# subcommand (after the ones every parser shares), the --config keys and
+# the --orders keys
+SHARED = ["-h", "--help", "--config", "--precision", "--orders", "--out",
+          "--format", "--kval"]
+OWN_OPTIONS = {
+    "coeffs": ["--sector", "--pmax", "--lmax", "--check"],
+    "groundstate": ["--branch"],
+    "beta": ["--sector", "--gmax", "--points", "--tolerance"],
+    "contour": ["--ratio-min", "--ratio-max", "--points", "--branches"],
+    "phase": ["--g", "--pmin", "--pmax", "--points"],
+    "divergence": ["--d", "--check"],
+    "crosscheck": ["--points"],
+}
+CONFIG_KEYS = ["precision", "format", "out", "k_value", "orders"]
+ORDER_KEYS = ["g", "sector"]
 
 
 def read(path):
@@ -82,14 +103,55 @@ def test_input_error_codes(tmp_path):
     ["crosscheck", "--points", "0"],
     ["beta", "--orders", "g=30", "--points", "1"],
     ["groundstate", "--orders", "g=20"],
+    ["groundstate", "--branch", "-1"],
+    ["contour", "--branches", "3..1"],
+    ["beta", "--tolerance", "-1"],
+    ["beta", "--tolerance", "nan"],
+    ["groundstate", "--orders", "sector=7"],
+    ["beta", "--sector", "scattering", "--orders", "sector=7"],
+    ["coeffs", "--orders", "rho=5"],
+    ["groundstate", "--max-sector", "3"],
 ], ids=["phase-pmin0", "beta-gmax0", "beta-points0", "phase-points0",
         "contour-points0", "crosscheck-points0", "beta-g30",
-        "groundstate-g20"])
+        "groundstate-g20", "groundstate-branch-1", "contour-branches3..1",
+        "beta-tolerance-1",
+        "beta-tolerance-nan", "groundstate-sector7", "beta-scattering-sector7",
+        "coeffs-rho5", "groundstate-max-sector3"])
 def test_refused_requests_exit_4(tmp_path, argv):
-    """Empty or non-positive sweeps and orders past the zeta ladder are
-    input errors, not a traceback, an empty file or a shorter series."""
+    """Empty or non-positive sweeps, negative branches, odd top sectors,
+    removed knobs and orders past the zeta ladder are input errors, not a
+    traceback, an empty file, a rewritten order or a shorter series."""
     assert main(argv + ["--out", str(tmp_path)]) == 4
     assert not any(tmp_path.iterdir())
+
+
+def test_command_line_surface():
+    """Every option, config key and order key is in one table and in the
+    README's "Command line" section, so a new knob fails here until both
+    say what it does."""
+    def options(parser):
+        return [o for action in parser._actions for o in action.option_strings]
+    parser = make_parser()
+    subs = next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+    assert options(parser) == SHARED
+    assert {name: options(sub) for name, sub in subs.items()} == {
+        name: SHARED + own for name, own in OWN_OPTIONS.items()}
+    assert list(DEFAULTS) == CONFIG_KEYS
+    assert list(DEFAULTS["orders"]) == ORDER_KEYS
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line")[1].split("\n## ")[0]
+    for name, own in OWN_OPTIONS.items():
+        # the README bullet "* `name`: ..." lists the subcommand's options
+        bullet = re.search(rf"^\* `{name}`:(.*?)(?=^\*|^$)", section,
+                           re.M | re.S)
+        assert bullet, name
+        for option in own:
+            assert re.search(rf"`{option}\b", bullet.group(1)), (name, option)
+    for option in SHARED[2:]:
+        assert re.search(rf"`{option}\b", section), option
+    for key in CONFIG_KEYS + ORDER_KEYS:
+        assert f"`{key}`" in section, key
 
 
 def test_config_file_and_flag_override(tmp_path):
@@ -118,8 +180,8 @@ def test_phase_and_groundstate_smoke(tmp_path):
                  "--out", str(tmp_path)]) == 0
     body = (tmp_path / "phase.csv").read_text()
     assert body.startswith("g,p_over_lambda,delta")
-    assert main(["groundstate", "--max-sector", "3", "--orders",
-                 "g=8,rho=6,sector=4", "--out", str(tmp_path)]) == 0
+    assert main(["groundstate", "--orders", "g=8,sector=2",
+                 "--out", str(tmp_path)]) == 0
     assert (tmp_path / "groundstate.csv").exists()
 
 

@@ -226,9 +226,17 @@ def test_cross_sector_printed_orders(cross):
     s0 = cross.sector(0)
     for k, coef in golden.CROSS_PERTURBATIVE.items():
         assert s0.coefficient((k,)) == coef, f"g_B^{k}"
-    s1 = cross.sector(1)
+    # golden's "sector 1" is the first non-perturbative order, eps^2
+    s2 = cross.sector(2)
     for k, coef in golden.CROSS_SECTOR1.items():
-        assert s1.coefficient((k,)) == coef, f"sector 1 g_B^{k}"
+        assert s2.coefficient((k,)) == coef, f"sector 2 g_B^{k}"
+
+
+def test_cross_sector_keys_are_powers_of_eps(cross):
+    """Sector l multiplies eps^l, as Transseries.eval_mp weights it: the
+    (5, 2) expansion holds eps^0, eps^2 and eps^4 and nothing else."""
+    assert set(cross.sectors) <= {0, 2, 4}
+    assert cross.max_sector == 4
 
 
 @pytest.mark.parametrize("cross", [(5, 2), (4, 3)], indirect=True,
@@ -239,8 +247,8 @@ def test_analytic_continuation_collapse(cross):
     half_i = GRat(0, Fraction(-1, 2))
     c2 = cross.sector(0).coefficient((2,))
     assert c2.substitute("K", half_i).substitute("L", half_i).is_zero()
-    s1g2 = cross.sector(1).coefficient((2,))
-    assert s1g2.substitute("shat", GRat(0, 1)).is_zero()
+    s2g2 = cross.sector(2).coefficient((2,))
+    assert s2g2.substitute("shat", GRat(0, 1)).is_zero()
 
 
 def test_fixed_point_relation():
