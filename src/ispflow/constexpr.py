@@ -25,9 +25,9 @@ zeta basis via psi^(m)(1) = (-1)^(m+1) m! zeta(m+1).
 from __future__ import annotations
 
 import json
+import struct
 from fractions import Fraction
 from math import factorial, gcd
-from operator import add
 
 import mpmath as mp
 from mpmath.libmp import dps_to_prec, from_rational
@@ -41,8 +41,25 @@ GENERATORS = ("pi", "gamma", *(f"zeta{k}" for k in ZETA_ARGS), "K", "n", "L",
               "lam", "shat")
 _GIDX = {g: i for i, g in enumerate(GENERATORS)}
 _NGEN = len(GENERATORS)
-_ZERO_EXP = (0,) * _NGEN
 _new = object.__new__
+
+# A term's exponent vector (e_0, e_1, ...) over GENERATORS is stored as
+# one int, the key sum(e_i << (_W * i)): a signed W-bit digit per
+# generator, so negative powers work.  A monomial product is then k1 + k2
+# and an inverse is -k.  Exponents lie in [EXP_MIN, EXP_MAX], half of what
+# a field holds, so the sum of two keys never carries between fields and
+# a sum that leaves the range shows in the field's top (guard) bit.  The
+# ring raises ValueError for any exponent outside the range.
+_W = 32
+EXP_MAX = (1 << (_W - 2)) - 1
+EXP_MIN = -1 << (_W - 2)
+_ZERO_EXP = 0
+# _OFFSET maps [EXP_MIN, EXP_MAX] onto [0, 2^(W-1)) in each field, below
+# the field's guard bit in _GUARD
+_OFFSET = sum(1 << (_W * i + _W - 2) for i in range(_NGEN))
+_GUARD = _OFFSET << 1
+_NBYTES = _W * _NGEN // 8
+_FIELDS = struct.Struct(f"<{_NGEN}i")     # "i": a signed field of _W = 32 bits
 
 # zeta generators by odd argument, for the psi display map
 _ZETA_ARG = {f"zeta{k}": k for k in ZETA_ARGS}
@@ -203,38 +220,37 @@ ONE_G = GRat(1)
 class ConstExpr:
     """Exact Laurent polynomial over the generator set with GRat coefficients.
 
-    Stored in canonical form: a dict mapping exponent vectors (tuples over
-    GENERATORS, negative powers allowed) to nonzero GRat coefficients.
-    Equality is structural on this form.
+    Stored in canonical form: a dict mapping packed exponent keys (one int
+    per exponent vector over GENERATORS, negative powers allowed) to
+    nonzero GRat coefficients.  Equality is structural on this form.  The
+    constructor takes exponent tuples and exact numbers; ``sorted_terms()``
+    gives the tuples back.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        if terms is None:
-            terms = {}
-        self.terms = {e: c for e, c in terms.items() if c}
+        self.terms = {_pack(e): as_grat(c) for e, c in (terms or {}).items()
+                      if c}
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def number(cls, re, im=0) -> "ConstExpr":
         c = GRat(re, im)
-        return cls({_ZERO_EXP: c}) if c else cls()
+        return _from_terms({_ZERO_EXP: c} if c else {})
 
     @classmethod
     def generator(cls, name: str) -> "ConstExpr":
-        e = [0] * _NGEN
-        e[_GIDX[name]] = 1
-        return cls({tuple(e): ONE_G})
+        return _from_terms({1 << (_W * _GIDX[name]): ONE_G})
 
     @classmethod
     def monomial(cls, coef, **powers) -> "ConstExpr":
-        e = [0] * _NGEN
+        key = 0
         for name, p in powers.items():
-            e[_GIDX[name]] = p
+            key += _checked(p) << (_W * _GIDX[name])
         c = coef if isinstance(coef, GRat) else GRat(coef)
-        return cls({tuple(e): c}) if c else cls()
+        return _from_terms({key: c} if c else {})
 
     @classmethod
     def zero(cls) -> "ConstExpr":
@@ -263,13 +279,19 @@ class ConstExpr:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, GRat)):
-            other = ConstExpr({_ZERO_EXP: as_grat(other)})
+            other = _coerce(other)
         if not isinstance(other, ConstExpr):
             return NotImplemented
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        terms = self.terms
+        if not terms:
+            return hash(0)
+        if len(terms) == 1 and _ZERO_EXP in terms:
+            # equal to its GRat, which hashes like its int or Fraction
+            return hash(terms[_ZERO_EXP])
+        return hash(frozenset(terms.items()))
 
     # -- ring operations ------------------------------------------------
 
@@ -295,7 +317,7 @@ class ConstExpr:
         get = out.get
         for e1, c1 in self.terms.items():
             for e2, c2 in other.items():
-                e = tuple(map(add, e1, e2))
+                e = e1 + e2
                 c = c1 * c2
                 s = get(e)
                 if s is not None:
@@ -304,11 +326,16 @@ class ConstExpr:
                         del out[e]
                         continue
                 out[e] = c
+        _check_keys(out)
         return _from_terms(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
+        # no range check of its own: an exponent of the power is at most k
+        # times an extreme one, and the products below reach that bound
+        # (leading terms never cancel), so their check refuses exactly the
+        # powers that leave the range
         if k < 0:
             return self.inverse_monomial() ** (-k)
         out = ConstExpr.one()
@@ -331,17 +358,20 @@ class ConstExpr:
         if len(self.terms) != 1:
             raise ValueError("only monomials are invertible exactly")
         (e, c), = self.terms.items()
-        return _from_terms({tuple(-x for x in e): c.inverse()})
+        _check_keys((-e,))
+        return _from_terms({-e: c.inverse()})
 
     def conjugate(self) -> "ConstExpr":
         """Complex conjugate assuming all generators are real-valued."""
         return _from_terms({e: c.conjugate() for e, c in self.terms.items()})
 
     def real_part(self) -> "ConstExpr":
-        return ConstExpr({e: GRat(c.re) for e, c in self.terms.items() if c.re})
+        return _from_terms({e: GRat(c.re) for e, c in self.terms.items()
+                            if c.re})
 
     def imag_part(self) -> "ConstExpr":
-        return ConstExpr({e: GRat(c.im) for e, c in self.terms.items() if c.im})
+        return _from_terms({e: GRat(c.im) for e, c in self.terms.items()
+                            if c.im})
 
     # -- substitution and evaluation -------------------------------------
 
@@ -352,11 +382,12 @@ class ConstExpr:
         ``value**k`` is built once and multiplies its whole group.
         """
         idx = _GIDX[name]
+        shift = _W * idx
         value = _coerce(value)
         groups = {}
         for e, c in self.terms.items():
-            k = e[idx]
-            groups.setdefault(k, {})[e[:idx] + (0,) + e[idx + 1:]] = c
+            k = _unpack(e)[idx]
+            groups.setdefault(k, {})[e - (k << shift)] = c
         out = {}
         for k, rest in groups.items():
             part = _from_terms(rest)
@@ -377,7 +408,7 @@ class ConstExpr:
     def generators_used(self):
         used = set()
         for e in self.terms:
-            for i, k in enumerate(e):
+            for i, k in enumerate(_unpack(e)):
                 if k:
                     used.add(GENERATORS[i])
         return used
@@ -385,7 +416,8 @@ class ConstExpr:
     # -- display ----------------------------------------------------------
 
     def sorted_terms(self):
-        return sorted(self.terms.items())
+        """The terms as (exponent tuple, GRat) pairs, sorted by tuple."""
+        return sorted((_unpack(e), c) for e, c in self.terms.items())
 
     def __str__(self):
         if not self.terms:
@@ -495,10 +527,8 @@ class ConstExpr:
 
     @classmethod
     def from_jsonable(cls, data) -> "ConstExpr":
-        terms = {}
-        for e, (re_s, im_s) in data:
-            terms[tuple(e)] = GRat(Fraction(re_s), Fraction(im_s))
-        return cls(terms)
+        return cls({tuple(e): GRat(Fraction(re_s), Fraction(im_s))
+                    for e, (re_s, im_s) in data})
 
     def to_json(self) -> str:
         return json.dumps(self.to_jsonable(), sort_keys=True,
@@ -557,7 +587,7 @@ class GeneratorValues:
             # c correctly rounded to the working precision
             term = mp.make_mpc((from_rational(c._a, c._d, prec, "n"),
                                 from_rational(c._b, c._d, prec, "n")))
-            for i, k in enumerate(e):
+            for i, k in enumerate(_unpack(e)):
                 if k:
                     v = powers.get((i, k))
                     if v is None:
@@ -565,6 +595,44 @@ class GeneratorValues:
                     term *= v
             total += term
         return total
+
+
+def _checked(p: int) -> int:
+    """``p`` if it lies in the exponent range, else ValueError."""
+    if not EXP_MIN <= p <= EXP_MAX:
+        raise ValueError(f"exponent {p} outside [{EXP_MIN}, {EXP_MAX}]")
+    return p
+
+
+def _check_keys(keys):
+    """ValueError unless every exponent of every key lies in the range.
+
+    Each key must be a sum or negation of keys in range, so that each of
+    its fields is exact; a field is in range exactly when adding _OFFSET
+    leaves its guard bit clear."""
+    offset, guard = _OFFSET, _GUARD
+    for key in keys:
+        if (key + offset) & guard:
+            raise ValueError(f"a product or inverse has an exponent outside "
+                             f"[{EXP_MIN}, {EXP_MAX}]")
+
+
+def _pack(e) -> int:
+    """The packed key of an exponent tuple over GENERATORS."""
+    if len(e) != _NGEN:
+        raise ValueError(f"exponent tuple of length {len(e)}, not {_NGEN}")
+    key = 0
+    for i, p in enumerate(e):
+        key += _checked(p) << (_W * i)
+    return key
+
+
+def _unpack(key: int) -> tuple:
+    """The exponent tuple over GENERATORS of a packed key."""
+    # adding _GUARD makes each field non-negative with no borrow between
+    # fields; XOR with it again leaves the field's two's complement
+    return _FIELDS.unpack(((key + _GUARD) ^ _GUARD).to_bytes(_NBYTES,
+                                                              "little"))
 
 
 def _from_terms(terms) -> ConstExpr:
@@ -591,7 +659,7 @@ def _coerce(x) -> ConstExpr:
         return x
     if isinstance(x, (int, Fraction, GRat)):
         c = as_grat(x)
-        return ConstExpr({_ZERO_EXP: c}) if c else ConstExpr()
+        return _from_terms({_ZERO_EXP: c} if c else {})
     raise TypeError(f"cannot coerce {type(x).__name__} to ConstExpr")
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .constexpr import ConstExpr
+from .constexpr import GENERATORS, ConstExpr
 from .series import SeriesError, TruncSeries, lagrange_coefficients
 
 N_PI = ConstExpr.monomial(1, n=1, pi=1)
@@ -167,18 +167,18 @@ def resummation_check(table: CouplingTable, column: ResummedColumn,
     sector differ in their zeta/level content, so extraction is unambiguous.
     Returns (ok, residuals) where residuals maps l -> ConstExpr difference.
     """
-    if len(column.head.terms) != 1:
+    head = column.head.sorted_terms()
+    if len(head) != 1:
         raise ValueError("signature extraction needs a single-monomial head; "
                          "use structure_fit instead")
-    (head_exp, _), = column.head.terms.items()
-    from .constexpr import _GIDX
-    gidx = _GIDX["gamma"]
+    (head_exp, _), = head
+    gidx = GENERATORS.index("gamma")
     residuals = {}
     ok = True
     for l in range(1, l_max + 1):
         entry = table.entry(column.p0, l)
         extracted = ConstExpr(
-            {e: c for e, c in entry.terms.items()
+            {e: c for e, c in entry.sorted_terms()
              if e[:gidx] == head_exp[:gidx] and e[gidx + 1:] == head_exp[gidx + 1:]})
         diff = extracted - predicted_entry(
             {(column.p0, column.q): column.head}, column.p0, l, GAMMA_LADDER,

@@ -198,13 +198,16 @@ class TruncSeries:
         md = tuple(ma + mb if ma < INF_ORDER and mb < INF_ORDER else 0
                    for ma, mb in zip(la, lb))
         md = tuple(max(m, HARD_MIN_DEGREE) if m < 0 else min(m, 0) for m in md)
+        # a product exponent can pass below the floor only where the lead
+        # exponents sum below it
+        below_floor = any(ma + mb < HARD_MIN_DEGREE for ma, mb in zip(la, lb))
         out = {}
         for e1, c1 in a.coeffs.items():
             for e2, c2 in b.coeffs.items():
                 e = tuple(x + y for x, y in zip(e1, e2))
                 if any(x > t for x, t in zip(e, to)):
                     continue
-                if any(x < HARD_MIN_DEGREE for x in e):
+                if below_floor and any(x < HARD_MIN_DEGREE for x in e):
                     raise SeriesError(f"product exponent {e} below hard floor")
                 c = c1 * c2
                 s = out.get(e)

@@ -7,8 +7,8 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from ispflow.constexpr import (GENERATORS, ConstExpr, GRat, GAMMA, K_GEN,
-                               L_GEN, N_GEN, PI, ZETA3)
+from ispflow.constexpr import (EXP_MAX, EXP_MIN, GENERATORS, ConstExpr,
+                               GRat, GAMMA, K_GEN, L_GEN, N_GEN, PI, ZETA3)
 
 
 @pytest.fixture(autouse=True, scope="module")
@@ -243,6 +243,20 @@ def test_real_grat_hashes_like_its_number():
     assert {GRat(2), 2, Fraction(2)} == {2}
 
 
+def test_constant_constexpr_hashes_like_its_number():
+    """A constant ConstExpr equals its number, so it hashes like it: like
+    its GRat, and zero like 0."""
+    for x in (5, -1, Fraction(-3, 4), GRat(Fraction(1, 3)), GRat(2, 1)):
+        g = x if isinstance(x, GRat) else GRat(x)
+        c = ConstExpr.number(g.re, g.im)
+        assert c == x and hash(c) == hash(x)
+        assert x in {c} and c in {x}
+    zero = PI - PI
+    assert zero == 0 and hash(zero) == hash(0) and 0 in {zero}
+    assert {ConstExpr.number(2), 2, GRat(2), Fraction(2)} == {2}
+    assert len({PI, PI * 1, GAMMA}) == 2
+
+
 def test_constexpr_stores_no_zero_coefficient():
     rng = random.Random(4242)
     half_i = GRat(0, Fraction(-1, 2))
@@ -264,10 +278,87 @@ def test_substitute_groups_powers_without_changing_result():
         e = random_expr(rng, n_terms=5) * random_expr(rng)
         for value in (half_i, K_GEN + PI, ConstExpr.monomial(3, n=-1)):
             want = ConstExpr.zero()
-            for exp, c in e.terms.items():
+            for exp, c in e.sorted_terms():
                 i = GENERATORS.index("K")
                 k = exp[i]
                 rest = ConstExpr({exp[:i] + (0,) + exp[i + 1:]: c})
                 want = want + rest * (value ** k if k >= 0 else
                                       value.inverse_monomial() ** (-k))
             assert e.substitute("K", value).to_json() == want.to_json()
+
+
+def _tuple_mul(x, y):
+    """Reference product over tuple-keyed term dicts."""
+    out = {}
+    for e1, c1 in x.items():
+        for e2, c2 in y.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _random_exponents(rng):
+    """Exponents on every generator, negative ones included; a few reach
+    half the range, so any product of two stays in it."""
+    half = (EXP_MAX + 1) // 2
+    return tuple(rng.choice((0, 0, rng.randint(-4, 4),
+                             rng.randint(-half, half - 1)))
+                 for _ in GENERATORS)
+
+
+def test_packed_keys_match_a_tuple_reference():
+    rng = random.Random(2323)
+    first, last = [], []
+    for _ in range(300):
+        x, y = ({_random_exponents(rng): GRat(rng.randint(-9, 9),
+                                              rng.randint(-2, 2))
+                 for _ in range(rng.randint(1, 4))} for _ in range(2))
+        first.extend(e[0] for e in x)
+        last.extend(e[-1] for e in x)
+        a, b = ConstExpr(x), ConstExpr(y)
+        assert a.sorted_terms() == sorted((e, c) for e, c in x.items() if c)
+        assert (a * b).sorted_terms() == sorted(_tuple_mul(x, y).items())
+        for e in (a, b, a * b):
+            assert ConstExpr.from_json(e.to_json()) == e
+        for e, c in x.items():
+            if c:
+                inv = ConstExpr({e: c}).inverse_monomial()
+                assert inv.sorted_terms() == [(tuple(-p for p in e),
+                                               c.inverse())]
+                assert ConstExpr({e: c}) * inv == 1
+    # negative powers on the first (pi) and the last (shat) field
+    assert min(first) < 0 and min(last) < 0
+
+
+def test_exponents_outside_the_packed_range_are_refused():
+    zeros = (0,) * (len(GENERATORS) - 2)
+    edge = (EXP_MAX,) + zeros + (EXP_MIN,)
+    m = ConstExpr.monomial(3, pi=EXP_MAX, shat=EXP_MIN)
+    assert m.sorted_terms() == [(edge, GRat(3))]
+    assert ConstExpr({edge: 3}).to_json() == m.to_json()
+    assert ConstExpr.from_json(m.to_json()) == m
+    assert m * PI.inverse_monomial() * PI == m
+    assert ConstExpr.monomial(1, K=-2 ** 15) ** (2 ** 15) == (
+        ConstExpr.monomial(1, K=EXP_MIN))
+    assert ConstExpr.monomial(1, shat=EXP_MIN + 1).inverse_monomial() == (
+        ConstExpr.monomial(1, shat=EXP_MAX))
+    refusals = [
+        lambda: ConstExpr({(EXP_MAX + 1,) + zeros + (0,): 1}),
+        lambda: ConstExpr({(0,) + zeros + (EXP_MIN - 1,): 1}),
+        lambda: ConstExpr({(1, 2): 1}),
+        lambda: ConstExpr.monomial(1, pi=EXP_MAX + 1),
+        lambda: ConstExpr.monomial(1, shat=EXP_MIN - 1),
+        lambda: ConstExpr.from_jsonable([[[0] * 15 + [EXP_MAX + 1],
+                                          ["1", "0"]]]),
+        # a power: k times the extreme exponent leaves the range
+        lambda: ConstExpr.monomial(1, K=2 ** 15) ** (2 ** 15),
+        lambda: ConstExpr.monomial(1, K=-2 ** 15) ** -(2 ** 15),
+        lambda: (PI + ConstExpr.monomial(1, pi=2 ** 29)) ** 2,
+        # a product would carry into the next generator's field
+        lambda: ConstExpr.monomial(1, zeta3=EXP_MAX) * ZETA3,
+        lambda: ConstExpr.monomial(1, shat=EXP_MIN) * m,
+        lambda: ConstExpr.monomial(1, shat=EXP_MIN).inverse_monomial(),
+    ]
+    for refuse in refusals:
+        with pytest.raises(ValueError):
+            refuse()

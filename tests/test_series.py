@@ -232,6 +232,21 @@ def test_laurent_floor_enforced():
         g_series(4).shift("g", -4)
 
 
+def test_product_floor_checked_on_kept_terms():
+    """A product raises at the hard floor for a term it keeps; lead
+    exponents summing to the floor pass, and a term past the truncation
+    is dropped before any floor check."""
+    xy = ("x", "y")
+    x_inv = TruncSeries.var("x", xy, (3, 3), power=-1)
+    assert (x_inv * x_inv).coefficient((-2, 0)) == ConstExpr.one()
+    with pytest.raises(SeriesError, match="below hard floor"):
+        x_inv * x_inv * x_inv
+    a = TruncSeries(xy, {(-2, 3): 1, (0, 0): 1}, (-2, 0), (3, 3))
+    b = TruncSeries(xy, {(-1, 3): 1, (0, 0): 1}, (-1, 0), (3, 3))
+    # (-3, 6) lies below the floor in x, but past the truncation 3 in y
+    assert sorted((a * b).coeffs) == [(-2, 3), (-1, 3), (0, 0)]
+
+
 def test_half_coth_of_pi_g():
     hc = half_coth_series(3)
     assert hc.coefficient((-1,)) == ConstExpr.monomial(1, pi=-1)
