@@ -170,9 +170,9 @@ class TruncSeries:
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncSeries(self.variables,
-                           {e: -c for e, c in self.coeffs.items()},
-                           self.min_degree, self.trunc_order)
+        return _from_coeffs(self.variables,
+                            {e: -c for e, c in self.coeffs.items()},
+                            self.min_degree, self.trunc_order)
 
     def __sub__(self, other):
         a, b = self._aligned(other)
@@ -188,9 +188,9 @@ class TruncSeries:
             if not c:
                 return TruncSeries.zero(self.variables, self.trunc_order,
                                         self.min_degree)
-            return TruncSeries(self.variables,
-                               {e: v * c for e, v in self.coeffs.items()},
-                               self.min_degree, self.trunc_order)
+            return _from_coeffs(self.variables,
+                                {e: v * c for e, v in self.coeffs.items()},
+                                self.min_degree, self.trunc_order)
         a, b = self._aligned(other)
         la, lb = a.lead_exponents(), b.lead_exponents()
         to = tuple(min(_sat_add(ta, mb), _sat_add(tb, ma))
@@ -216,7 +216,7 @@ class TruncSeries:
                     out[e] = s
                 else:
                     out.pop(e, None)
-        return TruncSeries(a.variables, out, md, to)
+        return _from_coeffs(a.variables, out, md, to)
 
     __rmul__ = __mul__
 
@@ -496,6 +496,16 @@ class TruncSeries:
     @classmethod
     def from_json(cls, s: str):
         return cls.from_jsonable(json.loads(s))
+
+
+def _from_coeffs(variables, coeffs, min_degree, trunc_order) -> TruncSeries:
+    """A TruncSeries over ``coeffs``, which must already satisfy every
+    condition ``TruncSeries.__init__`` enforces: nonzero ConstExpr
+    coefficients at exponent tuples within the floor and the truncation."""
+    z = TruncSeries.__new__(TruncSeries)
+    z.variables, z.coeffs = variables, coeffs
+    z.min_degree, z.trunc_order = min_degree, trunc_order
+    return z
 
 
 def _sat_add(a, b):

@@ -7,12 +7,16 @@ never evaluated blindly.  Second-order elements are genuine cutoff
 integrals (units hbar = m = 1), and their growth is classified on the same
 basis.
 
-Every second-order loop is one radial integral over [0, L] against the
-propagator 1/(E - p^2/2 + i eps), done by one adaptive-quadrature routine
-with one pole shell and break points at the integrand's kinks.  The d=1
-integrand is folded onto p >= 0 (the propagator is even in p); the d=2
-angular means are closed forms (a logarithm for ck, logarithms plus a
-dilogarithm for c2), and the d=3 angular integral is a logarithm.
+Every second-order loop is a radial integral against the propagator
+1/(E - p^2/2 + i eps), integrated once over the whole cutoff grid
+L_1 < ... < L_n by one adaptive-quadrature routine: each panel
+[L_{j-1}, L_j] once, summed into the value at every cutoff, with one pole
+shell and break points at the integrand's kinks.  The d=1 integrand is
+folded onto p >= 0 (the propagator is even in p); the d=2 angular means
+are closed forms (a logarithm for ck, logarithms plus a dilogarithm for
+c2), written as a polynomial in ln L whose L-free coefficient integrands
+are each integrated over the grid; the d=3 angular integral is a
+logarithm.
 
 The divergence degree of a term is the explicit cutoff power carried by
 its contact vertices times the classified growth of its loop integral.
@@ -158,30 +162,36 @@ def first_order_element(spec: MatrixElementSpec) -> FirstOrderElement:
 # Second-order cutoff integrals.
 # ---------------------------------------------------------------------------
 
-def _integrate_against_denominator(f, hi, e_i, eps, kinks):
-    """integral of f(p)/(E - p^2/2 + i eps) over [0, hi] for real-valued f.
+def _integrate_against_denominator(f, lams, e_i, eps, kinks):
+    """Integrals of f(p)/(E - p^2/2 + i eps) over [0, L_j] for real-valued
+    f, at every cutoff of the increasing grid ``lams``: each panel
+    [L_{j-1}, L_j] (L_0 = 0) is integrated once, and the panels summed.
 
     The real part is the principal value around the pole shell
     a = sqrt(2E), with the denominator factored as E - p^2/2 =
     (a - p)(a + p)/2 so that the pole sits exactly at p = a, not at a
     rounded distance from it (Davis & Rabinowitz, Methods of Numerical
-    Integration, sec. 2.12).  Plain pieces cover [0, a - w] and [a + w, hi];
-    on [0, w] the symmetric pair f(a - u)/D + f(a + u)/D is the difference
-    quotient (f(a - u)/(a - u/2) - f(a + u)/(a + u/2))/u, bounded at u = 0.
+    Integration, sec. 2.12).  In the panel [x0, x1] that holds a, plain
+    pieces cover [x0, a - w] and [a + w, x1]; on [0, w] the symmetric pair
+    f(a - u)/D + f(a + u)/D is the difference quotient
+    (f(a - u)/(a - u/2) - f(a + u)/(a + u/2))/u, bounded at u = 0.  The
+    shell stays inside that panel, so cutoffs below a take plain panels.
     The principal value does not depend on eps.  (The Lorentzian real part
     would differ from it only by an O(eps) shell term, which is noise for
-    the divergence fits.)  The imaginary part is the finite-eps Lorentzian
-    on [0, hi], broken at the shell points a and a +- (10, 1000) eps.
-    Every piece breaks at ``kinks``, the integrand's kinks and log
-    singularities (the pair at their distances |k - a| from the shell),
-    and at the decades 10^k < hi, so no panel of a long tail spans more
-    than one decade (one Gauss-Kronrod rule on [a + w, 1e6] misjudges its
-    own error).
+    the divergence fits.)  The imaginary part is the finite-eps Lorentzian,
+    broken at the shell points a and a +- (10, 1000) eps.  Every piece
+    breaks at ``kinks``, the integrand's kinks and log singularities (the
+    pair at their distances |k - a| from the shell), and at the decades
+    10^k < L_n, so no panel of a long tail spans more than one decade (one
+    Gauss-Kronrod rule on [a + w, 1e6] misjudges its own error).
     """
+    import numpy as np
     a = math.sqrt(2 * e_i)
-    w = min(0.5 * a, 0.25 * (hi - a)) if hi > a else 0.0
-    breaks = tuple(kinks) + tuple(10.0 ** k
-                                  for k in range(1, int(math.log10(hi)) + 1))
+    if a in lams:
+        raise TMatrixError("a cutoff on the pole shell has no principal value")
+    breaks = tuple(kinks) + tuple(
+        10.0 ** k for k in range(1, int(math.log10(lams[-1])) + 1))
+    shell = (a,) + tuple(a + s * x * eps for x in (10, 1000) for s in (-1, 1))
 
     def piece(g, x0, x1, points):
         if x1 <= x0:
@@ -193,46 +203,62 @@ def _integrate_against_denominator(f, hi, e_i, eps, kinks):
     def pv(p):
         return 2 * f(p) / ((a - p) * (a + p))
 
-    if w > 0:
-        re = (piece(pv, 0.0, a - w, breaks) + piece(pv, a + w, hi, breaks)
-              + piece(lambda u: (f(a - u) / (a - u / 2)
-                                 - f(a + u) / (a + u / 2)) / u, 0.0, w,
-                      tuple(abs(k - a) for k in kinks)))
-    else:
-        re = piece(pv, 0.0, hi, breaks)
-    shell = (a,) + tuple(a + s * x * eps for x in (10, 1000) for s in (-1, 1))
-    im = piece(lambda p: -eps * f(p) / ((e_i - p * p / 2) ** 2 + eps * eps),
-               0.0, hi, shell + breaks)
-    return re, im
+    def lorentzian(p):
+        return -eps * f(p) / ((e_i - p * p / 2) ** 2 + eps * eps)
+
+    re, im = [], []
+    for x0, x1 in zip((0.0,) + tuple(lams), lams):
+        if x0 < a < x1:
+            w = min(0.5 * a, 0.25 * (x1 - a), a - x0)
+            re.append(piece(pv, x0, a - w, breaks)
+                      + piece(pv, a + w, x1, breaks)
+                      + piece(lambda u: (f(a - u) / (a - u / 2)
+                                         - f(a + u) / (a + u / 2)) / u,
+                              0.0, w, tuple(abs(k - a) for k in kinks)))
+        else:
+            re.append(piece(pv, x0, x1, breaks))
+        im.append(piece(lorentzian, x0, x1, shell + breaks))
+    return np.cumsum(re), np.cumsum(im)
 
 
-def second_order_integral(term: str, d: int, lam: float,
+def second_order_integral(term: str, d: int, lam,
                           e_i: float = DEFAULT_ENERGY,
                           i_epsilon: float | None = None,
                           p_f: float = DEFAULT_MOMENTA[1],
-                          p_i: float = DEFAULT_MOMENTA[0]) -> complex:
+                          p_i: float = DEFAULT_MOMENTA[0]):
     """Cutoff loop integral of the second-order T-matrix term.
 
-    Returns the complex value (the i-epsilon prescription feeds an
-    imaginary part that carries the k^2 divergence in d=1).  Couplings are
-    set to 1; vertex phases and cutoff factors are included.
+    ``lam`` is one cutoff, giving a complex, or a strictly increasing grid,
+    integrated in one pass and giving an array of the value at each cutoff
+    (the i-epsilon prescription feeds an imaginary part that carries the
+    k^2 divergence in d=1).  Couplings are set to 1; vertex phases and
+    cutoff factors are included.
     """
+    import numpy as np
     eps = (1e-3 * e_i) if i_epsilon is None else i_epsilon
-    if lam < 10 * max(abs(p_f), abs(p_i)):
+    lams = np.atleast_1d(np.asarray(lam, dtype=float))
+    if lams.ndim != 1 or not len(lams) or np.any(np.diff(lams) <= 0):
+        raise TMatrixError("cutoffs must be one value or a strictly "
+                           "increasing grid")
+    if lams[0] < 10 * max(abs(p_f), abs(p_i)):
         raise TMatrixError("cutoff must dominate the external momenta")
     if d == 1:
         f = _second_order_d1(term, p_f, p_i)
-        radial = lambda p: f(p) + f(-p)        # the propagator is even in p
+        integrands = [(0, lambda p: f(p) + f(-p))]   # the propagator is even
     elif d == 2:
-        radial = _second_order_d2(term, lam, p_f, p_i)
+        integrands = _second_order_d2(term, p_f, p_i)
     elif d == 3:
-        radial = _second_order_d3(term, p_f)
+        integrands = [(0, _second_order_d3(term, p_f))]
     else:
         raise TMatrixError(f"no second-order integrals in d={d}")
-    re, im = _integrate_against_denominator(radial, lam, e_i, eps,
-                                            (abs(p_f), abs(p_i)))
-    return (VERTEX_PHASES.get((d, term), 1) * complex(re, im)
-            * lam ** VERTEX_POWERS.get((d, term), 0))
+    vals = 0
+    for k, h in integrands:
+        re, im = _integrate_against_denominator(h, lams, e_i, eps,
+                                                (abs(p_f), abs(p_i)))
+        vals = vals + np.log(lams) ** k * (re + 1j * im)
+    vals = (VERTEX_PHASES.get((d, term), 1) * vals
+            * lams ** VERTEX_POWERS.get((d, term), 0))
+    return complex(vals[0]) if np.ndim(lam) == 0 else vals
 
 
 def _second_order_d1(term, p_f, p_i):
@@ -253,31 +279,39 @@ def _second_order_d1(term, p_f, p_i):
     raise TMatrixError(f"unsupported d=1 second-order term {term}")
 
 
-def _second_order_d2(term, lam, p_f, p_i):
-    """Radial integrand of a d=2 loop, its angular mean in closed form.
+def _second_order_d2(term, p_f, p_i):
+    """Radial integrand of a d=2 loop as the pairs (k, h_k) of the
+    polynomial sum_k ln^k(L) h_k(r), each h_k free of L, with the angular
+    mean in closed form.
 
     With M = max(r, p) and rho = min(r, p)/M, the Fourier series of
-    ln|1 - rho e^{i theta}| gives ln(lam/|q - p|) = ln(lam/M)
+    ln|1 - rho e^{i theta}| gives ln(L/|q - p|) = ln(L/M)
     + sum_n rho^n cos(n theta)/n over the circle |q| = r, so the mean of
-    one log is ln(lam/M) and that of the c2 product is
-    ln(lam/M_f) ln(lam/M_i) + Li2(rho_f rho_i)/2 (Lewin 1981).
+    one log is ln L - ln M and that of the c2 product is
+    ln^2 L - ln L (ln M_f + ln M_i) + ln M_f ln M_i + Li2(rho_f rho_i)/2
+    (Lewin 1981).
     """
+    def measure(r):
+        return r / (2 * math.pi)
+
     if term == "k2":
-        return lambda r: r / (2 * math.pi)
+        return [(0, measure)]
     if term not in ("ck", "c2"):
         raise TMatrixError(f"unsupported d=2 second-order term {term}")
     from scipy.special import spence
 
-    def radial(r):
+    def log_sum(r):
+        return -measure(r) * (math.log(max(r, p_f)) + math.log(max(r, p_i)))
+
+    if term == "ck":
+        return [(1, lambda r: 2 * measure(r)), (0, log_sum)]
+
+    def constant(r):               # spence(1 - x) = Li2(x)
         m_f, m_i = max(r, p_f), max(r, p_i)
-        l_f, l_i = math.log(lam / m_f), math.log(lam / m_i)
-        if term == "ck":
-            mean = l_f + l_i
-        else:                       # spence(1 - x) = Li2(x)
-            x = min(r, p_f) * min(r, p_i) / (m_f * m_i)
-            mean = l_f * l_i + 0.5 * spence(1 - x)
-        return r / (2 * math.pi) * mean
-    return radial
+        x = min(r, p_f) * min(r, p_i) / (m_f * m_i)
+        return measure(r) * (math.log(m_f) * math.log(m_i)
+                             + 0.5 * spence(1 - x))
+    return [(2, measure), (1, log_sum), (0, constant)]
 
 
 def _second_order_d3(term, p_f):
@@ -378,8 +412,7 @@ def classify_divergence(term: str, d: int, lambdas=None,
         vals = np.array([el.evaluate(l) for l in lambdas], dtype=complex)
         phase, power = 1, 0
     else:
-        vals = np.array([second_order_integral(term, d, l, i_epsilon=i_epsilon)
-                         for l in lambdas], dtype=complex)
+        vals = second_order_integral(term, d, lambdas, i_epsilon=i_epsilon)
         phase = VERTEX_PHASES.get((d, term), 1)
         power = VERTEX_POWERS.get((d, term), 0)
     # without its vertex constants the loop's real part is the principal value

@@ -187,6 +187,26 @@ def test_multivariate_inverse_exp_log_match_power_sums():
         assert (f * inv - 1).is_zero()
 
 
+def test_products_and_negation_are_built_clean():
+    """Series and scalar products and negation skip the constructor's
+    checks; each result is still what the constructor builds from it:
+    nonzero ConstExpr coefficients at tuple exponents inside the floor and
+    the truncation, and tuple metadata."""
+    rng = random.Random(48)
+    for _ in range(40):
+        f = random_multivariate(rng, laurent=rng.random() < 0.5)
+        g = random_multivariate(rng)
+        for r in (f * g, g * g, g * random_ring_coefficient(rng), f * 3,
+                  -f):
+            rebuilt = TruncSeries(r.variables, r.coeffs, r.min_degree,
+                                  r.trunc_order)
+            assert rebuilt.coeffs == r.coeffs
+            assert all(type(e) is tuple and isinstance(c, ConstExpr) and c
+                       for e, c in r.coeffs.items())
+            assert all(type(x) is tuple for x in (
+                r.variables, r.min_degree, r.trunc_order))
+
+
 def test_nonterminating_series_raise_at_once(monkeypatch):
     """A term in no finitely truncated variable (or with a negative power)
     makes the power sum endless; the kernel refuses it before any product."""

@@ -214,6 +214,10 @@ def test_ckprime_equals_window_integral(e_i, eps):
         assert got.imag == pytest.approx(window.imag, rel=1e-12, abs=0)
 
 
+# one grid holding every cutoff of the tail tests, integrated in one pass
+TAIL_GRID = [1e2, 1e4, 1e5, 1e6]
+
+
 @pytest.mark.parametrize("lam", [1e2, 1e4])
 def test_d3_c2_principal_value_against_subtraction(lam):
     """PV of the d=3 c2 loop against the subtracted form
@@ -232,11 +236,13 @@ def test_d3_c2_principal_value_against_subtraction(lam):
                    limit=500, epsabs=0, epsrel=1e-13)[0]
               for x0, x1 in ((0, p_f), (p_f, a), (a, 2 * a), (2 * a, lam)))
     ref += ga * math.log((lam + a) / (lam - a)) / a
-    got = second_order_integral("c2", 3, lam, e_i, p_f=p_f).real
-    assert got == pytest.approx(ref, rel=1e-9)
+    grid = second_order_integral("c2", 3, TAIL_GRID, e_i, p_f=p_f)
+    for got in (second_order_integral("c2", 3, lam, e_i, p_f=p_f),
+                grid[TAIL_GRID.index(lam)]):
+        assert got.real == pytest.approx(ref, rel=1e-9)
 
 
-@pytest.mark.parametrize("lam", [1e2, 1e4, 1e5, 1e6])
+@pytest.mark.parametrize("lam", TAIL_GRID)
 def test_d1_k2_tail_against_closed_form_and_mpmath(lam):
     """The d=1 k2 loop at large cutoffs: its principal value is
     (2c/a) ln((L + a)/(L - a)), c = 1/(4 pi)^2, and its Lorentzian is
@@ -244,10 +250,7 @@ def test_d1_k2_tail_against_closed_form_and_mpmath(lam):
     e_i, eps = 1.0, 1e-4
     a = math.sqrt(2 * e_i)
     c = 1 / (4 * math.pi) ** 2
-    got = second_order_integral("k2", 1, lam, e_i, i_epsilon=eps) / lam ** 2
-    assert got.real == pytest.approx(2 * c / a * math.log((lam + a)
-                                                          / (lam - a)),
-                                     rel=1e-9, abs=0)
+    grid = second_order_integral("k2", 1, TAIL_GRID, e_i, i_epsilon=eps)
     with mp.workdps(30):
         e, ep = mp.mpf(e_i), mp.mpf(eps)
         shell = [mp.sqrt(2 * e) + s * x * ep for x in (0, 10, 1000)
@@ -255,7 +258,83 @@ def test_d1_k2_tail_against_closed_form_and_mpmath(lam):
         lorentzian = mp.quad(
             lambda p: -ep * 2 * c / ((e - p * p / 2) ** 2 + ep * ep),
             [0] + sorted(set(shell)) + [mp.mpf(lam)])
-    assert got.imag == pytest.approx(float(lorentzian), rel=1e-9, abs=0)
+    for got in (second_order_integral("k2", 1, lam, e_i, i_epsilon=eps),
+                grid[TAIL_GRID.index(lam)]):
+        got /= lam ** 2
+        assert got.real == pytest.approx(
+            2 * c / a * math.log((lam + a) / (lam - a)), rel=1e-9, abs=0)
+        assert got.imag == pytest.approx(float(lorentzian), rel=1e-9, abs=0)
+
+
+@pytest.mark.parametrize("first", [13.0, 16.0])
+def test_grid_straddling_the_pole_shell(first):
+    """A grid whose first cutoff lies below the shell a = sqrt(2E) = 17.3
+    (E = 150): every sample against a 30-digit quadrature broken at the
+    shell points, its principal value by subtraction of g(a).  From 16 the
+    shell must narrow to stay inside the panel [16, L_2]; measured
+    agreement is 1e-15 (real) and 4e-14 (imaginary)."""
+    from ispflow.tmatrix import _second_order_d1
+    p_f, p_i, e_i, eps = 1.3, 0.7, 150.0, 0.15
+    grid = np.geomspace(first, 1e3, 6)
+    got = second_order_integral("c2", 1, grid, e_i, i_epsilon=eps)
+    f = _second_order_d1("c2", mp.mpf(p_f), mp.mpf(p_i))
+    with mp.workdps(30):
+        e, ep = mp.mpf(e_i), mp.mpf(eps)
+        a = mp.sqrt(2 * e)
+
+        def g(p):
+            return f(p) + f(-p)
+
+        ga = g(a)
+        shell = {a + s * x * ep for x in (0, 10, 1000) for s in (-1, 1)}
+        for lam, v in zip(grid, got):
+            top = mp.mpf(lam)
+            pts = sorted(x for x in shell | {0, mp.mpf(p_i), mp.mpf(p_f)}
+                         if 0 <= x < top) + [top]
+            pv = (mp.quad(lambda p: 2 * (g(p) - ga) / ((a - p) * (a + p)),
+                          pts)
+                  + ga * mp.log(abs((top + a) / (top - a))) / a)
+            lorentzian = mp.quad(
+                lambda p: -ep * g(p) / ((e - p * p / 2) ** 2 + ep * ep), pts)
+            assert v.real == pytest.approx(float(pv), rel=1e-12, abs=0)
+            assert v.imag == pytest.approx(float(lorentzian), rel=1e-12,
+                                           abs=0)
+
+
+@pytest.mark.parametrize("lams", [[1e3, 1e2], [1e2, 1e2, 1e3], [],
+                                  [[1e2, 1e3]], [math.sqrt(300.0), 1e2]])
+def test_refused_cutoff_grids(lams):
+    """A grid must be strictly increasing and one-dimensional, and no
+    cutoff may sit on the pole shell (E = 150: a = sqrt(300))."""
+    with pytest.raises(TMatrixError):
+        second_order_integral("c2", 1, lams, 150.0)
+
+
+def test_classification_refuses_a_decreasing_grid():
+    with pytest.raises(TMatrixError):
+        classify_divergence("c2", 1, np.geomspace(1e4, 1e2, 8))
+
+
+def test_one_integral_call_per_classification(monkeypatch):
+    """A second-order classification integrates its whole cutoff grid in
+    one call; a first-order one makes none."""
+    from ispflow import tmatrix
+    calls = []
+    real = tmatrix.second_order_integral
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tmatrix, "second_order_integral", counted)
+    for d, terms in tmatrix.SECOND_ORDER_TERMS.items():
+        for term in terms:
+            calls.clear()
+            classify_divergence(term, d, np.geomspace(1e2, 1e5, 7))
+            assert len(calls) == 1, (d, term)
+    calls.clear()
+    classify_divergence("k", 1, first_order=True)
+    assert calls == []
 
 
 def test_classification_raises_no_integration_warning():
@@ -271,11 +350,15 @@ def test_classification_raises_no_integration_warning():
 
 
 def test_d2_c2_angular_mean_closed_form():
-    """The closed-form circle mean of ln(L/|q - p_f|) ln(L/|q - p_i|)
-    against adaptive quadrature, at the kinks r = p_i, r = p_f and around."""
+    """The closed-form circle mean of ln(L/|q - p_f|) ln(L/|q - p_i|), as
+    the polynomial sum_k ln^k(L) h_k(r), against adaptive quadrature, at
+    the kinks r = p_i, r = p_f and around."""
     from ispflow.tmatrix import _second_order_d2
     lam, p_f, p_i = 100.0, 1.3, 0.7
-    radial = _second_order_d2("c2", lam, p_f, p_i)
+    integrands = _second_order_d2("c2", p_f, p_i)
+
+    def radial(r):
+        return sum(math.log(lam) ** k * h(r) for k, h in integrands)
 
     def ln_ratio(r, th, p):
         dist2 = (r - p) ** 2 + 4 * r * p * math.sin(th / 2) ** 2
