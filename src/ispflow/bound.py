@@ -126,10 +126,11 @@ class BetaTransseries:
         """Every sector must start at g^2; the perturbative one at -g^2/pi."""
         for l, s in self.ts.sectors.items():
             lead = min(e[0] for e in s.coeffs)
-            assert lead >= 2, f"beta sector {l} starts at g^{lead}"
+            if lead < 2:
+                raise SeriesError(f"beta sector {l} starts at g^{lead}")
         c2 = self.ts.sector(0).coefficient((2,))
-        assert c2 == ConstExpr.monomial(-1, pi=-1), \
-            f"leading perturbative coefficient is {c2}"
+        if c2 != ConstExpr.monomial(-1, pi=-1):
+            raise SeriesError(f"leading perturbative coefficient is {c2}")
 
     def eval_mp(self, g, assignment=None, dps: int = DEFAULT_DPS):
         """Real part of ``Transseries.eval_mp``."""

@@ -91,14 +91,6 @@ def fill_settings(args) -> None:
         raise ValueError("format must be csv or json")
 
 
-def _log_grid(lo, hi, n: int) -> list:
-    """n points from lo to hi, evenly spaced in log (lo alone for n = 1)."""
-    if lo <= 0 or hi <= 0:
-        raise ValueError(f"a log-spaced sweep needs positive ends, not "
-                         f"{mp.nstr(lo, 6)} .. {mp.nstr(hi, 6)}")
-    return [lo * (hi / lo) ** (mp.mpf(i) / max(n - 1, 1)) for i in range(n)]
-
-
 def _positive_int(text: str) -> int:
     n = int(text)
     if n < 1:
@@ -115,10 +107,9 @@ def cmd_coeffs(args) -> int:
     from . import bound, scatter
     from .emit import emit_coeffs
     p_max, l_max = args.pmax, args.lmax
-    if args.sector == "bound":
-        table = bound.running_coupling_coeffs(p_max, l_max)
-    else:
-        table = scatter.scatter_coupling_coeffs(p_max, l_max)
+    build = {"bound": bound.running_coupling_coeffs,
+             "scattering": scatter.scatter_coupling_coeffs}[args.sector]
+    table = build(p_max, l_max)
     at = {"n": 1, "K": mp.mpf(args.k_value), "L": 0, "lam": 0, "shat": 0}
     path = emit_coeffs(args.out, args.format, table, at, args.precision)
     print(f"wrote {path}")
@@ -160,24 +151,23 @@ def cmd_groundstate(args) -> int:
 def _beta_sweep(args, sector: str, kv, gmax) -> list:
     """(g, numeric beta, series beta) at `args.points` cutoffs spread over three
     decades up from the one where the first-order coupling is gmax."""
-    from .rgnumeric import solve_running_coupling, solve_scattering_coupling
+    from .rgnumeric import (log_grid, solve_running_coupling,
+                            solve_scattering_coupling)
     g, top, dps = args.orders["g"], args.orders["sector"], args.precision
     if sector == "bound":
         beta = _bound_transseries(max(g, 18), top)[1]
-        cut_lo = mp.e ** (mp.pi / gmax + mp.euler)
         solve = lambda cut: solve_running_coupling(cut, 0, dps)
-        assignment = None
     else:
         from .scatter import scatter_beta
         beta = scatter_beta(top, g_order=max(g, 16)).ts
-        cut_lo = mp.e ** (mp.pi / gmax + mp.euler + kv * mp.pi)
         solve = lambda cut: solve_scattering_coupling(cut, kv, dps)
-        assignment = {"K": kv}
+    # kv is 0 in the bound sector, whose beta has no K
+    cut_lo = mp.e ** (mp.pi / gmax + mp.euler + kv * mp.pi)
     rows = []
-    for cut in _log_grid(cut_lo, cut_lo * 1000, args.points):
+    for cut in log_grid(cut_lo, cut_lo * 1000, args.points):
         sol = solve(cut)
         rows.append((sol.g, sol.beta(dps),
-                     mp.re(beta.eval_mp(sol.g, assignment, dps=dps))))
+                     mp.re(beta.eval_mp(sol.g, {"K": kv}, dps=dps))))
     return rows
 
 
@@ -231,9 +221,9 @@ def _parse_branches(text: str) -> list:
 
 def cmd_phase(args) -> int:
     from .emit import emit_phase
-    from .rgnumeric import phase_shift
+    from .rgnumeric import log_grid, phase_shift
     rows = []
-    for p in _log_grid(mp.mpf(args.pmin), mp.mpf(args.pmax), args.points):
+    for p in log_grid(mp.mpf(args.pmin), mp.mpf(args.pmax), args.points):
         delta, resid, udef = phase_shift(mp.mpf(args.g), p,
                                          args.precision, check=True)
         rows.append((mp.mpf(args.g), p, delta, resid, udef))
@@ -264,7 +254,8 @@ def cmd_crosscheck(args) -> int:
     failures = []
 
     from .bound import bound_resummation_report, running_coupling_coeffs
-    from .rgnumeric import smatrix_pole_check, solve_running_coupling
+    from .rgnumeric import (log_grid, smatrix_pole_check,
+                            solve_running_coupling)
     from .scatter import analytic_continuation_check
 
     table13 = running_coupling_coeffs(0, 13, g_order=12)
@@ -288,8 +279,8 @@ def cmd_crosscheck(args) -> int:
         failures.append("beta-dual")
 
     worst = mp.mpf(0)
-    for i, ratio in enumerate(_log_grid(mp.mpf(10), mp.mpf(10) ** 5,
-                                        args.points)):
+    for i, ratio in enumerate(log_grid(mp.mpf(10), mp.mpf(10) ** 5,
+                                       args.points)):
         sol = solve_running_coupling(ratio, i % 3, args.precision)
         worst = max(worst, smatrix_pole_check(sol.g, sol.ratio, args.precision))
     ok = worst <= mp.mpf("1e-28")

@@ -24,7 +24,6 @@ zeta basis via psi^(m)(1) = (-1)^(m+1) m! zeta(m+1).
 
 from __future__ import annotations
 
-import json
 import struct
 from fractions import Fraction
 from math import factorial, gcd
@@ -420,25 +419,9 @@ class ConstExpr:
         return sorted((_unpack(e), c) for e, c in self.terms.items())
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for e, c in self.sorted_terms():
-            gens = "*".join(
-                (GENERATORS[i] if k == 1 else f"{GENERATORS[i]}^{k}")
-                for i, k in enumerate(e) if k)
-            if not gens:
-                parts.append(repr(c))
-            elif c == ONE_G:
-                parts.append(gens)
-            elif c == GRat(-1):
-                parts.append(f"-{gens}")
-            else:
-                parts.append(f"{c!r}*{gens}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return _format_terms(
+            (c, [(GENERATORS[i], k) for i, k in enumerate(e) if k])
+            for e, c in self.sorted_terms())
 
     __repr__ = __str__
 
@@ -471,52 +454,33 @@ class ConstExpr:
 
     def str_psi(self) -> str:
         """Human-readable string in the psi^(2k)(1) display basis."""
-        terms = self.to_psi_terms()
-        if not terms:
-            return "0"
-        parts = []
-        for coef, psi_pows, rest in terms:
-            factors = []
-            for name, k in rest.items():
-                factors.append(name if k == 1 else f"{name}^{k}")
-            for m in sorted(psi_pows):
-                k = psi_pows[m]
-                base = f"psi{m}(1)"
-                factors.append(base if k == 1 else f"{base}^{k}")
-            body = "*".join(factors)
-            if not body:
-                parts.append(repr(coef))
-            elif coef == ONE_G:
-                parts.append(body)
-            elif coef == GRat(-1):
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{coef!r}*{body}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return _format_terms(
+            (coef, [*rest.items(),
+                    *((f"psi{m}(1)", psi_pows[m]) for m in sorted(psi_pows))])
+            for coef, psi_pows, rest in self.to_psi_terms())
 
     def eval_psi_mp(self, assignment: dict | None = None):
         """Evaluate the psi-basis form numerically (via mpmath polygamma).
 
         Independent route from eval_mp: used to verify the display map.
+        Works at DEFAULT_DPS digits, whatever the global precision.
         """
         assignment = assignment or {}
-        total = mp.mpc(0)
-        for coef, psi_pows, rest in self.to_psi_terms():
-            term = coef.to_mp()
-            for m, k in psi_pows.items():
-                term *= mp.psi(m, 1) ** k
-            for name, k in rest.items():
-                if name == "pi":
-                    v = +mp.pi
-                elif name == "gamma":
-                    v = +mp.euler
-                else:
-                    v = mp.mpmathify(assignment[name])
-                term *= v ** k
-            total += term
+        with mp.workdps(DEFAULT_DPS):
+            total = mp.mpc(0)
+            for coef, psi_pows, rest in self.to_psi_terms():
+                term = coef.to_mp()
+                for m, k in psi_pows.items():
+                    term *= mp.psi(m, 1) ** k
+                for name, k in rest.items():
+                    if name == "pi":
+                        v = +mp.pi
+                    elif name == "gamma":
+                        v = +mp.euler
+                    else:
+                        v = mp.mpmathify(assignment[name])
+                    term *= v ** k
+                total += term
         return total
 
     # -- serialization ------------------------------------------------------
@@ -524,19 +488,6 @@ class ConstExpr:
     def to_jsonable(self):
         return [[list(e), [_frac_str(c.re), _frac_str(c.im)]]
                 for e, c in self.sorted_terms()]
-
-    @classmethod
-    def from_jsonable(cls, data) -> "ConstExpr":
-        return cls({tuple(e): GRat(Fraction(re_s), Fraction(im_s))
-                    for e, (re_s, im_s) in data})
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_jsonable(), sort_keys=True,
-                          separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, s: str) -> "ConstExpr":
-        return cls.from_jsonable(json.loads(s))
 
 
 class GeneratorValues:
@@ -661,6 +612,29 @@ def _coerce(x) -> ConstExpr:
         c = as_grat(x)
         return _from_terms({_ZERO_EXP: c} if c else {})
     raise TypeError(f"cannot coerce {type(x).__name__} to ConstExpr")
+
+
+def _format_terms(terms) -> str:
+    """``c*x + ...`` from (GRat coefficient, [(factor name, power)]) pairs,
+    or "0" if there are none: the one format of both display bases."""
+    parts = []
+    for c, factors in terms:
+        body = "*".join(name if k == 1 else f"{name}^{k}"
+                        for name, k in factors)
+        if not body:
+            parts.append(repr(c))
+        elif c == ONE_G:
+            parts.append(body)
+        elif c == GRat(-1):
+            parts.append(f"-{body}")
+        else:
+            parts.append(f"{c!r}*{body}")
+    if not parts:
+        return "0"
+    out = parts[0]
+    for p in parts[1:]:
+        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+    return out
 
 
 def _frac_str(f: Fraction) -> str:

@@ -51,11 +51,13 @@ class CouplingTable:
         return self.entries.get((p, l), ConstExpr.zero())
 
     def check_base_invariants(self):
-        assert self.entry(0, 1) == N_PI, "c_(0,1) must be n*pi"
-        if self.p_max >= 2:
-            assert self.entry(2, 1).is_zero(), "c_(2,1) must vanish"
-        if self.p_max >= 4:
-            assert self.entry(4, 1).is_zero(), "c_(4,1) must vanish"
+        """SeriesError unless c_(0,1) = n pi and c_(2,1), c_(4,1) vanish."""
+        if self.entry(0, 1) != N_PI:
+            raise SeriesError("c_(0,1) must be n*pi")
+        if self.p_max >= 2 and not self.entry(2, 1).is_zero():
+            raise SeriesError("c_(2,1) must vanish")
+        if self.p_max >= 4 and not self.entry(4, 1).is_zero():
+            raise SeriesError("c_(4,1) must vanish")
 
     def substitute_level(self, value) -> "CouplingTable":
         """Exact substitution of the level generator n (branch covariance)."""

@@ -256,15 +256,21 @@ def numeric_beta_scattering(lam_over_p, k_value, dps: int = DEFAULT_DPS):
     return solve_scattering_coupling(lam_over_p, k_value, dps).beta(dps)
 
 
+def log_grid(lo, hi, n: int) -> list:
+    """n points from lo to hi, evenly spaced in log (lo alone for n = 1)."""
+    if lo <= 0 or hi <= 0:
+        raise ValueError(f"a log-spaced sweep needs positive ends, not "
+                         f"{mp.nstr(lo, 6)} .. {mp.nstr(hi, 6)}")
+    return [lo * (hi / lo) ** (mp.mpf(i) / max(n - 1, 1)) for i in range(n)]
+
+
 def contour_grid(ratio_min, ratio_max, n_points: int, branches,
                  dps: int = DEFAULT_DPS) -> ContourGrid:
     """Solve the running coupling on a log-spaced cutoff grid per branch."""
     if not mp.mpf(ratio_min) > 1:
         raise ValueError("ratio_min must exceed 1")
     with mp.workdps(dps + 10):
-        ratios = [mp.mpf(ratio_min) * (mp.mpf(ratio_max) / mp.mpf(ratio_min))
-                  ** (mp.mpf(i) / max(n_points - 1, 1))
-                  for i in range(n_points)]
+        ratios = log_grid(mp.mpf(ratio_min), mp.mpf(ratio_max), n_points)
     with mp.workdps(dps):
         grid = ContourGrid([+r for r in ratios], list(branches), {}, dps)
     for b in branches:

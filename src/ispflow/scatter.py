@@ -32,9 +32,8 @@ from .constexpr import DEFAULT_DPS, PI, ConstExpr, GRat
 from .coupling import (SCATTER_LADDER, CouplingTable, N_PI,
                        solve_coupling_table, structure_fit)
 from .expansions import (arg_eta_over_g, imaginary_argument,
-                         log_growth_unit, log_growth_unit_scatter,
-                         odd_coefficient_family, phase_branch_offset,
-                         solve_sector_ansatz)
+                         log_growth_unit_scatter, odd_coefficient_family,
+                         phase_branch_offset, solve_sector_ansatz)
 from .series import SeriesError, TruncSeries
 from .transseries import Transseries
 
@@ -197,8 +196,7 @@ def cross_sector_expansion(g_order: int, max_sector: int) -> Transseries:
     eps_max = 2 * max_sector
     l_max = g_order + 1
     # sigma^p starts at eps^p, so the table reaches p = eps_max
-    table = scatter_coupling_coeffs(eps_max, l_max,
-                                    g_order=max(l_max, 6)).substitute_level(1)
+    table = scatter_coupling_coeffs(eps_max, l_max).substitute_level(1)
 
     vars_ = ("g", "eps")
     to = (g_order + 2, eps_max)
@@ -210,15 +208,12 @@ def cross_sector_expansion(g_order: int, max_sector: int) -> Transseries:
         term = s.extend_to(vars_, to).shift("eps", l)
         f_series = term if f_series is None else f_series + term
 
-    s1 = f.sectors[1].extend_to(vars_, to)
-    one_plus_u = (f_series.shift("eps", -1)) * s1.inverse()
-    log_np = one_plus_u.log()
+    # f/eps = E(1 + u) has constant term 1, so its log is one step
     inv_rho = (TruncSeries.var("g", vars_, to, power=-1,
                                coef=ConstExpr.generator("pi"))
                + ConstExpr.monomial(1, pi=1, L=1)
                + ConstExpr.generator("gamma")
-               - log_growth_unit(g_order + 2).extend_to(vars_, to)
-               - log_np)
+               - f_series.shift("eps", -1).log())
     rho = inv_rho.inverse()
     sigma = f_series * ConstExpr.generator("shat")
 

@@ -22,7 +22,6 @@ Truncation orders are explicit everywhere; there is no global default.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 
 import mpmath as mp
@@ -382,14 +381,10 @@ class TruncSeries:
                            self.min_degree, self.trunc_order)
 
     def real_part(self):
-        return TruncSeries(self.variables,
-                           {e: c.real_part() for e, c in self.coeffs.items()},
-                           self.min_degree, self.trunc_order)
+        return self.map_coeffs(ConstExpr.real_part)
 
     def imag_part(self):
-        return TruncSeries(self.variables,
-                           {e: c.imag_part() for e, c in self.coeffs.items()},
-                           self.min_degree, self.trunc_order)
+        return self.map_coeffs(ConstExpr.imag_part)
 
     def map_coeffs(self, fn):
         return TruncSeries(self.variables,
@@ -480,22 +475,6 @@ class TruncSeries:
             "coeffs": [[list(e), c.to_jsonable()]
                        for e, c in self.sorted_terms()],
         }
-
-    @classmethod
-    def from_jsonable(cls, data):
-        to = tuple(INF_ORDER if t is None else t for t in data["trunc_order"])
-        coeffs = {tuple(e): ConstExpr.from_jsonable(c)
-                  for e, c in data["coeffs"]}
-        return cls(tuple(data["variables"]), coeffs,
-                   tuple(data["min_degree"]), to)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_jsonable(), sort_keys=True,
-                          separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, s: str):
-        return cls.from_jsonable(json.loads(s))
 
 
 def _from_coeffs(variables, coeffs, min_degree, trunc_order) -> TruncSeries:

@@ -16,8 +16,6 @@ sector l1 times sector l2 lands in sector l1+l2 only.
 
 from __future__ import annotations
 
-import json
-
 import mpmath as mp
 
 from .constexpr import DEFAULT_DPS, ConstExpr, GeneratorValues
@@ -194,18 +192,3 @@ class Transseries:
             "sectors": {str(l): s.to_jsonable()
                         for l, s in sorted(self.sectors.items())},
         }
-
-    @classmethod
-    def from_jsonable(cls, data):
-        sectors = {int(l): TruncSeries.from_jsonable(s)
-                   for l, s in data["sectors"].items()}
-        return cls(sectors, data["branch"], data["flavor"],
-                   data["max_sector"])
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_jsonable(), sort_keys=True,
-                          separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, s: str):
-        return cls.from_jsonable(json.loads(s))

@@ -6,12 +6,12 @@ import mpmath as mp
 import pytest
 
 from ispflow import golden
-from ispflow.bound import (beta_exact_sector_eval, beta_transseries,
-                           bound_resummation_report, bound_structure_fit,
-                           build_ground_state_condition, excited_state_scale,
-                           flow_ode_residual, ground_state_residual,
-                           ground_state_transseries, running_coupling_coeffs,
-                           unit_in_cutoff_variables)
+from ispflow.bound import (BetaTransseries, beta_exact_sector_eval,
+                           beta_transseries, bound_resummation_report,
+                           bound_structure_fit, build_ground_state_condition,
+                           excited_state_scale, flow_ode_residual,
+                           ground_state_residual, ground_state_transseries,
+                           running_coupling_coeffs, unit_in_cutoff_variables)
 from ispflow.constexpr import ConstExpr
 from ispflow.coupling import (BOUND_COLUMNS, CouplingTable, N_PI,
                               condition_residual_box, resummation_check)
@@ -19,6 +19,7 @@ from ispflow.bound import bound_condition_series
 from ispflow.expansions import (growth_unit_series, log_growth_unit,
                                 log_growth_unit_scatter)
 from ispflow.series import SeriesError, TruncSeries
+from ispflow.transseries import Transseries
 
 
 @pytest.fixture(autouse=True, scope="module")
@@ -171,6 +172,18 @@ def test_coupling_table_golden_entries(table):
 
 def test_table_base_invariants(table):
     table.check_base_invariants()
+
+
+def test_structure_checks_raise_series_error(table, beta):
+    """The result checks raise SeriesError, which python -O keeps."""
+    wrong = CouplingTable("bound", {**table.entries, (0, 1): N_PI * 2},
+                          table.p_max, table.l_max)
+    with pytest.raises(SeriesError, match=r"c_\(0,1\)"):
+        wrong.check_base_invariants()
+    low = Transseries({0: beta.ts.sector(0),
+                       2: TruncSeries.var("g", ("g",), (6,))})
+    with pytest.raises(SeriesError, match=r"sector 2 starts at g\^1"):
+        BetaTransseries(low).check_sector_structure()
 
 
 def test_table_solves_condition(table):

@@ -455,8 +455,14 @@ def test_eval_needs_no_value_for_an_unused_variable():
     assert f.eval_mp({"g": mp.mpf("0.5")}, dps=50) == mp.mpf("1.75")
 
 
-def test_json_roundtrip():
+def test_to_jsonable_lists_sorted_terms():
+    """The JSON form emit writes: the metadata (an exact order as None)
+    and each term's exponent list with its coefficient's JSON form."""
     rng = random.Random(46)
     for _ in range(50):
-        f = random_unit_series(rng, 5)
-        assert TruncSeries.from_json(f.to_json()) == f
+        f = random_unit_series(rng, 5).extend_to(("g", "x"))
+        assert f.to_jsonable() == {
+            "variables": ["g", "x"], "min_degree": [0, 0],
+            "trunc_order": [5, None],
+            "coeffs": [[list(e), c.to_jsonable()]
+                       for e, c in f.sorted_terms()]}
