@@ -7,6 +7,13 @@ through explicit substitution.  All symbolic derivations in this package
 (running-coupling tables, beta transseries, cross-sector expansions) use
 this ring as their coefficient field, so every printed table entry is exact.
 
+A ``ConstExpr`` keeps all its coefficients over one shared denominator:
+integer ``(re, im)`` numerator pairs per term and one integer ``den``, in
+a canonical form (see the class).  A product is integer arithmetic and one
+content gcd; a sum rescales to the lcm of the denominators and needs the
+content gcd only when the two operands share a key.  ``GRat`` is the
+single-coefficient type that display and serialization hand out.
+
 Generators
 ----------
 pi      : the circle constant
@@ -26,7 +33,7 @@ from __future__ import annotations
 
 import struct
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 
 import mpmath as mp
 from mpmath.libmp import dps_to_prec, from_rational
@@ -120,8 +127,6 @@ class GRat:
                 return NotImplemented
             other = GRat(other)
         d, f = self._d, other._d
-        if d == f:
-            return _grat(self._a + other._a, self._b + other._b, d)
         return _grat(self._a * f + other._a * d, self._b * f + other._b * d,
                      d * f)
 
@@ -146,12 +151,7 @@ class GRat:
                 return NotImplemented
             other = GRat(other)
         a, b, c, e = self._a, self._b, other._a, other._b
-        d = self._d * other._d
-        if not b and not e:
-            n = a * c
-            g = gcd(n, d)
-            return _normal(n // g, 0, d // g)
-        return _grat(a * c - b * e, a * e + b * c, d)
+        return _grat(a * c - b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
 
@@ -217,43 +217,53 @@ ONE_G = GRat(1)
 
 
 class ConstExpr:
-    """Exact Laurent polynomial over the generator set with GRat coefficients.
+    """Exact Laurent polynomial over the generator set with Gaussian-rational
+    coefficients.
 
-    Stored in canonical form: a dict mapping packed exponent keys (one int
-    per exponent vector over GENERATORS, negative powers allowed) to
-    nonzero GRat coefficients.  Equality is structural on this form.  The
-    constructor takes exponent tuples and exact numbers; ``sorted_terms()``
-    gives the tuples back.
+    Stored as ``(terms, den)``: ``terms`` maps packed exponent keys (one int
+    per exponent vector over GENERATORS, negative powers allowed) to integer
+    ``(re, im)`` numerator pairs, and ``den`` is the one denominator they
+    share, so the term at key ``e`` is ``(re + im*i)/den``.  The form is
+    canonical: ``den > 0``, no ``(0, 0)`` pair, ``gcd(den, every part) ==
+    1``, and zero is ``({}, 1)``; equality is structural on it.  Products
+    and real or imaginary parts divide out the content gcd; a sum does only
+    when its operands share a key, since a sum with no shared key is
+    canonical as it stands.  The constructor takes exponent tuples and
+    exact numbers; ``sorted_terms()`` gives the tuples and GRat
+    coefficients back.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "den")
 
     def __init__(self, terms=None):
-        self.terms = {_pack(e): as_grat(c) for e, c in (terms or {}).items()
-                      if c}
+        coefs = {_pack(e): as_grat(c) for e, c in (terms or {}).items() if c}
+        # each GRat is in normal form, so over the lcm of their
+        # denominators no prime divides the lcm and every part
+        den = lcm(*(c._d for c in coefs.values()))
+        self.terms = {e: (c._a * (den // c._d), c._b * (den // c._d))
+                      for e, c in coefs.items()}
+        self.den = den
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def number(cls, re, im=0) -> "ConstExpr":
-        c = GRat(re, im)
-        return _from_terms({_ZERO_EXP: c} if c else {})
+        return _single(_ZERO_EXP, GRat(re, im))
 
     @classmethod
     def generator(cls, name: str) -> "ConstExpr":
-        return _from_terms({1 << (_W * _GIDX[name]): ONE_G})
+        return _make({1 << (_W * _GIDX[name]): (1, 0)}, 1)
 
     @classmethod
     def monomial(cls, coef, **powers) -> "ConstExpr":
         key = 0
         for name, p in powers.items():
             key += _checked(p) << (_W * _GIDX[name])
-        c = coef if isinstance(coef, GRat) else GRat(coef)
-        return _from_terms({key: c} if c else {})
+        return _single(key, coef if isinstance(coef, GRat) else GRat(coef))
 
     @classmethod
     def zero(cls) -> "ConstExpr":
-        return cls()
+        return _make({}, 1)
 
     @classmethod
     def one(cls) -> "ConstExpr":
@@ -281,7 +291,7 @@ class ConstExpr:
             other = _coerce(other)
         if not isinstance(other, ConstExpr):
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.terms == other.terms
 
     def __hash__(self):
         terms = self.terms
@@ -289,20 +299,57 @@ class ConstExpr:
             return hash(0)
         if len(terms) == 1 and _ZERO_EXP in terms:
             # equal to its GRat, which hashes like its int or Fraction
-            return hash(terms[_ZERO_EXP])
-        return hash(frozenset(terms.items()))
+            return hash(_normal(*terms[_ZERO_EXP], self.den))
+        return hash((frozenset(terms.items()), self.den))
 
     # -- ring operations ------------------------------------------------
 
     def __add__(self, other):
-        out = dict(self.terms)
-        _add_into(out, _coerce(other).terms)
-        return _from_terms(out)
+        if not isinstance(other, ConstExpr):
+            other = _coerce(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
+        d, f = self.den, other.den
+        g = gcd(d, f)
+        u, v = f // g, d // g
+        if u == 1:
+            out = dict(self.terms)
+        else:
+            # a loop, not a comprehension: most sums have only a few terms
+            out = {}
+            for e, (a, b) in self.terms.items():
+                out[e] = (a * u, b * u)
+        get = out.get
+        collided = False
+        for e, (a, b) in other.terms.items():
+            if v != 1:
+                a *= v
+                b *= v
+            s = get(e)
+            if s is None:
+                out[e] = (a, b)
+                continue
+            collided = True
+            a += s[0]
+            b += s[1]
+            if a or b:
+                out[e] = (a, b)
+            else:
+                del out[e]
+        # with no key shared, the sum is canonical as it stands: a prime
+        # dividing the lcm d*u and every part would divide d and all of
+        # self's parts, or f and all of other's parts
+        if collided:
+            return _reduced(out, d * u)
+        return _make(out, d * u)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _from_terms({e: -c for e, c in self.terms.items()})
+        return _make({e: (-a, -b) for e, (a, b) in self.terms.items()},
+                     self.den)
 
     def __sub__(self, other):
         return self + (-_coerce(other))
@@ -311,22 +358,28 @@ class ConstExpr:
         return _coerce(other) + (-self)
 
     def __mul__(self, other):
-        other = _coerce(other).terms
+        if not isinstance(other, ConstExpr):
+            other = _coerce(other)
+        terms = other.terms
         out = {}
         get = out.get
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.items():
+        for e1, (a, b) in self.terms.items():
+            for e2, (c, d) in terms.items():
                 e = e1 + e2
-                c = c1 * c2
+                if b:
+                    re, im = a * c - b * d, a * d + b * c
+                else:
+                    re, im = a * c, a * d
                 s = get(e)
                 if s is not None:
-                    c = s + c
-                    if not c:
+                    re += s[0]
+                    im += s[1]
+                    if not (re or im):
                         del out[e]
                         continue
-                out[e] = c
+                out[e] = (re, im)
         _check_keys(out)
-        return _from_terms(out)
+        return _reduced(out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -350,27 +403,31 @@ class ConstExpr:
         c = as_grat(c)
         if not c:
             return ConstExpr()
-        return _from_terms({e: v * c for e, v in self.terms.items()})
+        p, q = c._a, c._b
+        return _reduced({e: (a * p - b * q, a * q + b * p)
+                         for e, (a, b) in self.terms.items()},
+                        self.den * c._d)
 
     def inverse_monomial(self) -> "ConstExpr":
         """Exact inverse, defined only for a single-term expression."""
         if len(self.terms) != 1:
             raise ValueError("only monomials are invertible exactly")
-        (e, c), = self.terms.items()
+        (e, (a, b)), = self.terms.items()
         _check_keys((-e,))
-        return _from_terms({-e: c.inverse()})
+        return _single(-e, _normal(a, b, self.den).inverse())
 
     def conjugate(self) -> "ConstExpr":
         """Complex conjugate assuming all generators are real-valued."""
-        return _from_terms({e: c.conjugate() for e, c in self.terms.items()})
+        return _make({e: (a, -b) for e, (a, b) in self.terms.items()},
+                     self.den)
 
     def real_part(self) -> "ConstExpr":
-        return _from_terms({e: GRat(c.re) for e, c in self.terms.items()
-                            if c.re})
+        return _reduced({e: (a, 0) for e, (a, b) in self.terms.items() if a},
+                        self.den)
 
     def imag_part(self) -> "ConstExpr":
-        return _from_terms({e: GRat(c.im) for e, c in self.terms.items()
-                            if c.im})
+        return _reduced({e: (b, 0) for e, (a, b) in self.terms.items() if b},
+                        self.den)
 
     # -- substitution and evaluation -------------------------------------
 
@@ -387,14 +444,18 @@ class ConstExpr:
         for e, c in self.terms.items():
             k = _unpack(e)[idx]
             groups.setdefault(k, {})[e - (k << shift)] = c
-        out = {}
+        if groups.keys() <= {0}:
+            return self             # the generator does not occur
+        out = _make({}, 1)
         for k, rest in groups.items():
-            part = _from_terms(rest)
             if k:
-                part = part * (value ** k if k > 0
-                               else value.inverse_monomial() ** (-k))
-            _add_into(out, part.terms)
-        return _from_terms(out)
+                # the product divides out the group's content gcd itself
+                part = _make(rest, self.den) * (
+                    value ** k if k > 0 else value.inverse_monomial() ** (-k))
+            else:
+                part = _reduced(rest, self.den)
+            out = out + part
+        return out
 
     def eval_mp(self, assignment: dict | None = None,
                 dps: int = DEFAULT_DPS):
@@ -416,7 +477,9 @@ class ConstExpr:
 
     def sorted_terms(self):
         """The terms as (exponent tuple, GRat) pairs, sorted by tuple."""
-        return sorted((_unpack(e), c) for e, c in self.terms.items())
+        den = self.den
+        return sorted((_unpack(e), _grat(a, b, den))
+                      for e, (a, b) in self.terms.items())
 
     def __str__(self):
         return _format_terms(
@@ -532,12 +595,12 @@ class GeneratorValues:
         return self._workdps.__exit__(*exc)
 
     def __call__(self, expr: ConstExpr):
-        prec, powers = self._prec, self._powers
+        prec, powers, den = self._prec, self._powers, expr.den
         total = mp.mpc(0)
-        for e, c in expr.terms.items():
-            # c correctly rounded to the working precision
-            term = mp.make_mpc((from_rational(c._a, c._d, prec, "n"),
-                                from_rational(c._b, c._d, prec, "n")))
+        for e, (a, b) in expr.terms.items():
+            # the coefficient correctly rounded to the working precision
+            term = mp.make_mpc((from_rational(a, den, prec, "n"),
+                                from_rational(b, den, prec, "n")))
             for i, k in enumerate(_unpack(e)):
                 if k:
                     v = powers.get((i, k))
@@ -586,31 +649,40 @@ def _unpack(key: int) -> tuple:
                                                               "little"))
 
 
-def _from_terms(terms) -> ConstExpr:
-    """A ConstExpr over ``terms``, which must hold no zero coefficient."""
+def _make(terms, den) -> ConstExpr:
+    """A ConstExpr over ``terms`` and ``den`` as they are: canonical, or an
+    operand of a product, which divides out the content gcd."""
     z = _new(ConstExpr)
     z.terms = terms
+    z.den = den
     return z
 
 
-def _add_into(out, terms):
-    """Add ``terms`` into the term dict ``out`` in place, dropping zeros."""
-    for e, c in terms.items():
-        s = out.get(e)
-        if s is not None:
-            c = s + c
-            if not c:
-                del out[e]
-                continue
-        out[e] = c
+def _reduced(terms, den) -> ConstExpr:
+    """The canonical ConstExpr over ``terms`` and ``den > 0``, where
+    ``terms`` holds no (0, 0) pair: the content gcd divided out."""
+    g = den
+    for a, b in terms.values():
+        if g == 1:
+            break
+        g = gcd(g, a, b)
+    if g != 1:
+        terms = {e: (a // g, b // g) for e, (a, b) in terms.items()}
+        den //= g
+    return _make(terms, den)
+
+
+def _single(key, c: GRat) -> ConstExpr:
+    """The one-term ConstExpr ``c`` times the monomial ``key``: a GRat's
+    normal form is the canonical form of one term."""
+    return _make({key: (c._a, c._b)}, c._d) if c else _make({}, 1)
 
 
 def _coerce(x) -> ConstExpr:
     if isinstance(x, ConstExpr):
         return x
     if isinstance(x, (int, Fraction, GRat)):
-        c = as_grat(x)
-        return _from_terms({_ZERO_EXP: c} if c else {})
+        return _single(_ZERO_EXP, as_grat(x))
     raise TypeError(f"cannot coerce {type(x).__name__} to ConstExpr")
 
 

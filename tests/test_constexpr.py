@@ -7,6 +7,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from ispflow import constexpr
 from ispflow.constexpr import (EXP_MAX, EXP_MIN, GENERATORS, ConstExpr,
                                GRat, GAMMA, K_GEN, L_GEN, N_GEN, PI, ZETA3)
 from ispflow.golden import BOUND_TABLE
@@ -290,6 +291,18 @@ def test_constant_constexpr_hashes_like_its_number():
     assert len({PI, PI * 1, GAMMA}) == 2
 
 
+def _assert_canonical(e):
+    """One shared denominator over integer (re, im) pairs: den > 0, no
+    (0, 0) pair, gcd(den, every part) == 1, zero as ({}, 1)."""
+    assert e.den > 0
+    assert (0, 0) not in e.terms.values()
+    parts = (p for pair in e.terms.values() for p in pair)
+    assert math.gcd(e.den, *parts) == 1
+    assert e or (e.terms, e.den) == ({}, 1)
+    for _, c in e.sorted_terms():
+        _assert_normal(c)
+
+
 def test_constexpr_stores_no_zero_coefficient():
     rng = random.Random(4242)
     half_i = GRat(0, Fraction(-1, 2))
@@ -298,9 +311,35 @@ def test_constexpr_stores_no_zero_coefficient():
         for e in (a + b, a - b, a * b, a - a, a * (b - b),
                   (a * b).substitute("K", half_i), (a - b).substitute("pi", 0),
                   (a + b).substitute("n", K_GEN - 1)):
-            assert all(e.terms.values())
-            for c in e.terms.values():
-                _assert_normal(c)
+            _assert_canonical(e)
+
+
+def test_canonical_form_edge_cases(monkeypatch):
+    sixth, third = (ConstExpr.monomial(Fraction(1, k), pi=1) for k in (6, 3))
+    half = ConstExpr.monomial(Fraction(1, 2), pi=1)
+    total = sixth + third
+    assert total == half and total.den == half.den == 2
+    assert hash(total) == hash(half)
+    third_pi = PI * Fraction(1, 3)
+    zero = third_pi - third_pi
+    assert zero.den == 1 and zero == 0 and hash(zero) == hash(0)
+    assert ConstExpr.number(Fraction(1, 2)) * (PI * 2) == PI
+    i_half = ConstExpr.number(0, Fraction(1, 2))
+    assert i_half * i_half == Fraction(-1, 4)
+    # distinct keys over different denominators: the sum takes no gcd pass
+    # and is canonical as it stands
+    x = ConstExpr.monomial(Fraction(2, 3), pi=1)
+    y = ConstExpr.monomial(GRat(Fraction(1, 4), Fraction(3, 2)), K=1)
+    monkeypatch.setattr(constexpr, "_reduced", None)
+    e = x + y
+    monkeypatch.undo()
+    assert e.den == 12
+    assert e.sorted_terms() == (x.sorted_terms() + y.sorted_terms())[::-1]
+    _assert_canonical(e)
+    for e in (total, zero, e, e * e.conjugate(), (e - e.conjugate()) * e,
+              e.real_part(), e.imag_part(), e.scalar_mul(GRat(0, 6)),
+              ConstExpr.monomial(GRat(4, 6), pi=-2).inverse_monomial()):
+        _assert_canonical(e)
 
 
 def test_substitute_groups_powers_without_changing_result():

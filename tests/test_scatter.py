@@ -214,6 +214,22 @@ def test_both_sectors_share_leading_beta_coefficient(beta):
     assert lead_b == lead_s == ConstExpr.monomial(-1, pi=-1)
 
 
+def test_flow_covariance_at_sector_zero():
+    """beta_S(g_S) = (dg_S/dg_B) beta_B(g_B) in the perturbative sector:
+    the scattering beta composed with the cross-sector map g_S(g_B) equals
+    the map's derivative times the bound beta, exactly through g_B^9."""
+    from ispflow.bound import (beta_transseries,
+                               build_ground_state_condition,
+                               ground_state_transseries)
+    g_s = cross_sector_expansion(8, 1).sector(0)
+    beta_s = scatter_beta(2, 10).ts.sector(0)
+    beta_b = beta_transseries(ground_state_transseries(
+        build_ground_state_condition(12, 6), 3)).ts.sector(0)
+    diff = beta_s.substitute_var("g", g_s) - g_s.derivative("g") * beta_b
+    assert diff.trunc_order == (9,)
+    assert diff.is_zero(), {e: str(c) for e, c in sorted(diff.coeffs.items())}
+
+
 def test_structure_fit(table):
     heads, ok, failures = scatter_structure_fit(table)
     assert ok, failures
