@@ -390,13 +390,16 @@ class ConstExpr:
         # powers that leave the range
         if k < 0:
             return self.inverse_monomial() ** (-k)
-        out = ConstExpr.one()
+        if k == 0:
+            return ConstExpr.one()
+        out = None
         base = self
         while k:
             if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
+                out = base if out is None else out * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     def scalar_mul(self, c) -> "ConstExpr":

@@ -25,7 +25,11 @@ code that sums the Bessel series.  A residual takes eta alone
 z d eta/dz as well (``specfun._eta_partials``, from the terms of that one
 loop).  The gamma phase comes from ``specfun`` too: Arg Gamma(1+ig) from
 ``arg_gamma`` in every residual, and dF/dg's Re psi(1+ig) from
-``re_digamma`` once per beta.  A ``QuantizationSolution``
+``re_digamma`` once per beta, both from one fixed-point kernel (a
+recurrence shift to w = N+1+ig with N+1 >= 0.3 prec, one atan2 of the
+shift product, and Clenshaw-summed Stirling tails, with 16 + log2(K+N+1)
+guard bits), within one unit of the last bit of the dps + 10 digits the
+residual works at.  A ``QuantizationSolution``
 knows which condition it solves, so its ``beta`` needs no second root
 solve; it also records its residual evaluations and bracket widenings.
 """

@@ -135,6 +135,36 @@ def test_monomial_inverse_and_negative_powers():
         (PI + GAMMA).inverse_monomial()
 
 
+def test_power_equals_repeated_product_with_fewest_products(monkeypatch):
+    """x ** k is the k-fold product for k = 0..6, and x ** -k the k-fold
+    product of the inverse of a monomial; binary powering starts from x, so
+    it forms floor(log2 k) squarings and popcount(k) - 1 further products
+    (none for k = 0 or 1)."""
+    x = ConstExpr.monomial(GRat(Fraction(2, 3), 1), pi=1) + GAMMA * N_GEN
+    m = ConstExpr.monomial(GRat(-3, Fraction(1, 2)), pi=2, zeta3=-1, K=1)
+    cases = [(x, k) for k in range(7)] + [(m, k) for k in range(-6, 7)]
+    want = []
+    for base, k in cases:
+        unit = base if k >= 0 else base.inverse_monomial()
+        prod = ConstExpr.one()
+        for _ in range(abs(k)):
+            prod = prod * unit
+        want.append(prod)
+    products = []
+    original = ConstExpr.__mul__
+
+    def counted(self, other):
+        products.append(1)
+        return original(self, other)
+    monkeypatch.setattr(ConstExpr, "__mul__", counted)
+    for (base, k), expect in zip(cases, want):
+        products.clear()
+        assert base ** k == expect, (base, k)
+        n = abs(k)
+        assert len(products) == (n.bit_length() - 1 + bin(n).count("1") - 1
+                                 if n else 0), (k, len(products))
+
+
 def test_to_jsonable_lists_sorted_terms():
     """The JSON form emit writes: each term's exponent list and the two
     parts of its coefficient, in sorted_terms order."""

@@ -9,10 +9,11 @@ import pytest
 from ispflow import specfun
 from ispflow.bound import beta_exact_sector_eval
 from ispflow.specfun import (ComplexHP, SpecFunError, _eta, _eta_terms,
-                             _series_sum, arg_i_branch_residue,
+                             _series_sum, arg_gamma, arg_i_branch_residue,
                              arg_i_tilde_principal, arg_i_unwrapped,
                              bessel_i_imag, bessel_j_imag, bessel_k_imag,
-                             complex_gamma, hankel1_imag, hankel2_imag)
+                             complex_gamma, hankel1_imag, hankel2_imag,
+                             re_digamma)
 
 
 @pytest.fixture(autouse=True, scope="module")
@@ -297,6 +298,65 @@ def test_gamma_phase_is_evaluated_once_per_call(monkeypatch):
     calls.update(dict.fromkeys(calls, 0))
     beta_exact_sector_eval(0.4, 4)
     assert calls == {"gamma": 0, "arg_gamma": 1, "re_digamma": 1}
+    # the Bessel series divides by Gamma(1+ig) through its phase and the
+    # closed-form modulus, never through mp.gamma
+    for bessel in (bessel_j_imag, bessel_i_imag):
+        calls.update(dict.fromkeys(calls, 0))
+        bessel(0.8, 1.5)
+        assert calls == {"gamma": 0, "arg_gamma": 1, "re_digamma": 0}, (
+            bessel.__name__)
+
+
+def test_gamma_phase_kernel_against_mpmath():
+    """arg_gamma and re_digamma against mp.loggamma and mp.digamma at
+    dps + 20, to 10^-dps relative, on a g grid in (0, 3] and at g = 5, 10,
+    20 and 50 (the root bracket's cap), at 30 to 100 digits."""
+    grid = [mp.mpf(i) / 40 for i in (1, 2, 5, 11, 17, 26, 40, 53, 67, 79,
+                                     88, 97, 104, 113, 120)]
+    grid += [mp.mpf(v) for v in ("0.001", "5", "10", "20", "50")]
+    for dps in (30, 60, 70, 100):
+        for g in grid:
+            with mp.workdps(dps):
+                got = arg_gamma(g), re_digamma(g)
+            with mp.workdps(dps + 20):
+                z = mp.mpc(1, g)
+                want = mp.im(mp.loggamma(z)), mp.re(mp.digamma(z))
+                for name, x, y in zip(("arg", "psi"), got, want):
+                    assert abs(x - y) <= mp.mpf(10) ** -dps * abs(y), (
+                        name, dps, g)
+
+
+def test_arg_gamma_is_continuous_through_the_wrap():
+    """Arg Gamma(1+ig) is the continuous Im log Gamma: on a 0.01 grid from
+    g = 0.5 to 6 each step matches Re psi(1+ig) h to second order, through
+    the range g ~ 1.3-3 and past g ~ 4.4, where it leaves (-pi, pi] and the
+    principal argument of Gamma(1+ig) jumps by 2 pi; the kernel's shift
+    product wraps there too, many times over."""
+    h = mp.mpf("0.01")
+    with mp.workdps(30):
+        prev = arg_gamma(mp.mpf("0.5"))
+        for i in range(51, 601):
+            g = i * h
+            cur = arg_gamma(g)
+            # |d^2/dg^2 Arg Gamma(1+ig)| = |Im psi'(1+ig)| < 1
+            assert abs(cur - prev - h * re_digamma(g - h / 2)) < h ** 2, g
+            prev = cur
+        assert arg_gamma(6) > mp.pi
+        principal = mp.arg(mp.gamma(mp.mpc(1, 6)))
+        assert abs(arg_gamma(6) - principal - 2 * mp.pi) < mp.mpf(10) ** -28
+
+
+def test_gamma_phase_symmetry_at_zero_and_negative_g():
+    """g = 0 and g < 0 are evaluated, not refused: Arg Gamma(1+ig) is odd
+    and Re psi(1+ig) even in g, exactly, and at g = 0 they are 0 and
+    -euler."""
+    with mp.workdps(60):
+        assert arg_gamma(0) == 0
+        assert abs(re_digamma(0) + mp.euler) < mp.mpf(10) ** -60
+        for g in ("1e-20", "0.3", "2.7", "50"):
+            g = mp.mpf(g)
+            assert arg_gamma(-g) == -arg_gamma(g)
+            assert re_digamma(-g) == re_digamma(g)
 
 
 def test_decomposition_residue_randomized():
