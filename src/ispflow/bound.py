@@ -123,13 +123,14 @@ class BetaTransseries:
     ts: Transseries
 
     def check_sector_structure(self):
-        """Every sector must start at g^2; the perturbative one at -g^2/pi."""
+        """Every sector must start at g^2; the perturbative one on branch b
+        at -g^2/((2b+1) pi), which is -g^2/pi on branch 0."""
         for l, s in self.ts.sectors.items():
             lead = min(e[0] for e in s.coeffs)
             if lead < 2:
                 raise SeriesError(f"beta sector {l} starts at g^{lead}")
         c2 = self.ts.sector(0).coefficient((2,))
-        if c2 != ConstExpr.monomial(-1, pi=-1):
+        if c2 * (2 * self.ts.branch + 1) != ConstExpr.monomial(-1, pi=-1):
             raise SeriesError(f"leading perturbative coefficient is {c2}")
 
     def eval_mp(self, g, assignment=None, dps: int = DEFAULT_DPS):
@@ -138,15 +139,11 @@ class BetaTransseries:
 
 
 def beta_transseries(f: Transseries, max_sector: int | None = None) -> BetaTransseries:
-    """beta = -f / (df/dg) by graded division.
+    """beta = -f / (df/dg) by graded division, on the branch of f.
 
-    Requires branch b = 0 (the level substitutes to 1, so the coefficients
-    stay free of the formal level generator).  A ``max_sector`` past the
-    last sector the division yields raises ``SeriesError``.
+    A ``max_sector`` past the last sector the division yields raises
+    ``SeriesError``.
     """
-    if f.branch != 0:
-        raise ValueError("beta is derived on branch 0; rescale the level "
-                         "via the table's branch covariance instead")
     fp = f.derivative_g()
     beta = (-f) / fp
     if max_sector is not None:

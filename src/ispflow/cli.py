@@ -127,16 +127,13 @@ def cmd_coeffs(args) -> int:
 
 
 def _bound_transseries(g_order: int, sector: int, branch: int = 0):
-    """The ground-state f through sector + 1 (condition xi-order sector + 2)
-    and its beta through ``sector``; off branch 0 the beta is empty."""
+    """The ground-state f on ``branch`` through sector + 1 (condition
+    xi-order sector + 2) and its beta through ``sector``."""
     from .bound import (beta_transseries, build_ground_state_condition,
                         ground_state_transseries)
-    from .transseries import Transseries
     cond = build_ground_state_condition(g_order, sector + 2, b=branch)
     f = ground_state_transseries(cond, sector + 1)
-    beta = (beta_transseries(f).ts if branch == 0
-            else Transseries({}, branch, "bound", 0))
-    return f, beta
+    return f, beta_transseries(f).ts
 
 
 def cmd_groundstate(args) -> int:
@@ -216,6 +213,8 @@ def _parse_branches(text: str) -> list:
         branches = [int(b) for b in text.split(",")]
     if not branches:
         raise ValueError(f"--branches {text} names no branch")
+    if len(set(branches)) < len(branches):
+        raise ValueError(f"--branches {text} names a branch twice")
     return branches
 
 
@@ -333,7 +332,9 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_coeffs)
 
     p = sub_parser("groundstate", "ground-state transseries")
-    p.add_argument("--branch", type=int, default=0)
+    p.add_argument("--branch", type=int, default=0,
+                   help="branch b >= 0: f and beta carry the unit "
+                        "exp(-(2b+1) pi/g - gamma)")
     p.set_defaults(func=cmd_groundstate)
 
     p = sub_parser("beta", "numeric-vs-series beta sweep")

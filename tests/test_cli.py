@@ -105,6 +105,7 @@ def test_input_error_codes(tmp_path):
     ["groundstate", "--orders", "g=20"],
     ["groundstate", "--branch", "-1"],
     ["contour", "--branches", "3..1"],
+    ["contour", "--branches", "0,0"],
     ["beta", "--tolerance", "-1"],
     ["beta", "--tolerance", "nan"],
     ["groundstate", "--orders", "sector=7"],
@@ -114,6 +115,7 @@ def test_input_error_codes(tmp_path):
 ], ids=["phase-pmin0", "beta-gmax0", "beta-points0", "phase-points0",
         "contour-points0", "crosscheck-points0", "beta-g30",
         "groundstate-g20", "groundstate-branch-1", "contour-branches3..1",
+        "contour-branches0,0",
         "beta-tolerance-1",
         "beta-tolerance-nan", "groundstate-sector7", "beta-scattering-sector7",
         "coeffs-rho5", "groundstate-max-sector3"])
@@ -183,6 +185,22 @@ def test_phase_and_groundstate_smoke(tmp_path):
     assert main(["groundstate", "--orders", "g=8,sector=2",
                  "--out", str(tmp_path)]) == 0
     assert (tmp_path / "groundstate.csv").exists()
+
+
+def test_groundstate_writes_beta_off_branch_zero(tmp_path):
+    """groundstate --branch 1 writes beta sectors 0, 2 and 4, led by
+    -g^2/(3 pi), in CSV and JSON alike."""
+    import json
+    for fmt in ("csv", "json"):
+        assert main(["groundstate", "--branch", "1", "--orders", "sector=4",
+                     "--format", fmt, "--out", str(tmp_path)]) == 0
+    rows = [line.split(",", 2) for line in
+            (tmp_path / "groundstate.csv").read_text().splitlines()[1:]]
+    beta = {int(l): series for obj, l, series in rows if obj == "beta"}
+    assert sorted(beta) == [0, 2, 4]
+    assert beta[0].startswith("\"-1/3*pi^-1*g^2 ")
+    body = json.loads((tmp_path / "groundstate.json").read_text())["beta"]
+    assert body["branch"] == 1 and sorted(body["sectors"]) == ["0", "2", "4"]
 
 
 def test_single_contour_point_matches_solver(tmp_path):

@@ -15,3 +15,25 @@ def test_package_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_package_imports_are_used():
+    """Every name a module imports is used in that module; __init__.py
+    imports to re-export, so it is left out."""
+    modules = sorted(p for p in PACKAGE.glob("*.py")
+                     if p.name != "__init__.py")
+    assert modules, f"no modules under {PACKAGE}"
+    unused = []
+    for path in modules:
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).partition(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []
