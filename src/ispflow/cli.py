@@ -52,8 +52,13 @@ def _parse_orders(text: str, base: dict) -> dict:
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ValueError(f"cannot read config file {path!r}: "
+                         f"{exc.strerror}") from None
     values = {}
-    for line in Path(path).read_text().splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue

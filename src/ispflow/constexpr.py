@@ -12,7 +12,9 @@ integer ``(re, im)`` numerator pairs per term and one integer ``den``, in
 a canonical form (see the class).  A product is integer arithmetic and one
 content gcd; a sum rescales to the lcm of the denominators and needs the
 content gcd only when the two operands share a key.  ``GRat`` is the
-single-coefficient type that display and serialization hand out.
+single-coefficient value that display and serialization hand out and
+that the ring takes as a coefficient; it does no arithmetic of its own,
+so all Gaussian-rational arithmetic is the ring's.
 
 Generators
 ----------
@@ -75,9 +77,10 @@ class GRat:
     """Gaussian rational ``(a + b*i)/d`` over one integer denominator.
 
     Stored in normal form: ``d > 0``, ``gcd(a, b, d) == 1``, zero is
-    ``(0, 0, 1)``.  Each ring operation builds its result with integer
-    arithmetic and a single gcd; ``re`` and ``im`` are read-only Fraction
-    views of the two parts.
+    ``(0, 0, 1)``; ``re`` and ``im`` are read-only Fraction views of the
+    two parts.  A GRat is a value to read, compare, hash, print and hand
+    to the ring as a coefficient; it defines no arithmetic, which is all
+    done in ConstExpr (``ConstExpr.number(re, im)`` lifts one into it).
     """
 
     __slots__ = ("_a", "_b", "_d")
@@ -120,57 +123,6 @@ class GRat:
             # equal to an int or Fraction, so hash like one
             return hash(Fraction(self._a, self._d))
         return hash((self._a, self._b, self._d))
-
-    def __add__(self, other):
-        if not isinstance(other, GRat):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = GRat(other)
-        d, f = self._d, other._d
-        return _grat(self._a * f + other._a * d, self._b * f + other._b * d,
-                     d * f)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _normal(-self._a, -self._b, self._d)
-
-    def __sub__(self, other):
-        if not isinstance(other, GRat):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = GRat(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return as_grat(other) + (-self)
-
-    def __mul__(self, other):
-        if not isinstance(other, GRat):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = GRat(other)
-        a, b, c, e = self._a, self._b, other._a, other._b
-        return _grat(a * c - b * e, a * e + b * c, self._d * other._d)
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        a, b = self._a, self._b
-        if not a and not b:
-            raise ZeroDivisionError("inverse of zero Gaussian rational")
-        # d/(a + b i) = d (a - b i)/(a^2 + b^2)
-        return _grat(self._d * a, -self._d * b, a * a + b * b)
-
-    def __truediv__(self, other):
-        if not isinstance(other, GRat):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = GRat(other)
-        return self * other.inverse()
-
-    def conjugate(self):
-        return _normal(self._a, -self._b, self._d)
 
     def __repr__(self):
         re, im = self.re, self.im
@@ -274,9 +226,8 @@ class ConstExpr:
         """psi^(m)(1) for even m >= 2, stored as a zeta-basis monomial."""
         if m + 1 not in ZETA_ARGS:
             raise ValueError(f"psi^({m})(1) not supported")
-        zeta_name = f"zeta{m + 1}"
-        factor = Fraction((-1) ** (m + 1) * factorial(m))
-        return cls.monomial(GRat(factor) * as_grat(coef), **{zeta_name: 1})
+        return cls.monomial(as_grat(coef), **{f"zeta{m + 1}": 1}).scalar_mul(
+            (-1) ** (m + 1) * factorial(m))
 
     # -- predicates ----------------------------------------------------
 
@@ -392,15 +343,7 @@ class ConstExpr:
             return self.inverse_monomial() ** (-k)
         if k == 0:
             return ConstExpr.one()
-        out = None
-        base = self
-        while k:
-            if k & 1:
-                out = base if out is None else out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
+        return _power(self, k)
 
     def scalar_mul(self, c) -> "ConstExpr":
         c = as_grat(c)
@@ -413,11 +356,14 @@ class ConstExpr:
 
     def inverse_monomial(self) -> "ConstExpr":
         """Exact inverse, defined only for a single-term expression."""
+        if not self.terms:
+            raise ZeroDivisionError("inverse of zero")
         if len(self.terms) != 1:
             raise ValueError("only monomials are invertible exactly")
         (e, (a, b)), = self.terms.items()
         _check_keys((-e,))
-        return _single(-e, _normal(a, b, self.den).inverse())
+        # den/(a + b i) = den (a - b i)/(a^2 + b^2)
+        return _single(-e, _grat(self.den * a, -self.den * b, a * a + b * b))
 
     def conjugate(self) -> "ConstExpr":
         """Complex conjugate assuming all generators are real-valued."""
@@ -500,7 +446,7 @@ class ConstExpr:
         out = []
         for e, c in self.sorted_terms():
             psi_pows = {}
-            coef = c
+            scale = Fraction(1)
             rest = {}
             for i, k in enumerate(e):
                 if not k:
@@ -510,12 +456,12 @@ class ConstExpr:
                     m = _ZETA_ARG[name] - 1
                     if k < 0:
                         raise ValueError("negative zeta power has no psi form")
-                    coef = coef * GRat(Fraction((-1) ** (m + 1),
-                                                factorial(m)) ** k)
+                    scale *= Fraction((-1) ** (m + 1), factorial(m)) ** k
                     psi_pows[m] = psi_pows.get(m, 0) + k
                 else:
                     rest[name] = k
-            out.append((coef, psi_pows, rest))
+            p, q = scale.numerator, scale.denominator
+            out.append((_grat(c._a * p, c._b * p, c._d * q), psi_pows, rest))
         return out
 
     def str_psi(self) -> str:
@@ -679,6 +625,20 @@ def _single(key, c: GRat) -> ConstExpr:
     """The one-term ConstExpr ``c`` times the monomial ``key``: a GRat's
     normal form is the canonical form of one term."""
     return _make({key: (c._a, c._b)}, c._d) if c else _make({}, 1)
+
+
+def _power(base, k: int):
+    """``base ** k`` for ``k >= 1`` by square-and-multiply: floor(log2 k)
+    squarings and popcount(k) - 1 further products, for any type with
+    ``*``."""
+    out = None
+    while k:
+        if k & 1:
+            out = base if out is None else out * base
+        k >>= 1
+        if k:
+            base = base * base
+    return out
 
 
 def _coerce(x) -> ConstExpr:

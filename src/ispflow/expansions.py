@@ -94,13 +94,10 @@ def eta_series(g_order: int, x_order: int) -> TruncSeries:
 def _inv_linear(j: int, g_order: int) -> TruncSeries:
     """1/(1 + ig + j) expanded in g: sum_t (-i)^t g^t / (j+1)^(t+1)."""
     coeffs = {}
-    base = j + 1
-    minus_i_over = GRat(0, Fraction(-1, base))
-    cur = GRat(Fraction(1, base))
     for t in range(g_order + 1):
-        if cur:
-            coeffs[(t,)] = ConstExpr.number(cur.re, cur.im)
-        cur = cur * minus_i_over
+        re, im = ((1, 0), (0, -1), (-1, 0), (0, 1))[t % 4]    # (-i)^t
+        q = Fraction(1, (j + 1) ** (t + 1))
+        coeffs[(t,)] = ConstExpr.number(re * q, im * q)
     return TruncSeries(("g",), coeffs, (0,), (g_order,))
 
 

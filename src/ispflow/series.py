@@ -27,7 +27,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from .constexpr import (DEFAULT_DPS, ConstExpr, GeneratorValues, GRat,
-                        _coerce, as_grat)
+                        _coerce, _power)
 
 INF_ORDER = 10 ** 9  # sentinel: exact in this variable (polynomial)
 
@@ -225,15 +225,7 @@ class TruncSeries:
         if k == 0:
             return TruncSeries.const(1, self.variables,
                                      (INF_ORDER,) * len(self.variables))
-        out = None
-        base = self
-        while k:
-            if k & 1:
-                out = base if out is None else out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
+        return _power(self, k)
 
     def shift(self, name, k):
         """Multiply by (variable)^k with Laurent bookkeeping."""
@@ -293,10 +285,8 @@ class TruncSeries:
         return out
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction, GRat)):
-            return self * as_grat(other).inverse()
-        if isinstance(other, ConstExpr):
-            return self * other.inverse_monomial()
+        if isinstance(other, (int, Fraction, GRat, ConstExpr)):
+            return self * _coerce(other).inverse_monomial()
         a, b = self._aligned(other)
         return a * b.inverse()
 

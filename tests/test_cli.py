@@ -112,17 +112,22 @@ def test_input_error_codes(tmp_path):
     ["beta", "--sector", "scattering", "--orders", "sector=7"],
     ["coeffs", "--orders", "rho=5"],
     ["groundstate", "--max-sector", "3"],
+    ["coeffs", "--config", str(Path(__file__).resolve().parent
+                               / "no-such.conf")],
+    ["coeffs", "--config", str(Path(__file__).resolve().parent)],
 ], ids=["phase-pmin0", "beta-gmax0", "beta-points0", "phase-points0",
         "contour-points0", "crosscheck-points0", "beta-g30",
         "groundstate-g20", "groundstate-branch-1", "contour-branches3..1",
         "contour-branches0,0",
         "beta-tolerance-1",
         "beta-tolerance-nan", "groundstate-sector7", "beta-scattering-sector7",
-        "coeffs-rho5", "groundstate-max-sector3"])
+        "coeffs-rho5", "groundstate-max-sector3", "coeffs-config-missing",
+        "coeffs-config-directory"])
 def test_refused_requests_exit_4(tmp_path, argv):
     """Empty or non-positive sweeps, negative branches, odd top sectors,
-    removed knobs and orders past the zeta ladder are input errors, not a
-    traceback, an empty file, a rewritten order or a shorter series."""
+    removed knobs, orders past the zeta ladder and a config path that
+    names no readable file are input errors, not a traceback, an empty
+    file, a rewritten order or a shorter series."""
     assert main(argv + ["--out", str(tmp_path)]) == 4
     assert not any(tmp_path.iterdir())
 

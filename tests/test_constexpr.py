@@ -135,6 +135,25 @@ def test_monomial_inverse_and_negative_powers():
         (PI + GAMMA).inverse_monomial()
 
 
+def test_zero_divisor_raises_zero_division_error():
+    """Every way of dividing by an exact zero, a series divided by a zero
+    number of any type included, raises the one ZeroDivisionError."""
+    from ispflow.series import TruncSeries
+    s = TruncSeries.var("g", ("g",), (3,)) + PI
+    zero_divisions = [
+        lambda: s / 0,
+        lambda: s / Fraction(0),
+        lambda: s / GRat(0),
+        lambda: s / ConstExpr.zero(),
+        lambda: ConstExpr.zero().inverse_monomial(),
+        lambda: ConstExpr.zero() ** -2,
+        lambda: ConstExpr.monomial(1, pi=-1).substitute("pi", 0),
+    ]
+    for divide in zero_divisions:
+        with pytest.raises(ZeroDivisionError):
+            divide()
+
+
 def test_power_equals_repeated_product_with_fewest_products(monkeypatch):
     """x ** k is the k-fold product for k = 0..6, and x ** -k the k-fold
     product of the inverse of a monomial; binary powering starts from x, so
@@ -222,7 +241,22 @@ def _assert_normal(z):
     assert z or (a, b, d) == (0, 0, 1)
 
 
+def _number_pair(e):
+    """The (re, im) pair of a constant ConstExpr, read back through
+    sorted_terms(), whose one GRat must be in normal form; zero has no
+    term and reads (0, 0)."""
+    terms = e.sorted_terms()
+    if not terms:
+        return (0, 0)
+    (exp, c), = terms
+    assert not any(exp)
+    _assert_normal(c)
+    return _pair(c)
+
+
 def test_grat_matches_fraction_pair_reference():
+    """GRat's normal form, and the ring's arithmetic on numbers, which
+    hands its results back as normal-form GRats, match Fraction pairs."""
     rng = random.Random(20261018)
     for _ in range(2000):
         xr, xi = _random_parts(rng)
@@ -231,21 +265,22 @@ def test_grat_matches_fraction_pair_reference():
         for z in (x, y):
             _assert_normal(z)
         assert _pair(x) == (xr, xi)
-        for got, want in ((x + y, (xr + yr, xi + yi)),
-                          (x - y, (xr - yr, xi - yi)),
-                          (x * y, _ref_mul((xr, xi), (yr, yi))),
-                          (-x, (-xr, -xi)),
-                          (x.conjugate(), (xr, -xi))):
-            _assert_normal(got)
-            assert _pair(got) == want
+        u, v = ConstExpr.number(xr, xi), ConstExpr.number(yr, yi)
+        for got, want in ((u + v, (xr + yr, xi + yi)),
+                          (u - v, (xr - yr, xi - yi)),
+                          (u * v, _ref_mul((xr, xi), (yr, yi))),
+                          (-u, (-xr, -xi)),
+                          (u.conjugate(), (xr, -xi))):
+            assert _number_pair(got) == want
         if y:
-            q = x / y
-            _assert_normal(q)
-            assert _pair(q) == _ref_mul((xr, xi), _ref_inverse((yr, yi)))
-            assert _pair(y.inverse()) == _ref_inverse((yr, yi))
+            q = u * v.inverse_monomial()
+            assert _number_pair(q) == _ref_mul((xr, xi),
+                                               _ref_inverse((yr, yi)))
+            assert _number_pair(v.inverse_monomial()) == _ref_inverse(
+                (yr, yi))
         else:
             with pytest.raises(ZeroDivisionError):
-                x / y
+                v.inverse_monomial()
         same = GRat(Fraction(xr.numerator * 3, xr.denominator * 3), xi)
         assert same == x and hash(same) == hash(x)
         assert (x == y) == ((xr, xi) == (yr, yi))
@@ -257,7 +292,8 @@ def test_grat_integer_and_zero_forms():
     assert (GRat(6, 4)._a, GRat(6, 4)._b, GRat(6, 4)._d) == (6, 4, 1)
     z = GRat(Fraction(2, 4), Fraction(-3, 6))
     assert (z._a, z._b, z._d) == (1, -1, 2)
-    zero = GRat(3, 1) - GRat(3, 1)
+    x = (Fraction(3), Fraction(1))
+    zero = GRat(x[0] - x[0], x[1] - x[1])
     assert (zero._a, zero._b, zero._d) == (0, 0, 1) and not zero
     assert GRat(Fraction(3, -4)).re == Fraction(-3, 4)
     assert GRat(0.5, "1/3") == GRat(Fraction(1, 2), Fraction(1, 3))
@@ -287,6 +323,10 @@ def test_grat_defers_to_constexpr_and_series_operands():
         two + 1.5
     with pytest.raises(TypeError):
         two / PI
+    # the ring's is the one arithmetic: a GRat has none of its own
+    for op in (lambda: two + two, lambda: two * two, lambda: -two):
+        with pytest.raises(TypeError):
+            op()
 
 
 def test_coerce_rejects_floats():
@@ -390,13 +430,16 @@ def test_substitute_groups_powers_without_changing_result():
 
 
 def _tuple_mul(x, y):
-    """Reference product over tuple-keyed term dicts."""
+    """Reference product over tuple-keyed term dicts, on (re, im) Fraction
+    pairs of the GRat coefficients."""
     out = {}
     for e1, c1 in x.items():
         for e2, c2 in y.items():
             e = tuple(a + b for a, b in zip(e1, e2))
-            out[e] = out.get(e, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c}
+            re, im = out.get(e, (0, 0))
+            p = _ref_mul(_pair(c1), _pair(c2))
+            out[e] = (re + p[0], im + p[1])
+    return {e: GRat(*c) for e, c in out.items() if any(c)}
 
 
 def _random_exponents(rng):
@@ -425,8 +468,8 @@ def test_packed_keys_match_a_tuple_reference():
         for e, c in x.items():
             if c:
                 inv = ConstExpr({e: c}).inverse_monomial()
-                assert inv.sorted_terms() == [(tuple(-p for p in e),
-                                               c.inverse())]
+                assert inv.sorted_terms() == [
+                    (tuple(-p for p in e), GRat(*_ref_inverse(_pair(c))))]
                 assert ConstExpr({e: c}) * inv == 1
     # negative powers on the first (pi) and the last (shat) field
     assert min(first) < 0 and min(last) < 0

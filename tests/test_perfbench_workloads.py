@@ -1,12 +1,16 @@
-"""Every benchmark workload runs one small job to completion.
+"""Every benchmark workload runs one small and one full-size job to
+completion.
 
 The benchmark runner (``perfbench/run.py``) counts a raise inside a
 workload stage as a failed check, but a worker that raises outside one (at
 import, in ``inputs``, or in a workload's own imports in ``run``), prints
 no ``RESULT`` line or passes the deadline exits non-zero and fails the
-whole run.  Each case runs one untimed ``--small`` job of one workload from
-the repository root, as the runner does, and leaves no file behind."""
+whole run.  Each case runs one untimed job of one workload, ``--small``
+or at the size the benchmark measures, from the repository root, as the
+runner does, and leaves no file behind.  A full-size job must also end
+within the runner's allowance for one job (``JOB_ALLOWANCE_S``)."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -20,17 +24,27 @@ OUT = ROOT / "perfbench" / "out"
 WORKLOADS = ("exact-bound", "exact-scatter", "flow", "divergence")
 
 
+def _job_allowance_s(monkeypatch):
+    """``JOB_ALLOWANCE_S`` of ``perfbench/run.py``, imported without
+    writing bytecode next to it."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    run = importlib.import_module("run")
+    del sys.modules["run"], sys.modules["spans"]
+    return run.JOB_ALLOWANCE_S
+
+
 def _out_listing():
     return sorted(p.name for p in OUT.iterdir()) if OUT.is_dir() else None
 
 
-@pytest.mark.parametrize("workload", WORKLOADS)
-def test_workload_runs_one_small_job(workload):
+def _run_one_job(workload, *flags):
+    """The jobs of one untimed worker run, checked for failures."""
     before = _out_listing()
     try:
         proc = subprocess.run(
             [sys.executable, "-B", "perfbench/worker.py", "--workload",
-             workload, "--seed", "7", "--mode", "run", "--small",
+             workload, "--seed", "7", "--mode", "run", *flags,
              "--seconds", "0"],
             cwd=ROOT, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
             capture_output=True, text=True, timeout=300)
@@ -50,3 +64,16 @@ def test_workload_runs_one_small_job(workload):
         dps_before, dps_after = job["dps_before_after"]
         assert dps_before == dps_after
     assert _out_listing() == before
+    return jobs
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_workload_runs_one_small_job(workload):
+    _run_one_job(workload, "--small")
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_workload_runs_one_full_job(workload, monkeypatch):
+    allowance = _job_allowance_s(monkeypatch)
+    for job in _run_one_job(workload):
+        assert job["wall_s"] < allowance
