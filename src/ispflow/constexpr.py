@@ -9,9 +9,13 @@ this ring as their coefficient field, so every printed table entry is exact.
 
 A ``ConstExpr`` keeps all its coefficients over one shared denominator:
 integer ``(re, im)`` numerator pairs per term and one integer ``den``, in
-a canonical form (see the class).  A product is integer arithmetic and one
-content gcd; a sum rescales to the lcm of the denominators and needs the
-content gcd only when the two operands share a key.  ``GRat`` is the
+a canonical form (see the class).  Every product is a fused dot product,
+``_dot``: the sum of ``x * y`` over many pairs is integer arithmetic over
+the lcm of the pairs' denominators and one content gcd, and ``x * y`` is
+its one-pair case, so a series coefficient or a substitution reduces once,
+not once per product and again per sum.  A sum rescales to the lcm of the
+denominators and needs the content gcd only when the two operands share a
+key.  ``GRat`` is the
 single-coefficient value that display and serialization hand out and
 that the ring takes as a coefficient; it does no arithmetic of its own,
 so all Gaussian-rational arithmetic is the ring's.
@@ -78,18 +82,20 @@ class GRat:
 
     Stored in normal form: ``d > 0``, ``gcd(a, b, d) == 1``, zero is
     ``(0, 0, 1)``; ``re`` and ``im`` are read-only Fraction views of the
-    two parts.  A GRat is a value to read, compare, hash, print and hand
-    to the ring as a coefficient; it defines no arithmetic, which is all
-    done in ConstExpr (``ConstExpr.number(re, im)`` lifts one into it).
+    two parts, which must be ints or Fractions (TypeError otherwise: a
+    float or string is not an exact number).  A GRat is a value to read,
+    compare, hash, print and hand to the ring as a coefficient; it defines
+    no arithmetic, which is all done in ConstExpr
+    (``ConstExpr.number(re, im)`` lifts one into it).
     """
 
     __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        if not isinstance(re, (int, Fraction)):
-            re = Fraction(re)
-        if not isinstance(im, (int, Fraction)):
-            im = Fraction(im)
+        for part in (re, im):
+            if not isinstance(part, (int, Fraction)):
+                raise TypeError(f"a Gaussian rational takes ints and "
+                                f"Fractions, not {type(part).__name__}")
         p, q = re.numerator, re.denominator
         r, s = im.numerator, im.denominator
         # with both parts reduced, the lcm of their denominators is normal
@@ -238,10 +244,10 @@ class ConstExpr:
         return bool(self.terms)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GRat)):
-            other = _coerce(other)
         if not isinstance(other, ConstExpr):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction, GRat)):
+                return NotImplemented
+            other = _coerce(other)
         return self.den == other.den and self.terms == other.terms
 
     def __hash__(self):
@@ -311,26 +317,7 @@ class ConstExpr:
     def __mul__(self, other):
         if not isinstance(other, ConstExpr):
             other = _coerce(other)
-        terms = other.terms
-        out = {}
-        get = out.get
-        for e1, (a, b) in self.terms.items():
-            for e2, (c, d) in terms.items():
-                e = e1 + e2
-                if b:
-                    re, im = a * c - b * d, a * d + b * c
-                else:
-                    re, im = a * c, a * d
-                s = get(e)
-                if s is not None:
-                    re += s[0]
-                    im += s[1]
-                    if not (re or im):
-                        del out[e]
-                        continue
-                out[e] = (re, im)
-        _check_keys(out)
-        return _reduced(out, self.den * other.den)
+        return _dot(((self, other),))
 
     __rmul__ = __mul__
 
@@ -384,7 +371,8 @@ class ConstExpr:
         """Exact substitution of a generator by a ConstExpr or Gaussian rational.
 
         Terms are grouped by the power ``k`` of the generator, so each
-        ``value**k`` is built once and multiplies its whole group.
+        ``value**k`` is built once, and the sum over the groups of group
+        times power is one ``_dot``.
         """
         idx = _GIDX[name]
         shift = _W * idx
@@ -395,16 +383,11 @@ class ConstExpr:
             groups.setdefault(k, {})[e - (k << shift)] = c
         if groups.keys() <= {0}:
             return self             # the generator does not occur
-        out = _make({}, 1)
-        for k, rest in groups.items():
-            if k:
-                # the product divides out the group's content gcd itself
-                part = _make(rest, self.den) * (
-                    value ** k if k > 0 else value.inverse_monomial() ** (-k))
-            else:
-                part = _reduced(rest, self.den)
-            out = out + part
-        return out
+        one = ConstExpr.one()
+        return _dot([(_make(rest, self.den),
+                      value ** k if k > 0 else
+                      value.inverse_monomial() ** -k if k else one)
+                     for k, rest in groups.items()])
 
     def eval_mp(self, assignment: dict | None = None,
                 dps: int = DEFAULT_DPS):
@@ -619,6 +602,147 @@ def _reduced(terms, den) -> ConstExpr:
         terms = {e: (a // g, b // g) for e, (a, b) in terms.items()}
         den //= g
     return _make(terms, den)
+
+
+def _dot(pairs, runs=None, moved=None) -> ConstExpr:
+    """The canonical sum of ``x * y`` over a sequence of ConstExpr
+    ``pairs``: one common denominator, one content gcd.
+
+    Each pair's numerators are scaled to the lcm of the ``x.den * y.den``
+    (one pair needs no lcm) and accumulated in one dict.  Every key formed
+    is range-checked, cancelled or not, since out-of-range terms of two
+    pairs can cancel.
+
+    The terms come out in the order that adding the products one at a
+    time leaves them in (each run's products, if ``runs`` gives the
+    lengths of consecutive runs of pairs, then the run sums), since
+    ``eval_mp`` adds the terms in that order: a sum keeps a key where it
+    entered and drops it where it cancels.  Until some key cancels, that
+    is the order the keys are first formed in; see ``_in_sum_order``.
+    """
+    if len(pairs) == 1:
+        x, y = pairs[0]
+        den = x.den * y.den
+    else:
+        dens = [x.den * y.den for x, y in pairs]
+        den = lcm(*dens)
+        # x over the denominator den // y.den, so that x.den * y.den == den
+        pairs = [(x, y) if d == den else
+                 (_make({e: (a * (den // d), b * (den // d))
+                         for e, (a, b) in x.terms.items()}, den // y.den), y)
+                 for (x, y), d in zip(pairs, dens)]
+    out = {}
+    setdefault = out.setdefault
+    cancelled = ()
+    emptied = False
+    for x, y in pairs:
+        terms = y.terms.items()
+        for e1, (a, b) in x.terms.items():
+            for e2, (c, d) in terms:
+                e = e1 + e2
+                if b:
+                    t = (a * c - b * d, a * d + b * c)
+                else:
+                    t = (a * c, a * d)
+                # one lookup stores a new key; an old one is summed
+                s = setdefault(e, t)
+                if s is not t:
+                    re = s[0] + t[0]
+                    im = s[1] + t[1]
+                    if re or im:
+                        out[e] = (re, im)
+                    else:
+                        del out[e]
+                        cancelled += (e,)
+                        emptied = emptied or not out
+    _check_keys(out)
+    if cancelled:
+        _check_keys(cancelled)
+        # one product's own sum is the order; past that, the order moves
+        # only for a key that cancelled and came back, or for a sum that
+        # vanished whole and grew again, which needs every cancelled key
+        back = out.keys() & cancelled
+        if len(pairs) > 1 and out and (emptied or back):
+            out = _in_sum_order(pairs, runs, out,
+                                cancelled if emptied else back, moved)
+    return _reduced(out, den)
+
+
+def _in_sum_order(pairs, runs, out, watched, moved) -> dict:
+    """``out``, the summed numerators of ``_dot``'s scaled ``pairs``, in
+    the order of adding the products one at a time: each run's, then the
+    run sums.
+
+    A key that never cancelled entered every partial sum with the term
+    that first formed it.  Each ``watched`` key, a key that cancelled, is
+    followed through its sums in the product, the run and the total; each
+    sum notes the term the key last entered it with, and the key takes its
+    total's.  If every cancelled key is watched and the whole sum vanished
+    and grew again, ``moved`` (a list, if given) receives the (run, pair)
+    indices of the product it last grew from.
+    """
+    # a watched key -> its [re, im, entry term] in the product, run and
+    # total; any other key -> the index of the term that first formed it
+    place = {e: ([0, 0, 0], [0, 0, 0], [0, 0, 0]) for e in watched}
+    sums = list(place.values())
+    n_watched = len(place)
+    setdefault = place.setdefault
+
+    def vanished():
+        return len(place) == n_watched and not any(
+            run[0] + total[0] or run[1] + total[1] for _, run, total in sums)
+
+    i = start = 0
+    grew = None
+    for r, n in enumerate(runs or (len(pairs),)):
+        fresh = vanished()
+        in_run = []         # the sums a product of this run reached
+        for p in range(n):
+            if fresh and vanished():
+                entry = p
+            in_product = []     # the sums this product reached
+            x, y = pairs[start + p]
+            terms = y.terms.items()
+            for e1, (a, b) in x.terms.items():
+                for e2, (c, d) in terms:
+                    s = setdefault(e1 + e2, i)
+                    if s.__class__ is tuple:
+                        product = s[0]
+                        if not (product[0] or product[1]):
+                            product[2] = i
+                            in_product.append(s)
+                        product[0] += a * c - b * d
+                        product[1] += a * d + b * c
+                    i += 1
+            for s in in_product:
+                if _carry(s[0], s[1]):
+                    in_run.append(s)
+        start += n
+        for s in in_run:
+            _carry(s[1], s[2])
+        if fresh and not vanished():
+            grew = (r, entry)
+    if grew not in (None, (0, 0)) and moved is not None:
+        moved.append(grew)
+
+    def where(e):
+        s = place[e]
+        return s[2][2] if s.__class__ is tuple else s
+    return {e: out[e] for e in sorted(out, key=where)}
+
+
+def _carry(part, whole) -> bool:
+    """Add the partial sum ``part`` ([re, im, entry term]) into ``whole``,
+    which enters with part's term if it was zero, and clear ``part``;
+    True if ``part`` was not zero."""
+    if not (part[0] or part[1]):
+        return False
+    if not (whole[0] or whole[1]):
+        whole[2] = part[2]
+    whole[0] += part[0]
+    whole[1] += part[1]
+    part[0] = part[1] = 0
+    return True
 
 
 def _single(key, c: GRat) -> ConstExpr:

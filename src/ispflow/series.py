@@ -8,12 +8,20 @@ truncation order ``trunc_order``.  Arithmetic propagates truncation
 metadata conservatively, so a coefficient is stored only when it is
 actually determined by the inputs.
 
+A series product groups its term pairs by output exponent and forms each
+coefficient as one ring dot product (``_products`` over ``constexpr._dot``):
+one common denominator and one content gcd per coefficient, and no ring
+product for a pair past the truncation.
+
 Inverse, exp and log share one kernel (``_unit_function``): the first-order
 coefficient recurrences of (1+w)^-1, exp(w) and log(1+w) over the parts of
-w of equal total degree in the finitely truncated variables, each product
-truncated to the box.  ``lagrange_coefficients`` (Lagrange-Buermann
-inversion) solves y = t phi(y) in closed form for reversion, the coupling
-tables, the transseries sectors and the flow-ODE unit.  There are no tables
+w of equal total degree in the finitely truncated variables.  Each step
+sum_j w_j b_(n-j) is one ``_products`` call over all its series products,
+so only the terms inside the box are formed.
+
+``lagrange_coefficients`` (Lagrange-Buermann inversion) solves
+y = t phi(y) in closed form for reversion, the coupling tables, the
+transseries sectors and the flow-ODE unit.  There are no tables
 of elementary functions: their users build them from exp and log, e.g.
 tan w = Im e^(iw) / Re e^(iw) and arctan w = Im log(1 + iw) for real w.
 
@@ -23,11 +31,12 @@ Truncation orders are explicit everywhere; there is no global default.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, le
 
 import mpmath as mp
 
 from .constexpr import (DEFAULT_DPS, ConstExpr, GeneratorValues, GRat,
-                        _coerce, _power)
+                        _coerce, _dot, _power)
 
 INF_ORDER = 10 ** 9  # sentinel: exact in this variable (polynomial)
 
@@ -197,24 +206,7 @@ class TruncSeries:
         md = tuple(ma + mb if ma < INF_ORDER and mb < INF_ORDER else 0
                    for ma, mb in zip(la, lb))
         md = tuple(max(m, HARD_MIN_DEGREE) if m < 0 else min(m, 0) for m in md)
-        # a product exponent can pass below the floor only where the lead
-        # exponents sum below it
-        below_floor = any(ma + mb < HARD_MIN_DEGREE for ma, mb in zip(la, lb))
-        out = {}
-        for e1, c1 in a.coeffs.items():
-            for e2, c2 in b.coeffs.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                if any(x > t for x, t in zip(e, to)):
-                    continue
-                if below_floor and any(x < HARD_MIN_DEGREE for x in e):
-                    raise SeriesError(f"product exponent {e} below hard floor")
-                c = c1 * c2
-                s = out.get(e)
-                s = c if s is None else s + c
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
+        out = _products(((a.coeffs, b.coeffs),), to)
         return _from_coeffs(a.variables, out, md, to)
 
     __rmul__ = __mul__
@@ -499,8 +491,9 @@ def _unit_function(kind, variables, w, box) -> dict:
         log      d_n = n w_n - sum_{j=1..n-1} w_j d_{n-j},  l_n = d_n / n
 
     (d = E log(1+w) = Ew / (1+w)).  Every exponent is nonnegative, so no
-    monomial outside the box multiplies back into it, and each product is
-    truncated to the box.
+    monomial outside the box multiplies back into it: each step is one
+    ``_products`` call over its pairs (w_j, b_(n-j)), which forms only the
+    terms inside the box.  w must lie in the box.
     """
     finite = [i for i, t in enumerate(box) if t < INF_ORDER]
     parts = {}
@@ -513,26 +506,96 @@ def _unit_function(kind, variables, w, box) -> dict:
                               "finitely truncated variable, so the series "
                               "does not terminate")
         parts.setdefault(n, {})[e] = c
-    parts = {n: TruncSeries(variables, p, None, box) for n, p in parts.items()}
-    factors = {j: p * j if kind == "exp" else -p for j, p in parts.items()}
-    done = {} if kind == "log" else {0: TruncSeries.const(1, variables, box)}
+    factors = {j: {e: c.scalar_mul(j) if kind == "exp" else -c
+                   for e, c in p.items()} for j, p in parts.items()}
+    zero = (0,) * len(variables)
+    done = {} if kind == "log" else {0: {zero: ConstExpr.one()}}
     for n in range(1, sum(box[i] for i in finite) + 1):
-        acc = TruncSeries.zero(variables, box)
+        pairs = [(f, done[n - j]) for j, f in factors.items() if n - j in done]
         if kind == "log" and n in parts:
-            acc = parts[n] * n
-        for j, f in factors.items():
-            if n - j in done:
-                acc = acc + (f * done[n - j]).truncate(box)
+            pairs.insert(0, (parts[n], {zero: ConstExpr.number(n)}))
+        acc = _products(pairs, box)
         if kind == "exp":
-            acc = acc * Fraction(1, n)
-        if not acc.is_zero():
+            acc = {e: c.scalar_mul(Fraction(1, n)) for e, c in acc.items()}
+        if acc:
             done[n] = acc
     out = {}
     for n, part in done.items():
         if kind == "log":
-            part = part * Fraction(1, n)
-        out.update(part.coeffs)
+            part = {e: c.scalar_mul(Fraction(1, n)) for e, c in part.items()}
+        out.update(part)
     return out
+
+
+def _products(pairs, to) -> dict:
+    """The nonzero coefficients through ``to`` of the sum of ``a * b`` over
+    ``pairs`` of coefficient dicts on one variable tuple.
+
+    The term pairs are grouped by output exponent, and each coefficient is
+    one ``_dot``: one common denominator and one content gcd.  A pair past
+    ``to`` is dropped before its ring product is formed; a kept exponent
+    below the hard floor raises SeriesError.  Exponents and terms keep the
+    order of adding the products one at a time, each series product's
+    first, then the series products (see ``_dot``).
+    """
+    groups = {}     # exponent -> (term pairs, their count per series product)
+    for a, b in pairs:
+        run = {}
+        get = run.get
+        b = b.items()
+        for e1, c1 in a.items():
+            for e2, c2 in b:
+                e = tuple(map(add, e1, e2))
+                if not all(map(le, e, to)):
+                    continue
+                group = get(e)
+                if group is None:
+                    if any(x < HARD_MIN_DEGREE for x in e):
+                        raise SeriesError(f"product exponent {e} below hard "
+                                          "floor")
+                    run[e] = [(c1, c2)]
+                else:
+                    group.append((c1, c2))
+        for e, group in run.items():
+            have = groups.get(e)
+            if have is None:
+                groups[e] = (group, [len(group)])
+            else:
+                have[0].extend(group)
+                have[1].append(len(group))
+    out = {}
+    moved = []
+    grew = {}       # exponent -> (run, pair) its coefficient last grew from
+    for e, (group, runs) in groups.items():
+        c = _dot(group, runs, moved)
+        if moved:
+            grew[e] = moved.pop()
+        if c:
+            out[e] = c
+    if grew:
+        out = {e: out[e] for e in sorted(out, key=_places(pairs, to, grew))}
+    return out
+
+
+def _places(pairs, to, grew):
+    """The sort key that puts each exponent where adding the products one
+    at a time leaves it: at the pair its coefficient last grew from,
+    ``grew[e]`` (run and pair among its own), or else its first."""
+    seen = {}       # exponent -> {series product: [pair indices]}
+    for r, (a, b) in enumerate(pairs):
+        i = 0
+        for e1 in a:
+            for e2 in b:
+                e = tuple(map(add, e1, e2))
+                if all(map(le, e, to)):
+                    seen.setdefault(e, {}).setdefault(r, []).append(i)
+                i += 1
+
+    def place(e):
+        r, p = grew.get(e, (0, 0))
+        run, at = list(seen[e].items())[r]
+        return run, at[p]
+    return place
 
 
 def lagrange_coefficients(phi: TruncSeries, var: str, n: int) -> dict:

@@ -296,7 +296,8 @@ def test_grat_integer_and_zero_forms():
     zero = GRat(x[0] - x[0], x[1] - x[1])
     assert (zero._a, zero._b, zero._d) == (0, 0, 1) and not zero
     assert GRat(Fraction(3, -4)).re == Fraction(-3, 4)
-    assert GRat(0.5, "1/3") == GRat(Fraction(1, 2), Fraction(1, 3))
+    with pytest.raises(TypeError):
+        GRat(0.5, "1/3")
     assert repr(GRat(Fraction(1, 2), Fraction(-1, 3))) == "(1/2-1/3i)"
 
 
@@ -330,13 +331,22 @@ def test_grat_defers_to_constexpr_and_series_operands():
 
 
 def test_coerce_rejects_floats():
-    """Only exact numbers enter the ring: ints, Fractions and GRats."""
+    """Only exact numbers enter the ring: ints, Fractions and GRats, by
+    coercion or by a constructor."""
     from ispflow.constexpr import _coerce
     assert _coerce(Fraction(1, 2)) == ConstExpr.number(Fraction(1, 2))
     assert _coerce(GRat(0, 3)) == ConstExpr.number(0, 3)
     for bad in (0.5, 1j, "1/2"):
         with pytest.raises(TypeError):
             _coerce(bad)
+    refusals = (lambda: ConstExpr.number(0.1),
+                lambda: ConstExpr.number(1, 0.1),
+                lambda: ConstExpr.monomial(0.1, pi=1),
+                lambda: GRat(0.5),
+                lambda: GRat(1, "1/3"))
+    for refuse in refusals:
+        with pytest.raises(TypeError):
+            refuse()
 
 
 def test_real_grat_hashes_like_its_number():

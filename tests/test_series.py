@@ -7,6 +7,7 @@ from math import factorial
 import mpmath as mp
 import pytest
 
+from ispflow import series
 from ispflow.constexpr import ConstExpr, GRat
 from ispflow.expansions import arg_gamma_series, phase_branch_offset
 from ispflow.scatter import half_coth_series
@@ -221,6 +222,10 @@ def test_nonterminating_series_raise_at_once(monkeypatch):
     mul = TruncSeries.__mul__
     monkeypatch.setattr(TruncSeries, "__mul__",
                         lambda a, b: products.append(1) or mul(a, b))
+    kernel = series._products
+    monkeypatch.setattr(series, "_products",
+                        lambda pairs, to: products.append(1)
+                        or kernel(pairs, to))
     for call in endless:
         with pytest.raises(SeriesError, match="finitely truncated"):
             call()
