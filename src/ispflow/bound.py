@@ -139,20 +139,56 @@ class BetaTransseries:
 
 
 def beta_transseries(f: Transseries, max_sector: int | None = None) -> BetaTransseries:
-    """beta = -f / (df/dg) by graded division, on the branch of f.
+    """beta = -f / (df/dg), sector by sector in closed form, on the branch
+    and flavor of f.
 
-    A ``max_sector`` past the last sector the division yields raises
+    f must come from ``solve_sector_ansatz``, which leaves its prefactors
+    R_l and growth unit E on it; any other transseries raises SeriesError.
+    With u = E eps, f = sum_l R_l u^l and V = (log u)' = (2b+1) pi/g^2 +
+    (log E)', so f' = u sum_k b_k u^(2k) with b_k = R_l' + l V R_l for
+    l = 2k+1.  Then beta = -sum_j q_j u^(2j), where
+
+        q_0 = 1/V ,   q_j = (R_(2j+1) - sum_(i<j) q_i b_(j-i)) / V ,
+
+    and sector 2j is -q_j E^(2j).  1/V = g^2/((2b+1) pi + g^2 (log E)')
+    is one series inverse.  Both flavors take this one loop: the
+    scattering signs are in the R_l, and the branch enters only through
+    (2b+1) pi.  The sectors and their truncation orders are those of the
+    graded division (-f) / f.derivative_g(), which the tests hold this to.
+
+    Sector f.max_sector - 1 is the last; a ``max_sector`` past it raises
     ``SeriesError``.
     """
-    fp = f.derivative_g()
-    beta = (-f) / fp
-    if max_sector is not None:
-        if max_sector > beta.max_sector:
-            raise SeriesError(f"f gives beta only through sector "
-                              f"{beta.max_sector}, not {max_sector}")
-        # the constructor drops the sectors beyond max_sector
-        beta = Transseries(beta.sectors, beta.branch, beta.flavor, max_sector)
-    out = BetaTransseries(beta)
+    if f.solved is None:
+        raise SeriesError("beta needs the prefactors R_l and the growth unit "
+                          "that solve_sector_ansatz leaves on its f")
+    top = f.max_sector - 1
+    if max_sector is None:
+        max_sector = top
+    elif max_sector > top:
+        raise SeriesError(f"f gives beta only through sector {top}, "
+                          f"not {max_sector}")
+    prefactors, e = f.solved
+    g2_v = (e.log().derivative("g").shift("g", 2)
+            + ConstExpr.monomial(2 * f.branch + 1, pi=1))
+    v, inv_v = g2_v.shift("g", -2), g2_v.inverse().shift("g", 2)
+    e_sq = e * e
+    e_pow = None
+    b, q, sectors = [], [], {}
+    for j in range(max_sector // 2 + 1):
+        r = prefactors[2 * j + 1]
+        b.append(r.derivative("g") + v * r * (2 * j + 1))
+        acc = r
+        for i in range(j):
+            acc = acc - q[i] * b[j - i]
+        q.append(acc * inv_v)
+        if j:
+            e_pow = e_sq if e_pow is None else e_pow * e_sq
+            sectors[2 * j] = -(q[j] * e_pow)
+        else:
+            sectors[0] = -q[0]
+    out = BetaTransseries(Transseries(sectors, f.branch, f.flavor,
+                                      max_sector))
     out.check_sector_structure()
     return out
 

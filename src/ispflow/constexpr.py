@@ -492,8 +492,9 @@ class GeneratorValues:
     works at ``dps`` digits inside the block.  ``values[name]`` is the only
     map from generator names to numbers: pi, gamma and zeta(3..19) by
     default, the rest from the assignment (which may override any).
-    ``values(expr)`` is a ConstExpr's mpc value.  Each value and each power
-    of it is built once, when first used."""
+    ``values(expr)`` is a ConstExpr's mpc value, its terms added in key
+    order, so equal ConstExprs give the same bits however they were built.
+    Each value and each power of it is built once, when first used."""
 
     def __init__(self, assignment: dict | None = None,
                  dps: int = DEFAULT_DPS):
@@ -529,7 +530,7 @@ class GeneratorValues:
     def __call__(self, expr: ConstExpr):
         prec, powers, den = self._prec, self._powers, expr.den
         total = mp.mpc(0)
-        for e, (a, b) in expr.terms.items():
+        for e, (a, b) in sorted(expr.terms.items()):
             # the coefficient correctly rounded to the working precision
             term = mp.make_mpc((from_rational(a, den, prec, "n"),
                                 from_rational(b, den, prec, "n")))
@@ -604,21 +605,15 @@ def _reduced(terms, den) -> ConstExpr:
     return _make(terms, den)
 
 
-def _dot(pairs, runs=None, moved=None) -> ConstExpr:
+def _dot(pairs) -> ConstExpr:
     """The canonical sum of ``x * y`` over a sequence of ConstExpr
     ``pairs``: one common denominator, one content gcd.
 
     Each pair's numerators are scaled to the lcm of the ``x.den * y.den``
     (one pair needs no lcm) and accumulated in one dict.  Every key formed
     is range-checked, cancelled or not, since out-of-range terms of two
-    pairs can cancel.
-
-    The terms come out in the order that adding the products one at a
-    time leaves them in (each run's products, if ``runs`` gives the
-    lengths of consecutive runs of pairs, then the run sums), since
-    ``eval_mp`` adds the terms in that order: a sum keeps a key where it
-    entered and drops it where it cancels.  Until some key cancels, that
-    is the order the keys are first formed in; see ``_in_sum_order``.
+    pairs can cancel.  The order of the terms carries no meaning:
+    ``eval_mp`` adds them in key order.
     """
     if len(pairs) == 1:
         x, y = pairs[0]
@@ -634,7 +629,6 @@ def _dot(pairs, runs=None, moved=None) -> ConstExpr:
     out = {}
     setdefault = out.setdefault
     cancelled = ()
-    emptied = False
     for x, y in pairs:
         terms = y.terms.items()
         for e1, (a, b) in x.terms.items():
@@ -654,95 +648,10 @@ def _dot(pairs, runs=None, moved=None) -> ConstExpr:
                     else:
                         del out[e]
                         cancelled += (e,)
-                        emptied = emptied or not out
     _check_keys(out)
     if cancelled:
         _check_keys(cancelled)
-        # one product's own sum is the order; past that, the order moves
-        # only for a key that cancelled and came back, or for a sum that
-        # vanished whole and grew again, which needs every cancelled key
-        back = out.keys() & cancelled
-        if len(pairs) > 1 and out and (emptied or back):
-            out = _in_sum_order(pairs, runs, out,
-                                cancelled if emptied else back, moved)
     return _reduced(out, den)
-
-
-def _in_sum_order(pairs, runs, out, watched, moved) -> dict:
-    """``out``, the summed numerators of ``_dot``'s scaled ``pairs``, in
-    the order of adding the products one at a time: each run's, then the
-    run sums.
-
-    A key that never cancelled entered every partial sum with the term
-    that first formed it.  Each ``watched`` key, a key that cancelled, is
-    followed through its sums in the product, the run and the total; each
-    sum notes the term the key last entered it with, and the key takes its
-    total's.  If every cancelled key is watched and the whole sum vanished
-    and grew again, ``moved`` (a list, if given) receives the (run, pair)
-    indices of the product it last grew from.
-    """
-    # a watched key -> its [re, im, entry term] in the product, run and
-    # total; any other key -> the index of the term that first formed it
-    place = {e: ([0, 0, 0], [0, 0, 0], [0, 0, 0]) for e in watched}
-    sums = list(place.values())
-    n_watched = len(place)
-    setdefault = place.setdefault
-
-    def vanished():
-        return len(place) == n_watched and not any(
-            run[0] + total[0] or run[1] + total[1] for _, run, total in sums)
-
-    i = start = 0
-    grew = None
-    for r, n in enumerate(runs or (len(pairs),)):
-        fresh = vanished()
-        in_run = []         # the sums a product of this run reached
-        for p in range(n):
-            if fresh and vanished():
-                entry = p
-            in_product = []     # the sums this product reached
-            x, y = pairs[start + p]
-            terms = y.terms.items()
-            for e1, (a, b) in x.terms.items():
-                for e2, (c, d) in terms:
-                    s = setdefault(e1 + e2, i)
-                    if s.__class__ is tuple:
-                        product = s[0]
-                        if not (product[0] or product[1]):
-                            product[2] = i
-                            in_product.append(s)
-                        product[0] += a * c - b * d
-                        product[1] += a * d + b * c
-                    i += 1
-            for s in in_product:
-                if _carry(s[0], s[1]):
-                    in_run.append(s)
-        start += n
-        for s in in_run:
-            _carry(s[1], s[2])
-        if fresh and not vanished():
-            grew = (r, entry)
-    if grew not in (None, (0, 0)) and moved is not None:
-        moved.append(grew)
-
-    def where(e):
-        s = place[e]
-        return s[2][2] if s.__class__ is tuple else s
-    return {e: out[e] for e in sorted(out, key=where)}
-
-
-def _carry(part, whole) -> bool:
-    """Add the partial sum ``part`` ([re, im, entry term]) into ``whole``,
-    which enters with part's term if it was zero, and clear ``part``;
-    True if ``part`` was not zero."""
-    if not (part[0] or part[1]):
-        return False
-    if not (whole[0] or whole[1]):
-        whole[2] = part[2]
-    whole[0] += part[0]
-    whole[1] += part[1]
-    part[0] = part[1] = 0
-    return True
 
 
 def _single(key, c: GRat) -> ConstExpr:

@@ -158,7 +158,8 @@ def solve_sector_ansatz(e_series: TruncSeries, a_odd: dict, max_sector: int,
     generator, so the R_l are computed over Q[g] and each sector is then
     multiplied by E^l once.  a_1 must be exactly 1.  The solve fails loudly
     if the R_l, plugged back into the condition with E = 1, leave a nonzero
-    sector.
+    sector.  The returned transseries carries ({l: R_l}, E) as ``solved``,
+    from which ``bound.beta_transseries`` builds the beta.
     """
     if 0 not in a_odd or a_odd[0] != TruncSeries.const(
             1, ("g",), a_odd[0].trunc_order):
@@ -168,9 +169,8 @@ def solve_sector_ansatz(e_series: TruncSeries, a_odd: dict, max_sector: int,
     g_trunc = min(a.trunc_order[0] for a in a_odd.values())
     a_series = TruncSeries(("g", "X"), terms, None, (g_trunc, max_sector - 1))
     prefactors = lagrange_coefficients(a_series.inverse(), "X", max_sector)
-    rational = Transseries({l: prefactors[l]
-                            for l in range(1, max_sector + 1, 2)},
-                           branch, flavor, max_sector)
+    prefactors = {l: prefactors[l] for l in range(1, max_sector + 1, 2)}
+    rational = Transseries(prefactors, branch, flavor, max_sector)
     unit = TruncSeries.const(1, ("g",), e_series.trunc_order)
     resid = sector_condition_residual(unit, a_odd, rational)
     if resid.sectors:
@@ -178,11 +178,13 @@ def solve_sector_ansatz(e_series: TruncSeries, a_odd: dict, max_sector: int,
                           "prefactor residual do not vanish")
     sectors = {}
     e_pow, e_sq = e_series, e_series * e_series
-    for l in range(1, max_sector + 1, 2):
+    for l, r in prefactors.items():
         if l > 1:
             e_pow = e_pow * e_sq
-        sectors[l] = prefactors[l] * e_pow
-    return Transseries(sectors, branch, flavor, max_sector)
+        sectors[l] = r * e_pow
+    out = Transseries(sectors, branch, flavor, max_sector)
+    out.solved = (prefactors, e_series)
+    return out
 
 
 def sector_condition_residual(e_series: TruncSeries, a_odd: dict,

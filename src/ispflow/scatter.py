@@ -10,8 +10,9 @@ the tangent for its argument turns it into the same polynomial shape as the
 bound condition, with the branch offset arctan(-2 K tanh(pi g/2)) carrying
 all K dependence.  Since eta~(g, sigma) = eta(g, i sigma), every input
 (condition, tangent argument, odd family) is the bound one carried through
-``expansions.imaginary_argument``; coupling table, sector ansatz and beta
-by graded division then run unchanged, with eps = exp(-n pi/g - gamma - K pi).
+``expansions.imaginary_argument``; coupling table, sector ansatz and the
+closed-form beta recurrence then run unchanged, with
+eps = exp(-n pi/g - gamma - K pi).
 
 The cross-sector expansion rewrites the scattering coupling in terms of the
 bound coupling by substituting p/Lambda -> shat * f(g_B) and
@@ -174,7 +175,9 @@ def scatter_momentum_transseries(g_order: int, max_sector: int) -> Transseries:
 
 
 def scatter_beta(max_sector: int, g_order: int = 10) -> BetaTransseries:
-    """Scattering beta by graded division, beta = -sigma(g)/sigma'(g)."""
+    """Scattering beta = -sigma(g)/sigma'(g), sectors 0..max_sector, by
+    ``bound.beta_transseries``'s recurrence: the signs (-1)^((l-1)/2) sit
+    in the prefactors of sigma and E_hat is its growth unit."""
     f_s = scatter_momentum_transseries(g_order, max_sector + 1)
     return beta_transseries(f_s, max_sector)
 

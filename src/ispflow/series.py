@@ -410,8 +410,9 @@ class TruncSeries:
         a variable no term uses needs no value."""
         xs = {}     # variable index -> value, converted when first used
         total = mp.mpc(0)
-        for e, c in self.coeffs.items():
-            term = gens(c)
+        # in exponent order, so equal series give the same bits
+        for e in sorted(self.coeffs):
+            term = gens(self.coeffs[e])
             for i, k in enumerate(e):
                 if k:
                     x = xs.get(i)
@@ -534,14 +535,11 @@ def _products(pairs, to) -> dict:
     The term pairs are grouped by output exponent, and each coefficient is
     one ``_dot``: one common denominator and one content gcd.  A pair past
     ``to`` is dropped before its ring product is formed; a kept exponent
-    below the hard floor raises SeriesError.  Exponents and terms keep the
-    order of adding the products one at a time, each series product's
-    first, then the series products (see ``_dot``).
+    below the hard floor raises SeriesError.
     """
-    groups = {}     # exponent -> (term pairs, their count per series product)
+    groups = {}     # exponent -> its term pairs
+    get = groups.get
     for a, b in pairs:
-        run = {}
-        get = run.get
         b = b.items()
         for e1, c1 in a.items():
             for e2, c2 in b:
@@ -553,49 +551,15 @@ def _products(pairs, to) -> dict:
                     if any(x < HARD_MIN_DEGREE for x in e):
                         raise SeriesError(f"product exponent {e} below hard "
                                           "floor")
-                    run[e] = [(c1, c2)]
+                    groups[e] = [(c1, c2)]
                 else:
                     group.append((c1, c2))
-        for e, group in run.items():
-            have = groups.get(e)
-            if have is None:
-                groups[e] = (group, [len(group)])
-            else:
-                have[0].extend(group)
-                have[1].append(len(group))
     out = {}
-    moved = []
-    grew = {}       # exponent -> (run, pair) its coefficient last grew from
-    for e, (group, runs) in groups.items():
-        c = _dot(group, runs, moved)
-        if moved:
-            grew[e] = moved.pop()
+    for e, group in groups.items():
+        c = _dot(group)
         if c:
             out[e] = c
-    if grew:
-        out = {e: out[e] for e in sorted(out, key=_places(pairs, to, grew))}
     return out
-
-
-def _places(pairs, to, grew):
-    """The sort key that puts each exponent where adding the products one
-    at a time leaves it: at the pair its coefficient last grew from,
-    ``grew[e]`` (run and pair among its own), or else its first."""
-    seen = {}       # exponent -> {series product: [pair indices]}
-    for r, (a, b) in enumerate(pairs):
-        i = 0
-        for e1 in a:
-            for e2 in b:
-                e = tuple(map(add, e1, e2))
-                if all(map(le, e, to)):
-                    seen.setdefault(e, {}).setdefault(r, []).append(i)
-                i += 1
-
-    def place(e):
-        r, p = grew.get(e, (0, 0))
-        run, at = list(seen[e].items())[r]
-        return run, at[p]
-    return place
 
 
 def lagrange_coefficients(phi: TruncSeries, var: str, n: int) -> dict:

@@ -12,6 +12,13 @@ rather than the coefficient ring, so every sector series keeps exact
 polynomial coefficients over the generators; arithmetic is identical either
 way because the constants add under the grading.  Products are graded:
 sector l1 times sector l2 lands in sector l1+l2 only.
+
+``solve_sector_ansatz`` leaves its rational prefactors R_l and growth unit
+E on the transseries it returns (``solved``), from which ``bound``'s beta
+runs its closed-form recurrence; every other transseries carries None.
+The graded division (``derivative_g``, ``truediv_graded``) has no caller
+on the beta path.  It stays as the independent route the tests hold that
+recurrence to, exactly, sector by sector.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ FLAVORS = ("bound", "scattering")
 
 
 class Transseries:
-    __slots__ = ("sectors", "branch", "flavor", "max_sector")
+    __slots__ = ("sectors", "branch", "flavor", "max_sector", "solved")
 
     def __init__(self, sectors: dict, branch: int = 0, flavor: str = "bound",
                  max_sector: int | None = None):
@@ -49,6 +56,7 @@ class Transseries:
             max_sector = max(clean) if clean else 0
         self.max_sector = max_sector
         self.sectors = {l: s for l, s in clean.items() if l <= max_sector}
+        self.solved = None      # ({l: R_l}, E) of solve_sector_ansatz
 
     # -- basic ops ----------------------------------------------------------
 
@@ -163,8 +171,8 @@ class Transseries:
                 expo -= gens["K"] * gens["pi"]
             eps = mp.e ** expo
             total = mp.mpc(0)
-            for l, s in self.sectors.items():
-                total += s._eval({"g": g}, gens) * eps ** l
+            for l in sorted(self.sectors):
+                total += self.sectors[l]._eval({"g": g}, gens) * eps ** l
             return total
 
     def eval_sector_mp(self, l, g, assignment: dict | None = None,

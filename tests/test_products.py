@@ -5,9 +5,11 @@ products of many pairs over one common denominator with one content gcd,
 and ``series._products`` groups the term pairs of one or more series
 products by output exponent.  The references below are the loops they
 replaced: every ring product formed and reduced on its own, then added
-into the running sum.  Besides the values, the references fix the order
-of the terms and of the coefficients (``eval_mp`` adds in that order), so
-the fused kernels must reproduce it exactly, cancellations included.
+into the running sum.  The fused kernels must give the same values, the
+same canonical denominators and the same JSON, cancellations included.
+The order of terms and coefficients carries no meaning: ``eval_mp`` adds
+them in key and exponent order, so equal values built in different
+orders evaluate to the same bits.
 """
 
 import random
@@ -18,6 +20,7 @@ import pytest
 from ispflow import constexpr, series
 from ispflow.constexpr import EXP_MAX, EXP_MIN, PI, ConstExpr, GRat
 from ispflow.series import INF_ORDER, SeriesError, TruncSeries
+from ispflow.transseries import Transseries
 
 
 def _pairwise_ring_mul(x, y):
@@ -115,15 +118,14 @@ def _pairwise_unit_function(kind, variables, w, box):
 
 
 def _assert_same(got, want):
-    """Equal values, the same terms in the same order, the same JSON."""
+    """Equal values over the same denominator, the same JSON."""
     assert got == want
-    assert list(got.terms.items()) == list(want.terms.items())
     assert got.den == want.den
     assert got.to_jsonable() == want.to_jsonable()
 
 
 def _assert_same_coeffs(got, want):
-    assert list(got) == list(want)
+    assert got.keys() == want.keys()
     for e in want:
         _assert_same(got[e], want[e])
 
@@ -180,26 +182,7 @@ def _product_order(a, b):
                  zip(a.trunc_order, b.trunc_order, la, lb))
 
 
-@pytest.fixture
-def exact_order_paths(monkeypatch):
-    """Counts the calls of the paths that restore the order after a
-    cancellation, so a test can show it reached them."""
-    calls = {"terms": 0, "exponents": 0}
-    in_sum_order, places = constexpr._in_sum_order, series._places
-
-    def count_terms(*args):
-        calls["terms"] += 1
-        return in_sum_order(*args)
-
-    def count_exponents(*args):
-        calls["exponents"] += 1
-        return places(*args)
-    monkeypatch.setattr(constexpr, "_in_sum_order", count_terms)
-    monkeypatch.setattr(series, "_places", count_exponents)
-    return calls
-
-
-def test_series_product_matches_the_pairwise_loop(exact_order_paths):
+def test_series_product_matches_the_pairwise_loop():
     rng = random.Random(3131)
     for i in range(300):
         if i % 3 == 0:
@@ -223,28 +206,19 @@ def test_series_product_matches_the_pairwise_loop(exact_order_paths):
             got.variables, want, got.min_degree,
             got.trunc_order).to_jsonable()
         assert all(got.coeffs.values())
-    assert exact_order_paths["terms"] > 0
-    assert exact_order_paths["exponents"] > 0
 
 
-def test_dot_matches_the_pairwise_sum(exact_order_paths):
-    """_dot of any pairs is the sum of their pairwise products, term order
-    included, with one run or several (a sum of run sums)."""
+def test_dot_matches_the_pairwise_sum():
+    """_dot of any pairs is the sum of their pairwise products."""
     rng = random.Random(3232)
     for _ in range(300):
         pairs = [(_random_coefficient(rng), _random_coefficient(rng))
                  for _ in range(rng.randint(1, 6))]
         products = [_pairwise_ring_mul(x, y) for x, y in pairs]
         _assert_same(constexpr._dot(pairs), _pairwise_sum(products))
-        cut = rng.randint(1, len(pairs))
-        runs = [cut, len(pairs) - cut] if cut < len(pairs) else [cut]
-        _assert_same(constexpr._dot(pairs, runs),
-                     _pairwise_sum([_pairwise_sum(products[:cut]),
-                                    _pairwise_sum(products[cut:])]))
         # the one-pair case is the ring product
         x, y = pairs[0]
         _assert_same(x * y, products[0])
-    assert exact_order_paths["terms"] > 0
 
 
 def _plain_coefficient(rng):
@@ -261,8 +235,7 @@ def _plain_coefficient(rng):
 
 
 @pytest.mark.parametrize("kind", ["inverse", "exp", "log"])
-def test_unit_function_matches_the_pairwise_recurrence(kind,
-                                                       exact_order_paths):
+def test_unit_function_matches_the_pairwise_recurrence(kind):
     rng = random.Random({"inverse": 41, "exp": 42, "log": 43}[kind])
     vs = ("g", "x")
     for i in range(120):
@@ -276,7 +249,6 @@ def test_unit_function_matches_the_pairwise_recurrence(kind,
         got = series._unit_function(kind, vs, w, box)
         _assert_same_coeffs(got, _pairwise_unit_function(kind, vs, w, box))
         assert all(got.values())
-    assert exact_order_paths["terms"] > 0
 
 
 def test_public_inverse_exp_log_match_the_pairwise_recurrence():
@@ -297,8 +269,8 @@ def test_public_inverse_exp_log_match_the_pairwise_recurrence():
 
 
 def test_substitute_matches_the_pairwise_sum():
-    """substitute is one _dot over the power groups: the same terms, in
-    the same order, as one product per group added up."""
+    """substitute is one _dot over the power groups: the same value as
+    one product per group added up."""
     rng = random.Random(45)
     for _ in range(200):
         e = _random_coefficient(rng) * _random_coefficient(rng) + \
@@ -355,3 +327,39 @@ def test_dot_refuses_cancelling_terms_outside_the_range():
     with pytest.raises(ValueError):
         constexpr._dot(pairs)
     assert constexpr._dot([(_pi(10), _pi(6)), (-_pi(15), _pi(1))]) == 0
+
+
+def test_equal_values_built_in_any_order_evaluate_to_the_same_bits():
+    """eval_mp depends only on the value: a ConstExpr summed from the
+    same monomials forwards and backwards, a series and a transseries with
+    their coefficients inserted in the two orders, all give bit-identical
+    60-digit values, though the dicts hold their keys in different
+    orders."""
+    rng = random.Random(3301)
+    assignment = {"K": Fraction(3, 7)}
+    reordered = 0
+    for _ in range(300):
+        monomials = [ConstExpr.monomial(
+            GRat(Fraction(rng.randint(-9, 9), rng.randint(1, 7)),
+                 Fraction(rng.randint(-3, 3), rng.randint(1, 5))),
+            **{name: rng.randint(-2, 3) for name in
+               rng.sample(("pi", "gamma", "zeta3", "K"), 2)})
+            for _ in range(6)]
+        forwards = _pairwise_sum(monomials)
+        backwards = _pairwise_sum(reversed(monomials))
+        assert forwards == backwards
+        reordered += list(forwards.terms) != list(backwards.terms)
+        assert forwards.eval_mp(assignment) == backwards.eval_mp(assignment)
+
+        coeffs = {(k,): _random_coefficient(rng) for k in range(5)}
+        a = TruncSeries(("g",), coeffs, None, (4,))
+        b = TruncSeries(("g",), dict(reversed(coeffs.items())), None, (4,))
+        assert a == b and list(a.coeffs) != list(b.coeffs)
+        g = Fraction(rng.randint(1, 9), 10)
+        assert a.eval_mp({"g": g}, assignment) == \
+            b.eval_mp({"g": g}, assignment)
+        sectors = {2 * l: a.shift("g", l) for l in range(3)}
+        ts = [Transseries(dict(items), 0, "scattering")
+              for items in (sectors.items(), reversed(sectors.items()))]
+        assert ts[0].eval_mp(g, assignment) == ts[1].eval_mp(g, assignment)
+    assert reordered > 200

@@ -1,4 +1,8 @@
-"""Graded transseries arithmetic: sector bookkeeping, derivative, division."""
+"""Graded transseries arithmetic: sector bookkeeping, derivative, division.
+
+The graded division -f / f' is also the independent oracle of the beta
+function, which ``bound.beta_transseries`` builds by its closed-form
+recurrence instead."""
 
 import random
 from fractions import Fraction
@@ -6,8 +10,11 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from ispflow.bound import (beta_transseries, build_ground_state_condition,
+                           ground_state_transseries)
 from ispflow.constexpr import ConstExpr
-from ispflow.series import TruncSeries
+from ispflow.scatter import scatter_beta, scatter_momentum_transseries
+from ispflow.series import SeriesError, TruncSeries
 from ispflow.transseries import Transseries
 
 GV = ("g",)
@@ -95,3 +102,54 @@ def test_to_jsonable_lists_sorted_terms():
         "flavor": "bound", "branch": 0, "max_sector": 6,
         "sectors": {str(l): ts.sectors[l].to_jsonable()
                     for l in sorted(ts.sectors)}}
+
+
+def _graded_division(f, max_sector):
+    """beta = -f / f' by graded division, through ``max_sector``."""
+    beta = (-f) / f.derivative_g()
+    return Transseries(beta.sectors, beta.branch, beta.flavor, max_sector)
+
+
+def _assert_same_beta(got, want, g, assignment=None):
+    """The same sectors, truncation orders, coefficients and eval_mp bits."""
+    assert (got.flavor, got.branch, got.max_sector) == \
+        (want.flavor, want.branch, want.max_sector)
+    assert sorted(got.sectors) == sorted(want.sectors)
+    for l, s in want.sectors.items():
+        mine = got.sectors[l]
+        assert mine.trunc_order == s.trunc_order, l
+        assert mine.min_degree == s.min_degree, l
+        assert mine.coeffs == s.coeffs, l
+    assert got.eval_mp(g, assignment) == want.eval_mp(g, assignment)
+
+
+@pytest.mark.parametrize("b", [0, 1, 2])
+def test_bound_beta_equals_the_graded_division(b):
+    """Sectors 0..6 from f at g^19 through sector 7, on branch b."""
+    f = ground_state_transseries(build_ground_state_condition(19, 10, b), 7)
+    beta = beta_transseries(f).ts
+    assert sorted(beta.sectors) == [0, 2, 4, 6]
+    assert {s.trunc_order for s in beta.sectors.values()} == {(21,)}
+    _assert_same_beta(beta, _graded_division(f, 6), mp.mpf("0.3"))
+
+
+def test_scatter_beta_equals_the_graded_division():
+    """scatter_beta(4, 11), K symbolic: sectors 0..4 of -sigma/sigma'."""
+    beta = scatter_beta(4, 11).ts
+    assert sorted(beta.sectors) == [0, 2, 4]
+    assert "K" in beta.sector(2).coefficient((4,)).generators_used()
+    _assert_same_beta(beta, _graded_division(
+        scatter_momentum_transseries(11, 5), 4), mp.mpf("0.2"),
+        {"K": mp.mpf("0.3")})
+
+
+def test_beta_refuses_a_transseries_the_sector_solve_did_not_return():
+    """Only the f of solve_sector_ansatz carries its R_l and E: any other
+    transseries, even one with the same sectors, raises SeriesError
+    rather than being divided."""
+    f = ground_state_transseries(build_ground_state_condition(8, 8), 5)
+    assert beta_transseries(f).ts.max_sector == 4
+    for other in (-f, Transseries(f.sectors, f.branch, f.flavor,
+                                  f.max_sector), f * ConstExpr.number(2)):
+        with pytest.raises(SeriesError, match="solve_sector_ansatz"):
+            beta_transseries(other)
