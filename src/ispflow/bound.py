@@ -22,8 +22,7 @@ from .constexpr import DEFAULT_DPS, ConstExpr, GeneratorValues
 from .coupling import (BOUND_COLUMNS, GAMMA_LADDER, CouplingTable, N_PI,
                        resummation_check, solve_coupling_table, structure_fit)
 from .expansions import (arg_eta_over_g, arg_gamma_series,
-                         growth_unit_series, eta_series,
-                         odd_coefficient_family, sector_condition_residual,
+                         growth_unit_series, odd_coefficient_family,
                          solve_sector_ansatz)
 from .series import SeriesError, TruncSeries, lagrange_coefficients
 from .specfun import arg_gamma, re_digamma
@@ -59,7 +58,7 @@ def build_ground_state_condition(g_order: int, xi_order: int,
     if b < 0:
         raise ValueError("branches are labelled b >= 0")
     e = growth_unit_series(g_order)
-    a_odd = odd_coefficient_family(arg_eta_over_g(g_order, xi_order + 1))
+    a_odd = odd_coefficient_family(g_order, xi_order + 1)
     return GroundStateCondition(e, a_odd, b, g_order, xi_order)
 
 
@@ -74,11 +73,6 @@ def ground_state_transseries(cond: GroundStateCondition,
                                "bound", cond.branch)
 
 
-def ground_state_residual(cond: GroundStateCondition,
-                          f: Transseries) -> Transseries:
-    return sector_condition_residual(cond.a0_scaled, cond.a_odd, f)
-
-
 # ---------------------------------------------------------------------------
 # Running-coupling table.
 # ---------------------------------------------------------------------------
@@ -87,7 +81,7 @@ def bound_condition_series(g_order: int, xi_order: int) -> TruncSeries:
     """rho-free part of the running-coupling condition:
     n pi - Arg Gamma(1+ig) + Arg eta(g, xi), as a series in (g, xi)."""
     ag = arg_gamma_series(g_order)
-    arg_eta = eta_series(g_order, xi_order).log().imag_part()
+    arg_eta = arg_eta_over_g(g_order - 1, xi_order).shift("g", 1)
     vars_ = ("g", "xi")
     out = (TruncSeries.const(N_PI, vars_, (g_order, xi_order))
            - ag.extend_to(vars_) + arg_eta)

@@ -3,22 +3,36 @@
 Everything here is a formal series with exact coefficients:
 
 * the odd-zeta expansion of Arg Gamma(1 + i g),
-* the small-argument profile eta of the imaginary-order Bessel series,
-  and the map x -> i sigma that gives its oscillatory kind eta~ from it,
-* the odd-coefficient families a_1, a_3, a_5, ... obtained by
-  exponentiating (1/g) Arg eta,
 * the phase-shift branch offset arctan(-2 K tanh(pi g / 2)),
+* the map x -> i sigma that carries a bound series built from the
+  small-argument profile eta(g, xi) to the scattering one built from
+  eta~(g, sigma) = eta(g, i sigma),
+* the generator-free stage: (1/g) Arg eta, the odd-coefficient family
+  a_1, a_3, a_5, ... of exp((1/g) Arg eta), and the rational prefactors
+  R_l of the transseries sectors,
 * the generic solver for transseries ansaetze of the form
   -E(g) eps + sum_i a_{2i+1} X^{2i+1} = 0, whose sectors are rational
   prefactors R_l(g) times E(g)^l.
+
+The generator-free stage runs over Q in dense integer polynomials and is
+lifted into the constants ring once, at its boundary.  In s = ig the
+profile eta(s, y) = sum_m y^m prod_(j<=m) 1/(j (j+s)), y = xi^2, has
+rational coefficients, and for real g conj eta(g) = eta(-g), so
+Arg eta = sum_(t odd) (-1)^((t-1)/2) [s^t] log eta g^t.  log and exp are
+first-order recurrences in y, and R_l = (1/l) [y^k] exp(-l log a(y)),
+k = (l-1)/2, with a(y) = sum_i a_{2i+1} y^i.  Each polynomial keeps one
+common denominator and takes its content gcd once per operation (Knuth,
+TAOCP Vol. 2, 4.5.1 and 4.7).  The scattering family is the image
+y -> -y: a~_{2i+1} = (-1)^i a_{2i+1}.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .constexpr import PI, ZETA_ARGS, ConstExpr, GRat
-from .series import SeriesError, TruncSeries, lagrange_coefficients
+from .series import INF_ORDER, SeriesError, TruncSeries
 from .transseries import Transseries
 
 
@@ -74,33 +88,6 @@ def log_growth_unit_scatter(g_order: int) -> TruncSeries:
     return out.truncate((g_order,))
 
 
-def eta_series(g_order: int, x_order: int) -> TruncSeries:
-    """The small-argument profile in (g, xi)
-
-        eta(g, xi) = 1 + sum_{m>=1} (1/m!) prod_{j=0}^{m-1} 1/(1+ig+j) xi^{2m}
-
-    with the rational factors expanded exactly in g.
-    """
-    vars_ = ("g", "xi")
-    to = (g_order, x_order)
-    out = TruncSeries.const(1, vars_, to)
-    term = TruncSeries.const(1, ("g",), (g_order,))
-    for m in range(1, x_order // 2 + 1):
-        term = term * _inv_linear(m - 1, g_order) * GRat(Fraction(1, m))
-        out = out + term.extend_to(vars_, to).shift("xi", 2 * m)
-    return out
-
-
-def _inv_linear(j: int, g_order: int) -> TruncSeries:
-    """1/(1 + ig + j) expanded in g: sum_t (-i)^t g^t / (j+1)^(t+1)."""
-    coeffs = {}
-    for t in range(g_order + 1):
-        re, im = ((1, 0), (0, -1), (-1, 0), (0, 1))[t % 4]    # (-i)^t
-        q = Fraction(1, (j + 1) ** (t + 1))
-        coeffs[(t,)] = ConstExpr.number(re * q, im * q)
-    return TruncSeries(("g",), coeffs, (0,), (g_order,))
-
-
 def imaginary_argument(s: TruncSeries, x_var: str,
                        sigma_var: str) -> TruncSeries:
     """x -> i sigma on a series even in x: x^(2m) -> (-1)^m sigma^(2m).
@@ -118,32 +105,146 @@ def imaginary_argument(s: TruncSeries, x_var: str,
     return TruncSeries(variables, coeffs, s.min_degree, s.trunc_order)
 
 
+# ---------------------------------------------------------------------------
+# The generator-free stage, over Q.  A g-polynomial truncated at g^n is a
+# pair (nums, den): n+1 integer numerators over one denominator den > 0,
+# with the content gcd divided out.  A series in (g, y = xi^2) is a list of
+# such pairs indexed by the power of y.
+# ---------------------------------------------------------------------------
+
+def _poly(nums, den=1):
+    """(nums, den) with the content gcd divided out and den > 0."""
+    c = gcd(den, *nums)
+    if den < 0:
+        c = -c
+    if c != 1:
+        nums = [x // c for x in nums]
+        den //= c
+    return nums, den
+
+
+def _const(c, n):
+    return [c] + [0] * n, 1
+
+
+def _dot(terms, n, divisor=1):
+    """The sum of k p q over ``terms`` of (int k, poly p, poly q), to g^n
+    and divided by ``divisor``: one common denominator, one content gcd."""
+    den = lcm(*(p[1] * q[1] for _, p, q in terms))
+    out = [0] * (n + 1)
+    for k, (a, da), (b, db) in terms:
+        k *= den // (da * db)
+        b = [(j, y) for j, y in enumerate(b) if y]
+        for i, x in enumerate(a):
+            if x:
+                x *= k
+                for j, y in b:
+                    if i + j > n:
+                        break
+                    out[i + j] += x * y
+    return _poly(out, den * divisor)
+
+
+def _ymul(p, q, n, k):
+    """The product of two (g, y) series to y^k."""
+    return [_dot([(1, p[i], q[m - i]) for i in range(m + 1)
+                  if i < len(p) and m - i < len(q)], n) for m in range(k + 1)]
+
+
+def _log(w, n):
+    """log w for w_0 = 1: m L_m = m w_m - sum_(0<j<m) j L_j w_(m-j)."""
+    out = [_const(0, n)]
+    for m in range(1, len(w)):
+        out.append(_dot([(m, w[m], _const(1, n))] + [(-j, out[j], w[m - j])
+                                                for j in range(1, m)],
+                        n, m))
+    return out
+
+
+def _exp(w, n, c=1):
+    """exp(c w) for w_0 = 0: m h_m = sum_(0<j<=m) c j w_j h_(m-j)."""
+    out = [_const(1, n)]
+    for m in range(1, len(w)):
+        out.append(_dot([(c * j, w[j], out[m - j]) for j in range(1, m + 1)],
+                        n, m))
+    return out
+
+
+def _eta(n, k):
+    """eta(s, y) = sum_m y^m prod_(j<=m) 1/(j (j+s)) to s^n and y^k: the
+    profile at s = ig, where its coefficients are rational; 1/(j (j+s))
+    = sum_t (-1)^t s^t / j^(t+2)."""
+    out = [_const(1, n)]
+    for m in range(1, k + 1):
+        r = [(-1) ** t * m ** (n - t) for t in range(n + 1)], m ** (n + 2)
+        out.append(_dot([(1, out[-1], r)], n))
+    return out
+
+
+def _arg_eta_over_g(n, k):
+    """(1/g) Arg eta to g^n and y^k.  For real g, conj eta(g) = eta(-g), so
+    Arg eta = Im log eta = sum_(t odd) (-1)^((t-1)/2) [s^t] log eta g^t."""
+    return [_poly([(-1) ** (t // 2) * nums[t + 1] if t % 2 == 0 else 0
+                   for t in range(n + 1)], den)
+            for nums, den in _log(_eta(n + 1, k), n + 1)]
+
+
+def _coeffs(p):
+    nums, den = p
+    return {t: Fraction(c, den) for t, c in enumerate(nums) if c}
+
+
+def _series(p, n) -> TruncSeries:
+    """The g-polynomial p as a TruncSeries truncated at g^n."""
+    return TruncSeries(("g",), {(t,): c for t, c in _coeffs(p).items()},
+                       (0,), (n,))
+
+
+def _rational(a: TruncSeries, n, name):
+    """A g-series over Q as a polynomial to g^n; SeriesError if a
+    coefficient carries a generator or an imaginary part."""
+    values = {}
+    for (t,), c in a.coeffs.items():
+        terms = c.sorted_terms()
+        if t < 0 or len(terms) > 1 or any(terms[0][0]) or terms[0][1].im:
+            raise SeriesError(f"{name} has the coefficient {c} at g^{t}; "
+                              f"the sector stage runs over Q[g]")
+        if t <= n:
+            values[t] = terms[0][1].re
+    den = lcm(*(v.denominator for v in values.values()))
+    return _poly([values[t].numerator * (den // values[t].denominator)
+                  if t in values else 0 for t in range(n + 1)], den)
+
+
+def _sector_prefactors(a, n):
+    """R_l = (1/l) [y^j] exp(-l log a(y)), l = 2j+1, for j < len(a), with
+    a(y) = sum_i a_(2i+1) y^i: Lagrange-Buermann inversion with
+    A^(-l) = exp(-l log A) (Flajolet & Sedgewick, Analytic Combinatorics,
+    Thm A.2)."""
+    log_a = _log(a, n)
+    out = []
+    for j in range(len(a)):
+        nums, den = _exp(log_a[:j + 1], n, -(2 * j + 1))[j]
+        out.append(_poly(nums, den * (2 * j + 1)))
+    return out
+
+
 def arg_eta_over_g(g_order: int, x_order: int) -> TruncSeries:
-    """(1/g) Arg eta, an even g-series whose xi-expansion starts at xi^2."""
-    eta = eta_series(g_order + 1, x_order)
-    arg = eta.log().imag_part()
-    lead = arg.lead_exponents()
-    if not arg.is_zero() and lead[0] < 1:
-        raise SeriesError("Arg eta has a g-independent term; conjugation "
-                          "symmetry is broken")
-    return arg.shift("g", -1).truncate((g_order, x_order))
+    """(1/g) Arg eta in (g, xi), an even g-series whose xi-expansion starts
+    at xi^2, lifted once from the stage over Q."""
+    coeffs = {(t, 2 * m): c for m, p in
+              enumerate(_arg_eta_over_g(g_order, x_order // 2))
+              for t, c in _coeffs(p).items()}
+    return TruncSeries(("g", "xi"), coeffs, (0, 0), (g_order, x_order))
 
 
-def odd_coefficient_family(arg_over_g: TruncSeries) -> dict:
-    """Coefficients a_{2i+1}(g) of x e^{A(g, x)} = sum a_{2i+1} x^{2i+1},
-    for A = (1/g) Arg eta or its image x -> i sigma (a~ = (-1)^i a).
-
-    Returns {i: TruncSeries in g}, i = 0..x_order//2, with a_1 = 1 exactly.
-    """
-    w = arg_over_g.exp()
-    g_order, x_order = w.trunc_order
-    out = {i: {} for i in range(x_order // 2 + 1)}
-    for (t, m), c in w.coeffs.items():
-        if m % 2:
-            raise SeriesError("odd x-power in an even profile")
-        out[m // 2][(t,)] = c
-    return {i: TruncSeries(("g",), coeffs, (0,), (g_order,))
-            for i, coeffs in out.items()}
+def odd_coefficient_family(g_order: int, x_order: int) -> dict:
+    """Coefficients a_{2i+1}(g) of x e^{A(g, x)} = sum a_{2i+1} x^{2i+1} for
+    A = (1/g) Arg eta, i = 0..x_order//2, with a_1 = 1 exactly: the stage
+    runs over Q and each a_{2i+1} is lifted once.  The image x -> i sigma
+    (scattering) is a~_{2i+1} = (-1)^i a_{2i+1}."""
+    a = _exp(_arg_eta_over_g(g_order, x_order // 2), g_order)
+    return {i: _series(p, g_order) for i, p in enumerate(a)}
 
 
 def solve_sector_ansatz(e_series: TruncSeries, a_odd: dict, max_sector: int,
@@ -152,51 +253,53 @@ def solve_sector_ansatz(e_series: TruncSeries, a_odd: dict, max_sector: int,
 
         X = sum_{l odd} S_l(g) eps^l ,   S_l = R_l(g) E(g)^l .
 
-    With u = E eps and A(g, X) = sum a_{2i+1} X^(2i) the condition reads
-    X = u / A(g, X), so Lagrange inversion gives the rational prefactors
-    R_l = (1/l) [X^(l-1)] A^(-l).  The a_{2i+1} carry no transcendental
-    generator, so the R_l are computed over Q[g] and each sector is then
-    multiplied by E^l once.  a_1 must be exactly 1.  The solve fails loudly
-    if the R_l, plugged back into the condition with E = 1, leave a nonzero
-    sector.  The returned transseries carries ({l: R_l}, E) as ``solved``,
-    from which ``bound.beta_transseries`` builds the beta.
+    With u = E eps, y = X^2 and a(y) = sum a_{2i+1} y^i the condition reads
+    X = u / a(X^2), so Lagrange inversion gives the rational prefactors
+
+        R_l = (1/l) [y^k] exp(-l log a(y)) ,   k = (l-1)/2 .
+
+    The a_{2i+1} carry no generator (they come from eta at s = ig, whose
+    coefficients are rational, and Arg eta = Im log eta picks its odd
+    s-powers since conj eta(g) = eta(-g) for real g): the stage runs over
+    Q in dense integer polynomials and each R_l is lifted into the ring
+    once, then multiplied by E^l.  a_1 must be exactly 1; an a_{2i+1} with a
+    generator or an imaginary part raises SeriesError.  The solve fails
+    loudly if the R_l, plugged back into the condition with E = 1 in the
+    same arithmetic, leave a nonzero sector.  The returned transseries
+    carries ({l: R_l}, E) as ``solved``, from which
+    ``bound.beta_transseries`` builds the beta.
     """
     if 0 not in a_odd or a_odd[0] != TruncSeries.const(
             1, ("g",), a_odd[0].trunc_order):
         raise SeriesError("a_1 must be exactly 1")
-    terms = {(t, 2 * i): c for i, a in a_odd.items() if 2 * i < max_sector
-             for (t,), c in a.coeffs.items()}
-    g_trunc = min(a.trunc_order[0] for a in a_odd.values())
-    a_series = TruncSeries(("g", "X"), terms, None, (g_trunc, max_sector - 1))
-    prefactors = lagrange_coefficients(a_series.inverse(), "X", max_sector)
-    prefactors = {l: prefactors[l] for l in range(1, max_sector + 1, 2)}
-    rational = Transseries(prefactors, branch, flavor, max_sector)
-    unit = TruncSeries.const(1, ("g",), e_series.trunc_order)
-    resid = sector_condition_residual(unit, a_odd, rational)
-    if resid.sectors:
-        raise SeriesError(f"sectors {sorted(resid.sectors)} of the rational "
-                          "prefactor residual do not vanish")
+    n = min(a.trunc_order[0] for a in a_odd.values())
+    if n >= INF_ORDER or max_sector < 1:
+        raise SeriesError("the sector solve needs a finite g-order and "
+                          "max_sector >= 1")
+    a = [_rational(a_odd[i], n, f"a_{2 * i + 1}") if i in a_odd
+         else _const(0, n) for i in range((max_sector + 1) // 2)]
+    r = _sector_prefactors(a, n)
+    # sum_i a_i x^(2i+1) = u at x = u rho(u^2), rho = sum_j R_(2j+1) y^j,
+    # is rho(y) sum_i a_i z^i = 1 with z = y rho^2, by Horner in z
+    k = len(a) - 1
+    z = [_const(0, n)] + _ymul(r, r, n, k - 1)
+    acc = [a[k]]
+    for i in range(k - 1, -1, -1):
+        acc = _ymul(z, acc, n, k)
+        acc[0] = a[i]
+    resid = _ymul(r, acc, n, k)
+    bad = [2 * j + 1 for j, p in enumerate(resid)
+           if p != _const(int(j == 0), n)]
+    if bad:
+        raise SeriesError(f"sectors {bad} of the rational prefactor "
+                          "residual do not vanish")
+    prefactors = {2 * j + 1: _series(p, n) for j, p in enumerate(r)}
     sectors = {}
     e_pow, e_sq = e_series, e_series * e_series
-    for l, r in prefactors.items():
+    for l, p in prefactors.items():
         if l > 1:
             e_pow = e_pow * e_sq
-        sectors[l] = r * e_pow
+        sectors[l] = p * e_pow
     out = Transseries(sectors, branch, flavor, max_sector)
     out.solved = (prefactors, e_series)
-    return out
-
-
-def sector_condition_residual(e_series: TruncSeries, a_odd: dict,
-                              x: Transseries) -> Transseries:
-    """Plug a candidate solution x back into the condition of
-    solve_sector_ansatz."""
-    out = Transseries({1: -e_series}, x.branch, x.flavor, x.max_sector)
-    power = None
-    x2 = x * x
-    for i in sorted(a_odd):
-        if 2 * i + 1 > x.max_sector:
-            break
-        power = x if power is None else power * x2
-        out = out + power * a_odd[i]
     return out

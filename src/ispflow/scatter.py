@@ -8,10 +8,11 @@ The phase condition
 plays the role the quantization condition plays for bound states.  Solving
 the tangent for its argument turns it into the same polynomial shape as the
 bound condition, with the branch offset arctan(-2 K tanh(pi g/2)) carrying
-all K dependence.  Since eta~(g, sigma) = eta(g, i sigma), every input
-(condition, tangent argument, odd family) is the bound one carried through
-``expansions.imaginary_argument``; coupling table, sector ansatz and the
-closed-form beta recurrence then run unchanged, with
+all K dependence.  Since eta~(g, sigma) = eta(g, i sigma), the condition
+and the tangent argument are the bound ones carried through
+``expansions.imaginary_argument``, and the odd family is the bound one at
+y = xi^2 -> -sigma^2, a~_{2i+1} = (-1)^i a_{2i+1}; coupling table, sector
+ansatz and the closed-form beta recurrence then run unchanged, with
 eps = exp(-n pi/g - gamma - K pi).
 
 The cross-sector expansion rewrites the scattering coupling in terms of the
@@ -32,9 +33,9 @@ from .bound import (BetaTransseries, beta_transseries, bound_condition_series,
 from .constexpr import DEFAULT_DPS, PI, ConstExpr, GRat
 from .coupling import (SCATTER_LADDER, CouplingTable, N_PI,
                        solve_coupling_table, structure_fit)
-from .expansions import (arg_eta_over_g, imaginary_argument,
-                         log_growth_unit_scatter, odd_coefficient_family,
-                         phase_branch_offset, solve_sector_ansatz)
+from .expansions import (imaginary_argument, log_growth_unit_scatter,
+                         odd_coefficient_family, phase_branch_offset,
+                         solve_sector_ansatz)
 from .series import SeriesError, TruncSeries
 from .transseries import Transseries
 
@@ -169,8 +170,8 @@ def scatter_momentum_transseries(g_order: int, max_sector: int) -> Transseries:
     The odd family is the bound one at xi -> i sigma, so S_l is
     (-1)^((l-1)/2) R_l E_hat^l with the bound prefactors R_l."""
     e_hat = log_growth_unit_scatter(g_order).exp()
-    a_odd = odd_coefficient_family(imaginary_argument(
-        arg_eta_over_g(g_order, max_sector + 1), "xi", "sigma"))
+    a_odd = {i: -a if i % 2 else a for i, a in
+             odd_coefficient_family(g_order, max_sector + 1).items()}
     return solve_sector_ansatz(e_hat, a_odd, max_sector, "scattering", 0)
 
 

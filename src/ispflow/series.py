@@ -20,8 +20,13 @@ sum_j w_j b_(n-j) is one ``_products`` call over all its series products,
 so only the terms inside the box are formed.
 
 ``lagrange_coefficients`` (Lagrange-Buermann inversion) solves
-y = t phi(y) in closed form for reversion, the coupling tables, the
-transseries sectors and the flow-ODE unit.  There are no tables
+y = t phi(y) in closed form for reversion, the coupling tables and the
+flow-ODE unit.  The transseries sectors do not come through here: their
+rational prefactors R_l = (1/l) [y^k] exp(-l log a(y)), k = (l-1)/2,
+carry no generator (the profile eta has rational coefficients in s = ig,
+and conj eta(g) = eta(-g) for real g), so ``expansions`` runs that stage
+over Q in dense integer polynomials and lifts it into the ring once.
+There are no tables
 of elementary functions: their users build them from exp and log, e.g.
 tan w = Im e^(iw) / Re e^(iw) and arctan w = Im log(1 + iw) for real w.
 

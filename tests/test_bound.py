@@ -10,7 +10,7 @@ from ispflow.bound import (BetaTransseries, beta_exact_sector_eval,
                            beta_transseries, bound_resummation_report,
                            bound_structure_fit, build_ground_state_condition,
                            excited_state_scale, flow_ode_residual,
-                           ground_state_residual, ground_state_transseries,
+                           ground_state_transseries,
                            running_coupling_coeffs, unit_in_cutoff_variables)
 from ispflow.constexpr import ConstExpr
 from ispflow.coupling import (BOUND_COLUMNS, CouplingTable, N_PI,
@@ -20,6 +20,8 @@ from ispflow.expansions import (growth_unit_series, log_growth_unit,
                                 log_growth_unit_scatter)
 from ispflow.series import SeriesError, TruncSeries
 from ispflow.transseries import Transseries
+
+from oracles import ground_state_residual
 
 
 @pytest.fixture(autouse=True, scope="module")

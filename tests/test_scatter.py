@@ -1,7 +1,6 @@
 """Scattering-sector derivations: phase condition, tables, beta,
 cross-sector expansion, continuation, fixed point."""
 
-import math
 from fractions import Fraction
 
 import mpmath as mp
@@ -10,11 +9,9 @@ import pytest
 from ispflow import golden
 from ispflow.constexpr import DEFAULT_DPS, ConstExpr, GRat
 from ispflow.coupling import condition_residual_box
-from ispflow.expansions import (arg_eta_over_g, eta_series,
-                                imaginary_argument, log_growth_unit_scatter,
-                                odd_coefficient_family,
-                                sector_condition_residual,
-                                solve_sector_ansatz)
+from ispflow.expansions import (arg_eta_over_g, imaginary_argument,
+                                log_growth_unit_scatter,
+                                odd_coefficient_family, solve_sector_ansatz)
 from ispflow.scatter import (analytic_continuation_check,
                              build_phase_condition, cross_sector_expansion,
                              fixed_point_relation, phase_condition_residual,
@@ -23,6 +20,8 @@ from ispflow.scatter import (analytic_continuation_check,
                              scatter_momentum_transseries,
                              scatter_structure_fit)
 from ispflow.series import SeriesError, TruncSeries
+
+import oracles
 
 
 @pytest.fixture(autouse=True, scope="module")
@@ -63,15 +62,7 @@ def _oscillatory_eta(g_order, x_order):
     """Oracle: eta~(g, sigma) from its defining sum
     sum_m (-1)^m / m! prod_{j<m} 1/(1+ig+j) sigma^(2m), each factor
     inverted as a series in g."""
-    vars_, to = ("g", "sigma"), (g_order, x_order)
-    i_g = TruncSeries.var("g", ("g",), (g_order,), coef=GRat(0, 1))
-    out = TruncSeries.const(1, vars_, to)
-    prod = TruncSeries.const(1, ("g",), (g_order,))
-    for m in range(1, x_order // 2 + 1):
-        prod = prod * (i_g + m).inverse()
-        coef = GRat(Fraction((-1) ** m, math.factorial(m)))
-        out = out + prod.extend_to(vars_, to).shift("sigma", 2 * m) * coef
-    return out
+    return oracles.eta_series(g_order, x_order, "sigma", -1)
 
 
 def _even_coefficients(w):
@@ -86,7 +77,7 @@ def _even_coefficients(w):
 def test_scattering_profile_is_bound_profile_at_imaginary_argument(
         g_order, x_order):
     osc = _oscillatory_eta(g_order + 1, x_order)
-    assert imaginary_argument(eta_series(g_order + 1, x_order),
+    assert imaginary_argument(oracles.eta_series(g_order + 1, x_order),
                               "xi", "sigma") == osc
     osc_arg = osc.log().imag_part().shift("g", -1).truncate((g_order,
                                                              x_order))
@@ -94,8 +85,8 @@ def test_scattering_profile_is_bound_profile_at_imaginary_argument(
     scat_arg = imaginary_argument(bound_arg, "xi", "sigma")
     assert scat_arg == osc_arg
     oracle = _even_coefficients(osc_arg.exp())
-    bound = odd_coefficient_family(bound_arg)
-    scat = odd_coefficient_family(scat_arg)
+    bound = odd_coefficient_family(g_order, x_order)
+    scat = oracles.odd_coefficient_family(scat_arg)
     assert sorted(scat) == sorted(oracle) == list(range(x_order // 2 + 1))
     for i, a in oracle.items():
         assert scat[i] == a == bound[i] * (-1) ** i, f"a~_{2 * i + 1}"
@@ -119,10 +110,10 @@ def test_scattering_sectors_are_signed_bound_prefactors():
     osc_log = _oscillatory_eta(g_order + 1, max_sector + 1).log()
     a_scat = _even_coefficients(osc_log.imag_part().shift("g", -1)
                                 .truncate((g_order, max_sector + 1)).exp())
-    assert not sector_condition_residual(e_hat, a_scat, ts).sectors
+    assert not oracles.sector_condition_residual(e_hat, a_scat, ts).sectors
     unit = TruncSeries.const(1, ("g",), (g_order,))
     r_bound = solve_sector_ansatz(
-        unit, odd_coefficient_family(arg_eta_over_g(g_order, max_sector + 1)),
+        unit, odd_coefficient_family(g_order, max_sector + 1),
         max_sector, "bound")
     assert sorted(ts.sectors) == sorted(r_bound.sectors) == [1, 3, 5, 7]
     for l, s_l in ts.sectors.items():
