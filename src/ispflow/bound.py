@@ -69,8 +69,8 @@ def ground_state_transseries(cond: GroundStateCondition,
         raise SeriesError(f"condition holds a-coefficients only up to index "
                           f"{2 * max(cond.a_odd) + 1}; cannot reach sector "
                           f"{max_sector}")
-    return solve_sector_ansatz(cond.a0_scaled, cond.a_odd, max_sector,
-                               "bound", cond.branch)
+    return solve_sector_ansatz(cond.a0_scaled, max_sector, "bound",
+                               cond.branch)
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +112,21 @@ def bound_structure_fit(table: CouplingTable):
 # Beta function.
 # ---------------------------------------------------------------------------
 
+def _beta_quotients(prefactors, v, inv_v) -> list:
+    """q_j = (R_(2j+1) - sum_(i<j) q_i b_(j-i)) (1/V), b_k = R_l' + l V R_l
+    (l = 2k+1), from the pairs (R_l, R_l') of l = 1, 3, ..: one loop for
+    ``beta_transseries`` on series and ``beta_exact_sector_eval`` on
+    numbers."""
+    b, q = [], []
+    for j, (r, dr) in enumerate(prefactors):
+        b.append(dr + v * r * (2 * j + 1))
+        acc = r
+        for i in range(j):
+            acc = acc - q[i] * b[j - i]
+        q.append(acc * inv_v)
+    return q
+
+
 @dataclass
 class BetaTransseries:
     ts: Transseries
@@ -145,10 +160,11 @@ def beta_transseries(f: Transseries, max_sector: int | None = None) -> BetaTrans
         q_0 = 1/V ,   q_j = (R_(2j+1) - sum_(i<j) q_i b_(j-i)) / V ,
 
     and sector 2j is -q_j E^(2j).  1/V = g^2/((2b+1) pi + g^2 (log E)')
-    is one series inverse.  Both flavors take this one loop: the
-    scattering signs are in the R_l, and the branch enters only through
-    (2b+1) pi.  The sectors and their truncation orders are those of the
-    graded division (-f) / f.derivative_g(), which the tests hold this to.
+    is one series inverse.  Both flavors take this one loop,
+    ``_beta_quotients``: the scattering signs are in the R_l, and the
+    branch enters only through (2b+1) pi.  The sectors and their
+    truncation orders are those of the graded division
+    (-f) / f.derivative_g(), which the tests hold this to.
 
     Sector f.max_sector - 1 is the last; a ``max_sector`` past it raises
     ``SeriesError``.
@@ -165,22 +181,15 @@ def beta_transseries(f: Transseries, max_sector: int | None = None) -> BetaTrans
     prefactors, e = f.solved
     g2_v = (e.log().derivative("g").shift("g", 2)
             + ConstExpr.monomial(2 * f.branch + 1, pi=1))
-    v, inv_v = g2_v.shift("g", -2), g2_v.inverse().shift("g", 2)
+    q = _beta_quotients([(prefactors[l], prefactors[l].derivative("g"))
+                         for l in range(1, max_sector + 2, 2)],
+                        g2_v.shift("g", -2), g2_v.inverse().shift("g", 2))
     e_sq = e * e
     e_pow = None
-    b, q, sectors = [], [], {}
-    for j in range(max_sector // 2 + 1):
-        r = prefactors[2 * j + 1]
-        b.append(r.derivative("g") + v * r * (2 * j + 1))
-        acc = r
-        for i in range(j):
-            acc = acc - q[i] * b[j - i]
-        q.append(acc * inv_v)
-        if j:
-            e_pow = e_sq if e_pow is None else e_pow * e_sq
-            sectors[2 * j] = -(q[j] * e_pow)
-        else:
-            sectors[0] = -q[0]
+    sectors = {0: -q[0]}
+    for j in range(1, len(q)):
+        e_pow = e_sq if e_pow is None else e_pow * e_sq
+        sectors[2 * j] = -(q[j] * e_pow)
     out = BetaTransseries(Transseries(sectors, f.branch, f.flavor,
                                       max_sector))
     out.check_sector_structure()
@@ -199,8 +208,9 @@ def beta_exact_sector_eval(g, sector: int, dps: int = DEFAULT_DPS):
     Arg Gamma(1+ig) is evaluated once, for W and u.  The graded division
     beta = -f/f' = -sum_j q_j t^j gives
 
-        q_j = (R_{2j+1} - sum_{i<j} q_i b_{j-i}) / b_0 ,
+        q_j = (R_{2j+1} - sum_{i<j} q_i b_{j-i}) / V ,
 
+    by ``_beta_quotients``, the loop ``beta_transseries`` runs on series,
     and sector 2j is -q_j u^{2j}: one sector per known prefactor.
 
     Evaluated at ``dps`` digits, whatever the global mpmath precision.
@@ -218,18 +228,17 @@ def beta_exact_sector_eval(g, sector: int, dps: int = DEFAULT_DPS):
         a = arg_gamma(g)
         v = mp.pi / g ** 2 + (g * re_digamma(g) - a) / g ** 2
         t = g ** 2
-        b, q = [], []
-        for j in range(sector // 2 + 1):
-            l = 2 * j + 1
+        prefactors = []
+        for l in range(1, sector + 2, 2):
             num, den, scale = SECTOR_PREFACTORS[l]
-            # R = N(t)/(scale D(t)) and, by the quotient rule with
-            # d/dg = 2g d/dt, R' = 2g (N_t - N D_t/D)/(scale D)
+            # R = N(t)/(scale D(t)), D(t) = prod (c0 + c1 t), and by the
+            # quotient rule with d/dg = 2g d/dt,
+            # R' = 2g (N_t - N D_t/D)/(scale D)
             n, n_t = mp.polyval(num[::-1], t, derivative=True)
-            d = scale * mp.fprod(a + c * t for a, c in den)
-            dlog_d = mp.fsum(c / (a + c * t) for a, c in den)
-            r = n / d
-            b.append(2 * g * (n_t - n * dlog_d) / d + l * v * r)
-            q.append((r - mp.fsum(q[i] * b[j - i] for i in range(j))) / b[0])
+            d = scale * mp.fprod(c0 + c1 * t for c0, c1 in den)
+            dlog_d = mp.fsum(c1 / (c0 + c1 * t) for c0, c1 in den)
+            prefactors.append((n / d, 2 * g * (n_t - n * dlog_d) / d))
+        q = _beta_quotients(prefactors, v, 1 / v)
         return -q[-1] * mp.e ** (sector * (a - mp.pi) / g)
 
 

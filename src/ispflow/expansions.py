@@ -10,8 +10,8 @@ Everything here is a formal series with exact coefficients:
 * the generator-free stage: (1/g) Arg eta, the odd-coefficient family
   a_1, a_3, a_5, ... of exp((1/g) Arg eta), and the rational prefactors
   R_l of the transseries sectors,
-* the generic solver for transseries ansaetze of the form
-  -E(g) eps + sum_i a_{2i+1} X^{2i+1} = 0, whose sectors are rational
+* the sector solve of -E(g) eps + sum_i a_{2i+1} X^{2i+1} = 0, which
+  takes the odd family by flavor and whose sectors are rational
   prefactors R_l(g) times E(g)^l.
 
 The generator-free stage runs over Q in dense integer polynomials and is
@@ -33,7 +33,7 @@ from math import gcd, lcm
 
 from .constexpr import PI, ZETA_ARGS, ConstExpr, GRat
 from .series import INF_ORDER, SeriesError, TruncSeries
-from .transseries import Transseries
+from .transseries import FLAVORS, Transseries
 
 
 def arg_gamma_series(g_order: int) -> TruncSeries:
@@ -200,22 +200,6 @@ def _series(p, n) -> TruncSeries:
                        (0,), (n,))
 
 
-def _rational(a: TruncSeries, n, name):
-    """A g-series over Q as a polynomial to g^n; SeriesError if a
-    coefficient carries a generator or an imaginary part."""
-    values = {}
-    for (t,), c in a.coeffs.items():
-        terms = c.sorted_terms()
-        if t < 0 or len(terms) > 1 or any(terms[0][0]) or terms[0][1].im:
-            raise SeriesError(f"{name} has the coefficient {c} at g^{t}; "
-                              f"the sector stage runs over Q[g]")
-        if t <= n:
-            values[t] = terms[0][1].re
-    den = lcm(*(v.denominator for v in values.values()))
-    return _poly([values[t].numerator * (den // values[t].denominator)
-                  if t in values else 0 for t in range(n + 1)], den)
-
-
 def _sector_prefactors(a, n):
     """R_l = (1/l) [y^j] exp(-l log a(y)), l = 2j+1, for j < len(a), with
     a(y) = sum_i a_(2i+1) y^i: Lagrange-Buermann inversion with
@@ -241,13 +225,13 @@ def arg_eta_over_g(g_order: int, x_order: int) -> TruncSeries:
 def odd_coefficient_family(g_order: int, x_order: int) -> dict:
     """Coefficients a_{2i+1}(g) of x e^{A(g, x)} = sum a_{2i+1} x^{2i+1} for
     A = (1/g) Arg eta, i = 0..x_order//2, with a_1 = 1 exactly: the stage
-    runs over Q and each a_{2i+1} is lifted once.  The image x -> i sigma
-    (scattering) is a~_{2i+1} = (-1)^i a_{2i+1}."""
+    runs over Q and each a_{2i+1} is lifted once.  ``solve_sector_ansatz``
+    builds the same family itself, unlifted."""
     a = _exp(_arg_eta_over_g(g_order, x_order // 2), g_order)
     return {i: _series(p, g_order) for i, p in enumerate(a)}
 
 
-def solve_sector_ansatz(e_series: TruncSeries, a_odd: dict, max_sector: int,
+def solve_sector_ansatz(e_series: TruncSeries, max_sector: int,
                         flavor: str, branch: int = 0) -> Transseries:
     """Solve  -E(g) eps + sum_{i>=0} a_{2i+1} X^{2i+1} = 0  for the transseries
 
@@ -258,30 +242,31 @@ def solve_sector_ansatz(e_series: TruncSeries, a_odd: dict, max_sector: int,
 
         R_l = (1/l) [y^k] exp(-l log a(y)) ,   k = (l-1)/2 .
 
-    The a_{2i+1} carry no generator (they come from eta at s = ig, whose
-    coefficients are rational, and Arg eta = Im log eta picks its odd
-    s-powers since conj eta(g) = eta(-g) for real g): the stage runs over
-    Q in dense integer polynomials and each R_l is lifted into the ring
-    once, then multiplied by E^l.  a_1 must be exactly 1; an a_{2i+1} with a
-    generator or an imaginary part raises SeriesError.  The solve fails
-    loudly if the R_l, plugged back into the condition with E = 1 in the
-    same arithmetic, leave a nonzero sector.  The returned transseries
-    carries ({l: R_l}, E) as ``solved``, from which
-    ``bound.beta_transseries`` builds the beta.
+    The odd family is built here, over Q in dense integer polynomials, at
+    the g-order of E and as far as a_{max_sector}: the bound one of
+    ``odd_coefficient_family``, or for the scattering flavor its image
+    a~_{2i+1} = (-1)^i a_{2i+1}.  Each R_l is lifted into the ring once,
+    then multiplied by E^l.  An unknown flavor raises ValueError before
+    any work; an E of infinite g-order or max_sector < 1 raises
+    SeriesError.  The solve fails loudly if the R_l, plugged back into the
+    condition with E = 1 in the same arithmetic, leave a nonzero sector.
+    The returned transseries carries ({l: R_l}, E) as ``solved``, from
+    which ``bound.beta_transseries`` builds the beta.
     """
-    if 0 not in a_odd or a_odd[0] != TruncSeries.const(
-            1, ("g",), a_odd[0].trunc_order):
-        raise SeriesError("a_1 must be exactly 1")
-    n = min(a.trunc_order[0] for a in a_odd.values())
+    if flavor not in FLAVORS:
+        raise ValueError(f"unknown flavor {flavor!r}")
+    n = e_series.trunc_order[0]
     if n >= INF_ORDER or max_sector < 1:
         raise SeriesError("the sector solve needs a finite g-order and "
                           "max_sector >= 1")
-    a = [_rational(a_odd[i], n, f"a_{2 * i + 1}") if i in a_odd
-         else _const(0, n) for i in range((max_sector + 1) // 2)]
+    k = (max_sector - 1) // 2
+    a = _exp(_arg_eta_over_g(n, k), n)
+    if flavor == "scattering":
+        a = [([-x for x in nums], den) if i % 2 else (nums, den)
+             for i, (nums, den) in enumerate(a)]
     r = _sector_prefactors(a, n)
     # sum_i a_i x^(2i+1) = u at x = u rho(u^2), rho = sum_j R_(2j+1) y^j,
     # is rho(y) sum_i a_i z^i = 1 with z = y rho^2, by Horner in z
-    k = len(a) - 1
     z = [_const(0, n)] + _ymul(r, r, n, k - 1)
     acc = [a[k]]
     for i in range(k - 1, -1, -1):

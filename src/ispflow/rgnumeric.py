@@ -128,12 +128,11 @@ def quantization_residual(g, ratio, b, n_level: int = 1,
     return _residual(g, ratio, 2 * b + n_level, 1, 0, dps)
 
 
-def scattering_residual(g, lam_over_p, k_value, n_level: int = 1,
-                        dps: int = DEFAULT_DPS):
-    """Branch-resolved residual of the scattering phase condition:
-    n pi + g ln(p/Lambda) - Arg Gamma(1+ig) + Arg eta~(p/Lambda)
+def scattering_residual(g, lam_over_p, k_value, dps: int = DEFAULT_DPS):
+    """Residual of the scattering phase condition on its n = 1 branch:
+    pi + g ln(p/Lambda) - Arg Gamma(1+ig) + Arg eta~(p/Lambda)
     - arctan(-2K tanh(pi g/2)), at dps + 10 digits."""
-    return _residual(g, lam_over_p, n_level, -1, k_value, dps)
+    return _residual(g, lam_over_p, 1, -1, k_value, dps)
 
 
 def _bracket(f, seed):
@@ -223,19 +222,18 @@ def solve_running_coupling(ratio, b: int = 0, dps: int = DEFAULT_DPS,
                                     evals, widenings)
 
 
-def solve_scattering_coupling(lam_over_p, k_value, dps: int = DEFAULT_DPS,
-                              n_level: int = 1) -> QuantizationSolution:
+def solve_scattering_coupling(lam_over_p, k_value,
+                              dps: int = DEFAULT_DPS) -> QuantizationSolution:
     """Solve the scattering-sector running coupling at cutoff Lambda/p."""
     with mp.workdps(dps + 10):
         lam_over_p = mp.mpf(lam_over_p)
         if lam_over_p <= 1:
             raise ValueError("Lambda/p must exceed 1")
         g, resid, evals, widenings = _solve(
-            lambda g: scattering_residual(g, lam_over_p, k_value, n_level,
-                                          dps),
-            _seed(lam_over_p, n_level, k_value), dps)
+            lambda g: scattering_residual(g, lam_over_p, k_value, dps),
+            _seed(lam_over_p, 1, k_value), dps)
         return QuantizationSolution(+g, 0, +lam_over_p, +mp.fabs(resid),
-                                    n_level, evals, widenings, k_value)
+                                    1, evals, widenings, k_value)
 
 
 def numeric_beta(ratio, b: int = 0, dps: int = DEFAULT_DPS):
@@ -293,11 +291,7 @@ def phase_shift(g, p_over_lambda, dps: int = DEFAULT_DPS, check: bool = False):
     one evaluation of J.
     """
     with mp.workdps(dps + 10):
-        g = mp.mpf(g)
-        x = 2 * mp.mpf(p_over_lambda)
-        if not 0 < mp.mpf(p_over_lambda) < 1:
-            raise ValueError("p/Lambda must lie in (0, 1)")
-        j, h1, h2 = (v.mpc for v in bessel_j_hankels(g, x, dps))
+        g, j, h1, h2 = _bessel_triple(g, p_over_lambda, dps)
         delta = -mp.pi / 4 - mp.arg(h1)
         if not check:
             return +delta
@@ -310,10 +304,20 @@ def phase_shift(g, p_over_lambda, dps: int = DEFAULT_DPS, check: bool = False):
 def smatrix(g, p_over_lambda, dps: int = DEFAULT_DPS):
     """S = -i H2_{ig}(2p/Lambda) / H1_{ig}(2p/Lambda) e^{pi g}."""
     with mp.workdps(dps + 10):
-        g = mp.mpf(g)
-        x = 2 * mp.mpf(p_over_lambda)
-        _, h1, h2 = (v.mpc for v in bessel_j_hankels(g, x, dps))
+        g, _, h1, h2 = _bessel_triple(g, p_over_lambda, dps)
         return +_smatrix(g, h1, h2)
+
+
+def _bessel_triple(g, p_over_lambda, dps):
+    """(g, J, H1, H2) of order ig at x = 2p/Lambda, from one evaluation of
+    J, at the working precision the caller set; ValueError unless
+    0 < p/Lambda < 1."""
+    g = mp.mpf(g)
+    p_over_lambda = mp.mpf(p_over_lambda)
+    if not 0 < p_over_lambda < 1:
+        raise ValueError("p/Lambda must lie in (0, 1)")
+    j, h1, h2 = (v.mpc for v in bessel_j_hankels(g, 2 * p_over_lambda, dps))
+    return g, j, h1, h2
 
 
 def _smatrix(g, h1, h2):

@@ -10,9 +10,9 @@ the tangent for its argument turns it into the same polynomial shape as the
 bound condition, with the branch offset arctan(-2 K tanh(pi g/2)) carrying
 all K dependence.  Since eta~(g, sigma) = eta(g, i sigma), the condition
 and the tangent argument are the bound ones carried through
-``expansions.imaginary_argument``, and the odd family is the bound one at
-y = xi^2 -> -sigma^2, a~_{2i+1} = (-1)^i a_{2i+1}; coupling table, sector
-ansatz and the closed-form beta recurrence then run unchanged, with
+``expansions.imaginary_argument``, and the sector solve takes the
+scattering odd family by flavor; coupling table, sector ansatz and the
+closed-form beta recurrence then run unchanged, with
 eps = exp(-n pi/g - gamma - K pi).
 
 The cross-sector expansion rewrites the scattering coupling in terms of the
@@ -28,13 +28,12 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .bound import (BetaTransseries, beta_transseries, bound_condition_series,
-                    build_ground_state_condition, ground_state_transseries)
+from .bound import BetaTransseries, beta_transseries, bound_condition_series
 from .constexpr import DEFAULT_DPS, PI, ConstExpr, GRat
 from .coupling import (SCATTER_LADDER, CouplingTable, N_PI,
                        solve_coupling_table, structure_fit)
-from .expansions import (imaginary_argument, log_growth_unit_scatter,
-                         odd_coefficient_family, phase_branch_offset,
+from .expansions import (growth_unit_series, imaginary_argument,
+                         log_growth_unit_scatter, phase_branch_offset,
                          solve_sector_ansatz)
 from .series import SeriesError, TruncSeries
 from .transseries import Transseries
@@ -170,9 +169,7 @@ def scatter_momentum_transseries(g_order: int, max_sector: int) -> Transseries:
     The odd family is the bound one at xi -> i sigma, so S_l is
     (-1)^((l-1)/2) R_l E_hat^l with the bound prefactors R_l."""
     e_hat = log_growth_unit_scatter(g_order).exp()
-    a_odd = {i: -a if i % 2 else a for i, a in
-             odd_coefficient_family(g_order, max_sector + 1).items()}
-    return solve_sector_ansatz(e_hat, a_odd, max_sector, "scattering", 0)
+    return solve_sector_ansatz(e_hat, max_sector, "scattering", 0)
 
 
 def scatter_beta(max_sector: int, g_order: int = 10) -> BetaTransseries:
@@ -204,9 +201,8 @@ def cross_sector_expansion(g_order: int, max_sector: int) -> Transseries:
 
     vars_ = ("g", "eps")
     to = (g_order + 2, eps_max)
-    f = ground_state_transseries(
-        build_ground_state_condition(g_order + 2, eps_max + 4, b=0),
-        eps_max + 1)
+    f = solve_sector_ansatz(growth_unit_series(g_order + 2), eps_max + 1,
+                            "bound", 0)
     f_series = None
     for l, s in f.sectors.items():
         term = s.extend_to(vars_, to).shift("eps", l)

@@ -149,18 +149,6 @@ def test_transseries_solves_condition(f, cond):
         assert s.is_zero(), f"sector {l} residual {s}"
 
 
-def test_sector_solve_requires_unit_a1(cond):
-    from ispflow.expansions import solve_sector_ansatz
-    from ispflow.series import SeriesError
-    a_odd = dict(cond.a_odd)
-    a_odd[0] = a_odd[0] * 2
-    with pytest.raises(SeriesError):
-        solve_sector_ansatz(cond.a0_scaled, a_odd, 5, "bound")
-    with pytest.raises(SeriesError):
-        solve_sector_ansatz(cond.a0_scaled, {i: a for i, a in a_odd.items()
-                                             if i}, 5, "bound")
-
-
 def test_f_vanishes_at_weak_coupling(f):
     for l in f.sectors:
         val = f.eval_sector_mp(l, mp.mpf("0.05"))

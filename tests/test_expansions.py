@@ -8,7 +8,7 @@ import pytest
 from ispflow import expansions, golden
 from ispflow.bound import (build_ground_state_condition,
                            ground_state_transseries)
-from ispflow.constexpr import PI, ConstExpr, GRat
+from ispflow.constexpr import ConstExpr
 from ispflow.expansions import (arg_eta_over_g, imaginary_argument,
                                 odd_coefficient_family, solve_sector_ansatz)
 from ispflow.scatter import scatter_momentum_transseries
@@ -107,18 +107,18 @@ def test_a_corrupted_prefactor_is_refused(cond, monkeypatch, j):
         ground_state_transseries(cond, 7)
 
 
-@pytest.mark.parametrize("i,factor", [(1, PI), (2, GRat(0, 1)),
-                                      (3, ConstExpr.one() + PI)])
-def test_a_coefficient_outside_q_is_refused(cond, i, factor):
-    a_odd = dict(cond.a_odd)
-    a_odd[i] = a_odd[i] * factor
-    with pytest.raises(SeriesError, match=f"a_{2 * i + 1} has"):
-        solve_sector_ansatz(cond.a0_scaled, a_odd, 7, "bound")
-
-
 def test_the_solve_needs_a_finite_order_and_a_sector(cond):
-    one = TruncSeries.const(1, ("g",), (10 ** 9,))
     with pytest.raises(SeriesError, match="finite g-order"):
-        solve_sector_ansatz(cond.a0_scaled, {0: one}, 3, "bound")
+        solve_sector_ansatz(TruncSeries.const(1, ("g",), (10 ** 9,)), 3,
+                            "bound")
     with pytest.raises(SeriesError, match="max_sector >= 1"):
-        solve_sector_ansatz(cond.a0_scaled, cond.a_odd, 0, "bound")
+        solve_sector_ansatz(cond.a0_scaled, 0, "bound")
+
+
+def test_an_unknown_flavor_is_refused_before_the_solve(cond, monkeypatch):
+    def no_stage(*args):
+        raise AssertionError("the solve started on an unknown flavor")
+
+    monkeypatch.setattr(expansions, "_arg_eta_over_g", no_stage)
+    with pytest.raises(ValueError, match="unknown flavor 'resonant'"):
+        solve_sector_ansatz(cond.a0_scaled, 3, "resonant")

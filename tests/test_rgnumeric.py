@@ -179,6 +179,14 @@ def test_phase_and_smatrix_evaluate_j_once(monkeypatch):
         assert count["n"] == 1
 
 
+@pytest.mark.parametrize("p", [1.5, 0, -0.1])
+def test_phase_and_smatrix_refuse_p_outside_the_unit_interval(p):
+    for call in (phase_shift, smatrix):
+        with pytest.raises(ValueError,
+                           match=r"p/Lambda must lie in \(0, 1\)"):
+            call(0.7, p)
+
+
 def test_smatrix_pole_at_bound_state():
     sol = solve_running_coupling(1e4, 0)
     assert smatrix_pole_check(sol.g, sol.ratio) < mp.mpf(10) ** -28

@@ -112,9 +112,7 @@ def test_scattering_sectors_are_signed_bound_prefactors():
                                 .truncate((g_order, max_sector + 1)).exp())
     assert not oracles.sector_condition_residual(e_hat, a_scat, ts).sectors
     unit = TruncSeries.const(1, ("g",), (g_order,))
-    r_bound = solve_sector_ansatz(
-        unit, odd_coefficient_family(g_order, max_sector + 1),
-        max_sector, "bound")
+    r_bound = solve_sector_ansatz(unit, max_sector, "bound")
     assert sorted(ts.sectors) == sorted(r_bound.sectors) == [1, 3, 5, 7]
     for l, s_l in ts.sectors.items():
         got = (s_l * (e_hat ** l).inverse()).truncate((g_order,))
