@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import mpmath as mp
 
 from .constexpr import DEFAULT_DPS, ConstExpr, GeneratorValues
-from .coupling import (BOUND_COLUMNS, GAMMA_LADDER, CouplingTable, N_PI,
-                       resummation_check, solve_coupling_table, structure_fit)
+from .coupling import (BOUND_COLUMNS, CouplingTable, N_PI, resummation_check,
+                       solve_coupling_table, structure_fit)
 from .expansions import (arg_eta_over_g, arg_gamma_series,
                          growth_unit_series, odd_coefficient_family,
                          solve_sector_ansatz)
@@ -65,10 +65,6 @@ def build_ground_state_condition(g_order: int, xi_order: int,
 def ground_state_transseries(cond: GroundStateCondition,
                              max_sector: int) -> Transseries:
     """Transseries solution Lambda_IR/Lambda = f(g), sectors 1,3,..,max_sector."""
-    if max_sector > 2 * max(cond.a_odd) + 1:
-        raise SeriesError(f"condition holds a-coefficients only up to index "
-                          f"{2 * max(cond.a_odd) + 1}; cannot reach sector "
-                          f"{max_sector}")
     return solve_sector_ansatz(cond.a0_scaled, max_sector, "bound",
                                cond.branch)
 
@@ -105,7 +101,7 @@ def bound_resummation_report(table: CouplingTable, l_max: int | None = None):
 
 
 def bound_structure_fit(table: CouplingTable):
-    return structure_fit(table, GAMMA_LADDER, +1)
+    return structure_fit(table)
 
 
 # ---------------------------------------------------------------------------

@@ -132,11 +132,11 @@ def cmd_coeffs(args) -> int:
 
 
 def _bound_transseries(g_order: int, sector: int, branch: int = 0):
-    """The ground-state f on ``branch`` through sector + 1 (condition
-    xi-order sector + 2) and its beta through ``sector``."""
+    """The ground-state f on ``branch`` through sector + 1 and its beta
+    through ``sector``; f does not read the condition's xi-order (3 here)."""
     from .bound import (beta_transseries, build_ground_state_condition,
                         ground_state_transseries)
-    cond = build_ground_state_condition(g_order, sector + 2, b=branch)
+    cond = build_ground_state_condition(g_order, 3, b=branch)
     f = ground_state_transseries(cond, sector + 1)
     return f, beta_transseries(f).ts
 

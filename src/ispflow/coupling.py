@@ -7,23 +7,23 @@ coupling g, has the shape
 
 where x is the small momentum ratio of the sector (xi = Lambda_IR/Lambda or
 sigma = p/Lambda) and rho = 1/ln(Lambda/...) tracks the reciprocal log.
-Writing the rho-free part as C(g, x), the condition reads g = rho C(g, x),
-so Lagrange-Buermann inversion gives the ansatz g = sum c_{p,l} x^p rho^l
-in closed form:
+Writing the rho-free part as C(g, x), the condition reads g = rho C(g, x).
+With D = 1/rho - ladder + s x^2 (``LADDERS``: ladder gamma and s = +1 in the
+bound sector, gamma + K pi and s = -1 in the scattering sector) that is the
+same equation as g = C~(g, x) / D, C~ = C - ladder g + s g x^2, so
+Lagrange-Buermann inversion in 1/D gives the resummed coupling exactly:
 
-    c_{p,l} = (1/l) [g^(l-1) x^p] C(g, x)^l .
+    g = sum head x^p0 / D^q ,   head(p0, q) = (1/q) [g^(q-1) x^p0] C~^q .
 
-The solved tables resum into powers of D = 1/rho - ladder + s x^2 (ladder is
-gamma in the bound sector, gamma + K pi in the scattering sector; s = +1 and
--1 respectively).  ``structure_fit`` determines the gamma-free heads of that
-representation cell by cell and verifies that no unexplained gamma-dependent
-remainder is left, which is the falsifiable content of the conjectured
-closed form.
+C's gamma sits in its g^1 term alone, so C~ and the heads carry none.
+Expanding D^(-q) in rho (``predicted_entry``) gives each table cell c_{p,l};
+``structure_fit``, which reads the heads off a table cell by cell, is the
+independent oracle they are held to.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import comb
 
@@ -31,8 +31,9 @@ from .constexpr import GENERATORS, ConstExpr
 from .series import SeriesError, TruncSeries, lagrange_coefficients
 
 N_PI = ConstExpr.monomial(1, n=1, pi=1)
-GAMMA_LADDER = ConstExpr.generator("gamma")
-SCATTER_LADDER = GAMMA_LADDER + ConstExpr.monomial(1, K=1, pi=1)
+LADDERS = {"bound": (ConstExpr.generator("gamma"), +1),
+           "scattering": (ConstExpr.generator("gamma")
+                          + ConstExpr.monomial(1, K=1, pi=1), -1)}
 
 
 @dataclass
@@ -43,6 +44,7 @@ class CouplingTable:
     entries: dict = field(default_factory=dict)  # (p, l) -> ConstExpr
     p_max: int = 0
     l_max: int = 0
+    heads: dict = field(default_factory=dict)  # (p0, q) -> nonzero ConstExpr
 
     def entry(self, p: int, l: int) -> ConstExpr:
         if (p, l) not in self.entries and (p > self.p_max or l > self.l_max):
@@ -61,8 +63,9 @@ class CouplingTable:
 
     def substitute_level(self, value) -> "CouplingTable":
         """Exact substitution of the level generator n (branch covariance)."""
-        out = {k: v.substitute("n", value) for k, v in self.entries.items()}
-        return CouplingTable(self.sector_tag, out, self.p_max, self.l_max)
+        entries, heads = ({k: v.substitute("n", value) for k, v in d.items()}
+                          for d in (self.entries, self.heads))
+        return replace(self, entries=entries, heads=heads)
 
     def as_series(self, x_var: str, p_max=None, l_max=None) -> TruncSeries:
         p_max = self.p_max if p_max is None else p_max
@@ -82,13 +85,16 @@ class CouplingTable:
 
 def solve_coupling_table(condition: TruncSeries, p_max: int, l_max: int,
                          sector_tag: str) -> CouplingTable:
-    """Closed-form coefficients c_{p,l} = (1/l) [g^(l-1) x^p] C^l.
+    """One inversion of the gamma-free C~ = C - ladder g + s g x^2, with
+    (ladder, s) = ``LADDERS[sector_tag]``, gives the nonzero heads
+    (1/q) [g^(q-1) x^p0] C~^q (stored on ``heads``); ``predicted_entry``
+    gives from them every cell c_{p,l} of the box (even p <= p_max,
+    1 <= l <= l_max), zero cells included.
 
-    ``condition`` is the rho-free part C(g, x) of the cutoff condition; the
-    -g/rho term is supplied here.  Requires the condition's g-truncation
-    >= l_max - 1 and x-truncation >= p_max.  Every cell of the box (even
-    p <= p_max, 1 <= l <= l_max) is stored, zero cells included.
+    ``condition`` is the rho-free part C(g, x) of the cutoff condition and
+    must be known through g^(l_max - 1) and x^p_max.
     """
+    ladder, x2_sign = LADDERS[sector_tag]
     g_trunc, x_trunc = condition.trunc_order
     if g_trunc < l_max - 1:
         raise SeriesError(f"condition g-order {g_trunc} too low for "
@@ -96,11 +102,15 @@ def solve_coupling_table(condition: TruncSeries, p_max: int, l_max: int,
     if x_trunc < p_max:
         raise SeriesError(f"condition x-order {x_trunc} too low for "
                           f"p_max={p_max}")
-    lagrange = lagrange_coefficients(
-        condition.truncate((l_max - 1, p_max)), "g", l_max)
-    entries = {(p, l): lagrange[l].coefficient((p,))
+    to = (l_max - 1, p_max)
+    c_tilde = condition.truncate(to) + TruncSeries(
+        condition.variables, {(1, 0): -ladder, (1, 2): x2_sign}, None, to)
+    lagrange = lagrange_coefficients(c_tilde, "g", l_max)
+    heads = {(p0, q): c for q, h in lagrange.items()
+             for (p0,), c in h.coeffs.items()}
+    entries = {(p, l): predicted_entry(heads, p, l, ladder, x2_sign)
                for l in range(1, l_max + 1) for p in range(0, p_max + 1, 2)}
-    table = CouplingTable(sector_tag, entries, p_max, l_max)
+    table = CouplingTable(sector_tag, entries, p_max, l_max, heads)
     table.check_base_invariants()
     return table
 
@@ -129,7 +139,7 @@ def condition_residual_box(condition: TruncSeries,
 
 
 # ---------------------------------------------------------------------------
-# Resummation columns and the conjectured closed-form structure.
+# Resummation columns and the closed-form structure.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -183,8 +193,8 @@ def resummation_check(table: CouplingTable, column: ResummedColumn,
             {e: c for e, c in entry.sorted_terms()
              if e[:gidx] == head_exp[:gidx] and e[gidx + 1:] == head_exp[gidx + 1:]})
         diff = extracted - predicted_entry(
-            {(column.p0, column.q): column.head}, column.p0, l, GAMMA_LADDER,
-            +1)
+            {(column.p0, column.q): column.head}, column.p0, l,
+            *LADDERS["bound"])
         if not diff.is_zero():
             ok = False
             residuals[l] = diff
@@ -208,13 +218,15 @@ def predicted_entry(heads: dict, p: int, l: int, ladder: ConstExpr,
     return out
 
 
-def structure_fit(table: CouplingTable, ladder: ConstExpr, x2_sign: int):
-    """Fit the closed-form structure sum_{p0,q} head * x^p0 / D^q to the table.
+def structure_fit(table: CouplingTable):
+    """Read the heads of sum_{p0,q} head * x^p0 / D^q off the table.
 
-    Heads are read off cell by cell from the gamma-free part of what the
-    already-known columns fail to explain; any gamma-dependent remainder
-    falsifies the structure.  Returns (heads, ok, failures).
+    Cell by cell, each head is the gamma-free part of what the known heads
+    fail to explain (D from ``LADDERS[table.sector_tag]``), and a gamma
+    remainder is a failure: the oracle of ``solve_coupling_table``'s heads.
+    Returns (heads, ok, failures).
     """
+    ladder, x2_sign = LADDERS[table.sector_tag]
     heads = {}
     failures = []
     ok = True

@@ -17,8 +17,10 @@ eps = exp(-n pi/g - gamma - K pi).
 
 The cross-sector expansion rewrites the scattering coupling in terms of the
 bound coupling by substituting p/Lambda -> shat * f(g_B) and
-ln(Lambda/p) -> pi L - ln f(g_B); the result is graded by even powers of
-exp(-(pi/g_B + gamma)).
+ln(Lambda/p) -> pi L - ln f(g_B) into its columns head sigma^p0 / D^q.  As
+ln f = -(pi/g_B + gamma) + ln(f/eps), that gamma cancels the ladder's, so
+D = pi/g_B + pi (L - K) - ln(f/eps) - sigma^2; the result is free of gamma
+and graded by even powers of eps = exp(-(pi/g_B + gamma)).
 """
 
 from __future__ import annotations
@@ -30,8 +32,7 @@ import mpmath as mp
 
 from .bound import BetaTransseries, beta_transseries, bound_condition_series
 from .constexpr import DEFAULT_DPS, PI, ConstExpr, GRat
-from .coupling import (SCATTER_LADDER, CouplingTable, N_PI,
-                       solve_coupling_table, structure_fit)
+from .coupling import CouplingTable, N_PI, solve_coupling_table
 from .expansions import (growth_unit_series, imaginary_argument,
                          log_growth_unit_scatter, phase_branch_offset,
                          solve_sector_ansatz)
@@ -129,10 +130,6 @@ def scatter_coupling_coeffs(p_max: int, l_max: int,
     return solve_coupling_table(cond, p_max, l_max, "scattering")
 
 
-def scatter_structure_fit(table: CouplingTable):
-    return structure_fit(table, SCATTER_LADDER, -1)
-
-
 def phase_condition_residual(pc: PhaseCondition,
                              table: CouplingTable) -> TruncSeries:
     """Plug the solved coupling table into the tangent form of the phase
@@ -195,9 +192,8 @@ def cross_sector_expansion(g_order: int, max_sector: int) -> Transseries:
     orders, so sectors 0, 2, .., 2 max_sector are returned.
     """
     eps_max = 2 * max_sector
-    l_max = g_order + 1
-    # sigma^p starts at eps^p, so the table reaches p = eps_max
-    table = scatter_coupling_coeffs(eps_max, l_max).substitute_level(1)
+    # sigma^p0 starts at eps^p0, so the heads reach p0 = eps_max
+    heads = scatter_coupling_coeffs(eps_max, g_order + 1).heads
 
     vars_ = ("g", "eps")
     to = (g_order + 2, eps_max)
@@ -209,23 +205,23 @@ def cross_sector_expansion(g_order: int, max_sector: int) -> Transseries:
         f_series = term if f_series is None else f_series + term
 
     # f/eps = E(1 + u) has constant term 1, so its log is one step
-    inv_rho = (TruncSeries.var("g", vars_, to, power=-1,
-                               coef=ConstExpr.generator("pi"))
-               + ConstExpr.monomial(1, pi=1, L=1)
-               + ConstExpr.generator("gamma")
-               - f_series.shift("eps", -1).log())
-    rho = inv_rho.inverse()
     sigma = f_series * ConstExpr.generator("shat")
+    sigma_sq = (sigma * sigma).truncate(to)
+    d = (TruncSeries.var("g", vars_, to, power=-1,
+                         coef=ConstExpr.generator("pi"))
+         + ConstExpr.monomial(1, pi=1, L=1) - ConstExpr.monomial(1, pi=1, K=1)
+         - f_series.shift("eps", -1).log() - sigma_sq)
+    inv_d = d.inverse()
 
-    out = None
-    rho_pow = {0: TruncSeries.const(1, vars_, to)}
+    inv_d_pow = {0: TruncSeries.const(1, vars_, to)}
     sig_pow = {0: TruncSeries.const(1, vars_, to)}
-    for l in range(1, table.l_max + 1):
-        rho_pow[l] = (rho_pow[l - 1] * rho).truncate(to)
-    for p in range(2, table.p_max + 1, 2):
-        sig_pow[p] = (sig_pow[p - 2] * sigma * sigma).truncate(to)
-    for (p, l), c in table.entries.items():
-        term = (sig_pow[p] * rho_pow[l]) * c
+    for q in range(1, g_order + 2):
+        inv_d_pow[q] = (inv_d_pow[q - 1] * inv_d).truncate(to)
+    for p in range(2, eps_max + 1, 2):
+        sig_pow[p] = (sig_pow[p - 2] * sigma_sq).truncate(to)
+    out = None
+    for (p0, q), head in heads.items():
+        term = (sig_pow[p0] * inv_d_pow[q]) * head.substitute("n", 1)
         out = term if out is None else out + term
     out = out.truncate((g_order, eps_max))
 

@@ -5,7 +5,7 @@ from math import factorial
 import mpmath as mp
 import pytest
 
-from ispflow import golden
+from ispflow import coupling, golden
 from ispflow.bound import (BetaTransseries, beta_exact_sector_eval,
                            beta_transseries, bound_resummation_report,
                            bound_structure_fit, build_ground_state_condition,
@@ -14,10 +14,11 @@ from ispflow.bound import (BetaTransseries, beta_exact_sector_eval,
                            running_coupling_coeffs, unit_in_cutoff_variables)
 from ispflow.constexpr import ConstExpr
 from ispflow.coupling import (BOUND_COLUMNS, CouplingTable, N_PI,
-                              condition_residual_box, resummation_check)
+                              condition_residual_box, resummation_check,
+                              solve_coupling_table, structure_fit)
 from ispflow.bound import bound_condition_series
 from ispflow.expansions import (growth_unit_series, log_growth_unit,
-                                log_growth_unit_scatter)
+                                log_growth_unit_scatter, solve_sector_ansatz)
 from ispflow.series import SeriesError, TruncSeries
 from ispflow.transseries import Transseries
 
@@ -232,6 +233,42 @@ def test_structure_fit_heads(table):
     assert heads[(2, 4)] == ConstExpr.monomial(1, n=3, pi=3)
     assert heads[(4, 2)] == golden.npi(1) * golden._f(5, 8)
     assert heads[(0, 4)] == ConstExpr.psi(2, golden.F(1, 6)) * golden.npi(3)
+
+
+@pytest.mark.parametrize("p_max, l_max", [(4, 9), (0, 14), (6, 12)])
+def test_inverted_heads_match_the_cell_by_cell_fit(p_max, l_max):
+    """The heads of the one inversion of C~ are those structure_fit reads
+    off the table, and none carries gamma."""
+    table = running_coupling_coeffs(p_max, l_max)
+    assert table.heads == structure_fit(table)[0]
+    assert not any("gamma" in c.generators_used()
+                   for c in table.heads.values())
+
+
+def test_substitute_level_carries_the_heads(table):
+    level1 = table.substitute_level(1)
+    assert level1.heads == {k: c.substitute("n", 1)
+                            for k, c in table.heads.items()}
+
+
+def test_an_unknown_sector_tag_is_refused_before_the_inversion(monkeypatch):
+    def no_inversion(*args):
+        raise AssertionError("the inversion ran on an unknown sector_tag")
+
+    monkeypatch.setattr(coupling, "lagrange_coefficients", no_inversion)
+    with pytest.raises(KeyError, match="resonant"):
+        solve_coupling_table(bound_condition_series(3, 4), 4, 3, "resonant")
+
+
+def test_sector_reach_does_not_follow_the_xi_order():
+    """f reads only E, so a condition built at xi-order 3 reaches sector 7
+    and gives the sectors of the direct solve."""
+    f = ground_state_transseries(build_ground_state_condition(8, 3), 7)
+    direct = solve_sector_ansatz(growth_unit_series(8), 7, "bound")
+    assert sorted(f.sectors) == sorted(direct.sectors) == [1, 3, 5, 7]
+    for l, s in direct.sectors.items():
+        assert f.sectors[l] == s, l
+        assert f.sectors[l].trunc_order == s.trunc_order, l
 
 
 def test_beta_perturbative_coefficients(beta):

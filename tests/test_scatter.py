@@ -8,7 +8,7 @@ import pytest
 
 from ispflow import golden
 from ispflow.constexpr import DEFAULT_DPS, ConstExpr, GRat
-from ispflow.coupling import condition_residual_box
+from ispflow.coupling import condition_residual_box, structure_fit
 from ispflow.expansions import (arg_eta_over_g, imaginary_argument,
                                 log_growth_unit_scatter,
                                 odd_coefficient_family, solve_sector_ansatz)
@@ -17,8 +17,7 @@ from ispflow.scatter import (analytic_continuation_check,
                              fixed_point_relation, phase_condition_residual,
                              scatter_beta, scatter_condition_series,
                              scatter_coupling_coeffs,
-                             scatter_momentum_transseries,
-                             scatter_structure_fit)
+                             scatter_momentum_transseries)
 from ispflow.series import SeriesError, TruncSeries
 
 import oracles
@@ -220,11 +219,26 @@ def test_flow_covariance_at_sector_zero():
 
 
 def test_structure_fit(table):
-    heads, ok, failures = scatter_structure_fit(table)
+    heads, ok, failures = structure_fit(table)
     assert ok, failures
     assert heads[(0, 4)] == -golden.npi(3) * golden.P3 * GRat(Fraction(1, 12))
     assert heads[(2, 4)] == -golden.npi(3)
     assert heads[(4, 2)] == golden.npi(1) * GRat(Fraction(5, 8))
+
+
+@pytest.mark.parametrize("p_max, l_max", [(4, 7), (4, 11)])
+def test_inverted_heads_match_the_cell_by_cell_fit(p_max, l_max):
+    """The heads of the one inversion of C~ are those structure_fit reads
+    off the table, and none carries gamma."""
+    table = scatter_coupling_coeffs(p_max, l_max)
+    assert table.heads == structure_fit(table)[0]
+    assert not any("gamma" in c.generators_used()
+                   for c in table.heads.values())
+
+
+def test_cross_sector_expansion_is_gamma_free(cross):
+    assert not any("gamma" in c.generators_used()
+                   for s in cross.sectors.values() for c in s.coeffs.values())
 
 
 def test_cross_sector_printed_orders(cross):
