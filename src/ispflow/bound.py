@@ -9,7 +9,9 @@ the exact constants ring.  The exponentiated quantization condition is
 
     a0 e^{-(2b+1)pi/g} + sum_i a_{2i+1} (Lambda_IR/Lambda)^{2i+1} = 0 ,
 
-with a0 = -e^{-gamma} E(g); we store E and keep the e^{-gamma} in the unit.
+with a0 = -e^{-gamma} E(g).  The e^{-gamma} stays in the unit, and the
+sector solve (``expansions.solve_sector_ansatz``) builds E itself from
+log E, which the beta reads back.
 """
 
 from __future__ import annotations
@@ -18,37 +20,29 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
-from .constexpr import DEFAULT_DPS, ConstExpr, GeneratorValues
+from .constexpr import DEFAULT_DPS, ConstExpr
 from .coupling import (BOUND_COLUMNS, CouplingTable, N_PI, resummation_check,
                        solve_coupling_table, structure_fit)
 from .expansions import (arg_eta_over_g, arg_gamma_series,
-                         growth_unit_series, odd_coefficient_family,
-                         solve_sector_ansatz)
-from .series import SeriesError, TruncSeries, lagrange_coefficients
+                         odd_coefficient_family, solve_sector_ansatz)
+from .series import SeriesError, TruncSeries
 from .specfun import arg_gamma, re_digamma
 from .transseries import Transseries
 
 
 @dataclass
 class GroundStateCondition:
-    """Exponentiated quantization condition in polynomial form.
+    """Exponentiated quantization condition in polynomial form, on branch b.
 
-    a0_scaled is E(g) = -a0 * e^gamma (unit constant term); a_odd[i] is the
-    coefficient a_{2i+1}(g) of (Lambda_IR/Lambda)^{2i+1}, with a_odd[0] = 1.
+    a_odd[i] is the coefficient a_{2i+1}(g) of (Lambda_IR/Lambda)^{2i+1},
+    with a_odd[0] = 1.  The growth unit E(g) = -a0 e^gamma is not held:
+    the sector solve builds it to g^g_order.
     """
 
-    a0_scaled: TruncSeries
     a_odd: dict
     branch: int
     g_order: int
     x_order: int
-
-    def a0_value(self, g, dps: int = DEFAULT_DPS):
-        """Numeric a0(g) = -e^{-gamma} E(g) at ``dps`` digits;
-        a0(0) = -e^{-gamma}."""
-        with GeneratorValues(dps=dps) as gens:
-            return -mp.e ** (-gens["gamma"]) * self.a0_scaled._eval(
-                {"g": g}, gens)
 
 
 def build_ground_state_condition(g_order: int, xi_order: int,
@@ -57,15 +51,15 @@ def build_ground_state_condition(g_order: int, xi_order: int,
         raise SeriesError("orders must be at least 3")
     if b < 0:
         raise ValueError("branches are labelled b >= 0")
-    e = growth_unit_series(g_order)
     a_odd = odd_coefficient_family(g_order, xi_order + 1)
-    return GroundStateCondition(e, a_odd, b, g_order, xi_order)
+    return GroundStateCondition(a_odd, b, g_order, xi_order)
 
 
 def ground_state_transseries(cond: GroundStateCondition,
                              max_sector: int) -> Transseries:
-    """Transseries solution Lambda_IR/Lambda = f(g), sectors 1,3,..,max_sector."""
-    return solve_sector_ansatz(cond.a0_scaled, max_sector, "bound",
+    """Transseries solution Lambda_IR/Lambda = f(g), sectors 1,3,..,max_sector,
+    to the condition's g-order and on its branch."""
+    return solve_sector_ansatz(cond.g_order, max_sector, "bound",
                                cond.branch)
 
 
@@ -148,15 +142,16 @@ def beta_transseries(f: Transseries, max_sector: int | None = None) -> BetaTrans
     and flavor of f.
 
     f must come from ``solve_sector_ansatz``, which leaves its prefactors
-    R_l and growth unit E on it; any other transseries raises SeriesError.
-    With u = E eps, f = sum_l R_l u^l and V = (log u)' = (2b+1) pi/g^2 +
-    (log E)', so f' = u sum_k b_k u^(2k) with b_k = R_l' + l V R_l for
-    l = 2k+1.  Then beta = -sum_j q_j u^(2j), where
+    R_l, log E and the growth unit E on it; any other transseries raises
+    SeriesError.  With u = E eps, f = sum_l R_l u^l and V = (log u)' =
+    (2b+1) pi/g^2 + (log E)', so f' = u sum_k b_k u^(2k) with
+    b_k = R_l' + l V R_l for l = 2k+1.  Then beta = -sum_j q_j u^(2j), where
 
         q_0 = 1/V ,   q_j = (R_(2j+1) - sum_(i<j) q_i b_(j-i)) / V ,
 
     and sector 2j is -q_j E^(2j).  1/V = g^2/((2b+1) pi + g^2 (log E)')
-    is one series inverse.  Both flavors take this one loop,
+    is one series inverse of the log E that f carries, and E^2 is formed
+    only when sector 2 is asked for.  Both flavors take this one loop,
     ``_beta_quotients``: the scattering signs are in the R_l, and the
     branch enters only through (2b+1) pi.  The sectors and their
     truncation orders are those of the graded division
@@ -174,13 +169,13 @@ def beta_transseries(f: Transseries, max_sector: int | None = None) -> BetaTrans
     elif max_sector > top:
         raise SeriesError(f"f gives beta only through sector {top}, "
                           f"not {max_sector}")
-    prefactors, e = f.solved
-    g2_v = (e.log().derivative("g").shift("g", 2)
+    prefactors, log_e, e = f.solved
+    g2_v = (log_e.derivative("g").shift("g", 2)
             + ConstExpr.monomial(2 * f.branch + 1, pi=1))
     q = _beta_quotients([(prefactors[l], prefactors[l].derivative("g"))
                          for l in range(1, max_sector + 2, 2)],
                         g2_v.shift("g", -2), g2_v.inverse().shift("g", 2))
-    e_sq = e * e
+    e_sq = e * e if max_sector >= 2 else None
     e_pow = None
     sectors = {0: -q[0]}
     for j in range(1, len(q)):
@@ -248,59 +243,3 @@ def excited_state_scale(n_level: int, g):
         if g <= 0:
             raise ValueError("g must be positive")
         return mp.e ** (-(n_level - 1) * mp.pi / g)
-
-
-# ---------------------------------------------------------------------------
-# Cross-consistency: the table, f, and beta satisfy the defining flow ODE.
-# ---------------------------------------------------------------------------
-
-def unit_in_cutoff_variables(f: Transseries, xi_order: int,
-                             g_order: int) -> TruncSeries:
-    """The non-perturbative unit eps as a series in (g, xi) along the flow.
-
-    xi = sum_l S_l(g) eps^l = eps D(g, eps) with D(g, y) = sum_l S_l y^(l-1),
-    so eps = xi phi(eps) with phi = 1/D, and by Lagrange inversion
-    [xi^k] eps = (1/k) [y^(k-1)] phi^k.
-    """
-    g_order = min([g_order] + [s.trunc_order[0] for s in f.sectors.values()])
-    d = TruncSeries(("g", "y"),
-                    {(e[0], l - 1): c for l, s in f.sectors.items()
-                     for e, c in s.coeffs.items()},
-                    None, (g_order, xi_order - 1))
-    return TruncSeries(("g", "xi"),
-                       {(e[0], k): c for k, s in
-                        lagrange_coefficients(d.inverse(), "y",
-                                              xi_order).items()
-                        for e, c in s.coeffs.items()},
-                       None, (g_order, xi_order))
-
-
-def flow_ode_residual(table: CouplingTable, f: Transseries,
-                      beta: BetaTransseries, p_max: int, l_max: int) -> list:
-    """Cells where  Lambda d g(Lambda)/d Lambda  differs from  beta(g(Lambda)).
-
-    Both sides are expanded in (xi, rho); the left side is
-    -rho^2 dG/drho - xi dG/dxi on the solved table G.
-    """
-    table = table.substitute_level(2 * f.branch + 1)
-    g_series = table.as_series("xi", p_max, l_max)
-    lhs = (-(g_series.derivative("rho").shift("rho", 2))
-           - g_series.derivative("xi").shift("xi", 1))
-
-    g_order = min(s.trunc_order[0] for s in beta.ts.sectors.values())
-    eps_gxi = unit_in_cutoff_variables(f, p_max, g_order)
-    rhs = None
-    for l, s in beta.ts.sectors.items():
-        term = s.extend_to(("g", "xi"), (g_order, p_max))
-        if l:
-            term = term * eps_gxi ** l
-        rhs = term if rhs is None else rhs + term
-    rhs = rhs.substitute_var("g", g_series)
-
-    bad = []
-    for p in range(0, p_max + 1, 2):
-        for l in range(2, l_max + 1):
-            diff = lhs.coefficient((p, l)) - rhs.coefficient((p, l))
-            if not diff.is_zero():
-                bad.append((p, l, diff))
-    return bad

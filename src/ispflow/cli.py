@@ -133,7 +133,8 @@ def cmd_coeffs(args) -> int:
 
 def _bound_transseries(g_order: int, sector: int, branch: int = 0):
     """The ground-state f on ``branch`` through sector + 1 and its beta
-    through ``sector``; f does not read the condition's xi-order (3 here)."""
+    through ``sector``.  f reads only the condition's g-order and branch:
+    the solve builds E itself, and the xi-order (3 here) is not read."""
     from .bound import (beta_transseries, build_ground_state_condition,
                         ground_state_transseries)
     cond = build_ground_state_condition(g_order, 3, b=branch)

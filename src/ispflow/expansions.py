@@ -11,8 +11,8 @@ Everything here is a formal series with exact coefficients:
   a_1, a_3, a_5, ... of exp((1/g) Arg eta), and the rational prefactors
   R_l of the transseries sectors,
 * the sector solve of -E(g) eps + sum_i a_{2i+1} X^{2i+1} = 0, which
-  takes the odd family by flavor and whose sectors are rational
-  prefactors R_l(g) times E(g)^l.
+  builds its growth unit E from log E and its odd family, both by flavor,
+  and whose sectors are rational prefactors R_l(g) times E(g)^l.
 
 The generator-free stage runs over Q in dense integer polynomials and is
 lifted into the constants ring once, at its boundary.  In s = ig the
@@ -32,7 +32,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .constexpr import PI, ZETA_ARGS, ConstExpr, GRat
-from .series import INF_ORDER, SeriesError, TruncSeries
+from .series import SeriesError, TruncSeries
 from .transseries import FLAVORS, Transseries
 
 
@@ -231,34 +231,41 @@ def odd_coefficient_family(g_order: int, x_order: int) -> dict:
     return {i: _series(p, g_order) for i, p in enumerate(a)}
 
 
-def solve_sector_ansatz(e_series: TruncSeries, max_sector: int,
-                        flavor: str, branch: int = 0) -> Transseries:
+def solve_sector_ansatz(g_order: int, max_sector: int, flavor: str,
+                        branch: int = 0) -> Transseries:
     """Solve  -E(g) eps + sum_{i>=0} a_{2i+1} X^{2i+1} = 0  for the transseries
 
-        X = sum_{l odd} S_l(g) eps^l ,   S_l = R_l(g) E(g)^l .
+        X = sum_{l odd} S_l(g) eps^l ,   S_l = R_l(g) E(g)^l ,
 
-    With u = E eps, y = X^2 and a(y) = sum a_{2i+1} y^i the condition reads
-    X = u / a(X^2), so Lagrange inversion gives the rational prefactors
+    to g^g_order.  With u = E eps, y = X^2 and a(y) = sum a_{2i+1} y^i the
+    condition reads X = u / a(X^2), so Lagrange inversion gives the
+    rational prefactors
 
         R_l = (1/l) [y^k] exp(-l log a(y)) ,   k = (l-1)/2 .
 
-    The odd family is built here, over Q in dense integer polynomials, at
-    the g-order of E and as far as a_{max_sector}: the bound one of
-    ``odd_coefficient_family``, or for the scattering flavor its image
-    a~_{2i+1} = (-1)^i a_{2i+1}.  Each R_l is lifted into the ring once,
-    then multiplied by E^l.  An unknown flavor raises ValueError before
-    any work; an E of infinite g-order or max_sector < 1 raises
-    SeriesError.  The solve fails loudly if the R_l, plugged back into the
-    condition with E = 1 in the same arithmetic, leave a nonzero sector.
-    The returned transseries carries ({l: R_l}, E) as ``solved``, from
-    which ``bound.beta_transseries`` builds the beta.
+    Both inputs are built here by flavor.  The growth exponent log E is
+    ``log_growth_unit`` for the bound flavor and
+    ``log_growth_unit_scatter`` for the scattering one, and E is its exp;
+    E^2 is formed only when a sector past 1 is asked for.  The odd family
+    is built over Q in dense integer polynomials, as far as a_{max_sector}:
+    the bound one of ``odd_coefficient_family``, or for the scattering
+    flavor its image a~_{2i+1} = (-1)^i a_{2i+1}.  Each R_l is lifted into the
+    ring once, then multiplied by E^l.  An unknown flavor raises
+    ValueError, and max_sector < 1 or a g_order past the zeta ladder
+    raises SeriesError, each before any work over Q.  The solve fails
+    loudly if the R_l, plugged back into the condition with E = 1 in the
+    same arithmetic, leave a nonzero sector.  The returned transseries
+    carries ({l: R_l}, log E, E) as ``solved``, from which
+    ``bound.beta_transseries`` builds the beta.
     """
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
-    n = e_series.trunc_order[0]
-    if n >= INF_ORDER or max_sector < 1:
-        raise SeriesError("the sector solve needs a finite g-order and "
-                          "max_sector >= 1")
+    if max_sector < 1:
+        raise SeriesError("the sector solve needs max_sector >= 1")
+    log_e = (log_growth_unit_scatter if flavor == "scattering"
+             else log_growth_unit)(g_order)
+    e = log_e.exp()
+    n = g_order
     k = (max_sector - 1) // 2
     a = _exp(_arg_eta_over_g(n, k), n)
     if flavor == "scattering":
@@ -280,11 +287,11 @@ def solve_sector_ansatz(e_series: TruncSeries, max_sector: int,
                           "residual do not vanish")
     prefactors = {2 * j + 1: _series(p, n) for j, p in enumerate(r)}
     sectors = {}
-    e_pow, e_sq = e_series, e_series * e_series
+    e_pow, e_sq = e, (e * e if max_sector >= 3 else None)
     for l, p in prefactors.items():
         if l > 1:
             e_pow = e_pow * e_sq
         sectors[l] = p * e_pow
     out = Transseries(sectors, branch, flavor, max_sector)
-    out.solved = (prefactors, e_series)
+    out.solved = (prefactors, log_e, e)
     return out

@@ -33,8 +33,7 @@ import mpmath as mp
 from .bound import BetaTransseries, beta_transseries, bound_condition_series
 from .constexpr import DEFAULT_DPS, PI, ConstExpr, GRat
 from .coupling import CouplingTable, N_PI, solve_coupling_table
-from .expansions import (growth_unit_series, imaginary_argument,
-                         log_growth_unit_scatter, phase_branch_offset,
+from .expansions import (imaginary_argument, phase_branch_offset,
                          solve_sector_ansatz)
 from .series import SeriesError, TruncSeries
 from .transseries import Transseries
@@ -122,11 +121,8 @@ def scatter_condition_series(g_order: int, sigma_order: int) -> TruncSeries:
                               "xi", "sigma") - phase_branch_offset(g_order)
 
 
-def scatter_coupling_coeffs(p_max: int, l_max: int,
-                            g_order: int | None = None) -> CouplingTable:
-    if g_order is None:
-        g_order = max(l_max - 1, 3)
-    cond = scatter_condition_series(g_order, p_max)
+def scatter_coupling_coeffs(p_max: int, l_max: int) -> CouplingTable:
+    cond = scatter_condition_series(max(l_max - 1, 3), p_max)
     return solve_coupling_table(cond, p_max, l_max, "scattering")
 
 
@@ -160,20 +156,14 @@ def phase_condition_residual(pc: PhaseCondition,
 # Scattering transseries and beta.
 # ---------------------------------------------------------------------------
 
-def scatter_momentum_transseries(g_order: int, max_sector: int) -> Transseries:
-    """p/Lambda as a transseries in g along the scattering flow:
-    sigma(g) = sum_l S_l(g) eps^l with eps = exp(-n pi/g - gamma - K pi).
-    The odd family is the bound one at xi -> i sigma, so S_l is
-    (-1)^((l-1)/2) R_l E_hat^l with the bound prefactors R_l."""
-    e_hat = log_growth_unit_scatter(g_order).exp()
-    return solve_sector_ansatz(e_hat, max_sector, "scattering", 0)
-
-
 def scatter_beta(max_sector: int, g_order: int = 10) -> BetaTransseries:
     """Scattering beta = -sigma(g)/sigma'(g), sectors 0..max_sector, by
-    ``bound.beta_transseries``'s recurrence: the signs (-1)^((l-1)/2) sit
-    in the prefactors of sigma and E_hat is its growth unit."""
-    f_s = scatter_momentum_transseries(g_order, max_sector + 1)
+    ``bound.beta_transseries``'s recurrence.  p/Lambda = sigma(g) =
+    sum_l S_l(g) eps^l, eps = exp(-n pi/g - gamma - K pi), is the
+    scattering sector solve: the odd family is the bound one at
+    xi -> i sigma, so S_l = (-1)^((l-1)/2) R_l E_hat^l with the bound
+    prefactors R_l, and E_hat is its growth unit."""
+    f_s = solve_sector_ansatz(g_order, max_sector + 1, "scattering")
     return beta_transseries(f_s, max_sector)
 
 
@@ -197,8 +187,7 @@ def cross_sector_expansion(g_order: int, max_sector: int) -> Transseries:
 
     vars_ = ("g", "eps")
     to = (g_order + 2, eps_max)
-    f = solve_sector_ansatz(growth_unit_series(g_order + 2), eps_max + 1,
-                            "bound", 0)
+    f = solve_sector_ansatz(g_order + 2, eps_max + 1, "bound")
     f_series = None
     for l, s in f.sectors.items():
         term = s.extend_to(vars_, to).shift("eps", l)

@@ -13,9 +13,10 @@ polynomial coefficients over the generators; arithmetic is identical either
 way because the constants add under the grading.  Products are graded:
 sector l1 times sector l2 lands in sector l1+l2 only.
 
-``solve_sector_ansatz`` leaves its rational prefactors R_l and growth unit
-E on the transseries it returns (``solved``), from which ``bound``'s beta
-runs its closed-form recurrence; every other transseries carries None.
+``solve_sector_ansatz`` leaves its rational prefactors R_l, the growth
+exponent log E and the growth unit E it built on the transseries it
+returns (``solved``), from which ``bound``'s beta runs its closed-form
+recurrence; every other transseries carries None.
 The graded division (``derivative_g``, ``truediv_graded``) has no caller
 on the beta path.  It stays as the independent route the tests hold that
 recurrence to, exactly, sector by sector.
@@ -56,7 +57,7 @@ class Transseries:
             max_sector = max(clean) if clean else 0
         self.max_sector = max_sector
         self.sectors = {l: s for l, s in clean.items() if l <= max_sector}
-        self.solved = None      # ({l: R_l}, E) of solve_sector_ansatz
+        self.solved = None      # ({l: R_l}, log E, E) of solve_sector_ansatz
 
     # -- basic ops ----------------------------------------------------------
 

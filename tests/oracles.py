@@ -8,12 +8,17 @@ as ``log().imag_part()``, the odd family by ``exp()``, and the rational
 prefactors R_l by a series inverse and ``series.lagrange_coefficients``;
 and the plug-back residual of the sector condition as a ``Transseries``
 sum.
+
+The flow-ODE cross-check of the table, f and beta, and the unit
+eps(g, xi) it is built on, have no caller in the library either and live
+here too.
 """
 
 from fractions import Fraction
 from math import factorial
 
 from ispflow.constexpr import GRat
+from ispflow.expansions import growth_unit_series
 from ispflow.series import SeriesError, TruncSeries, lagrange_coefficients
 from ispflow.transseries import Transseries
 
@@ -81,5 +86,57 @@ def sector_condition_residual(e_series, a_odd, x):
 
 
 def ground_state_residual(cond, f):
-    """The residual of f in the ground-state condition ``cond``."""
-    return sector_condition_residual(cond.a0_scaled, cond.a_odd, f)
+    """The residual of f in the ground-state condition ``cond``, with the
+    growth unit E at the condition's g-order."""
+    return sector_condition_residual(growth_unit_series(cond.g_order),
+                                     cond.a_odd, f)
+
+
+def unit_in_cutoff_variables(f, xi_order, g_order):
+    """The non-perturbative unit eps as a series in (g, xi) along the flow.
+
+    xi = sum_l S_l(g) eps^l = eps D(g, eps) with D(g, y) = sum_l S_l y^(l-1),
+    so eps = xi phi(eps) with phi = 1/D, and by Lagrange inversion
+    [xi^k] eps = (1/k) [y^(k-1)] phi^k.
+    """
+    g_order = min([g_order] + [s.trunc_order[0] for s in f.sectors.values()])
+    d = TruncSeries(("g", "y"),
+                    {(e[0], l - 1): c for l, s in f.sectors.items()
+                     for e, c in s.coeffs.items()},
+                    None, (g_order, xi_order - 1))
+    return TruncSeries(("g", "xi"),
+                       {(e[0], k): c for k, s in
+                        lagrange_coefficients(d.inverse(), "y",
+                                              xi_order).items()
+                        for e, c in s.coeffs.items()},
+                       None, (g_order, xi_order))
+
+
+def flow_ode_residual(table, f, beta, p_max, l_max):
+    """Cells where  Lambda d g(Lambda)/d Lambda  differs from  beta(g(Lambda)).
+
+    Both sides are expanded in (xi, rho); the left side is
+    -rho^2 dG/drho - xi dG/dxi on the solved table G.
+    """
+    table = table.substitute_level(2 * f.branch + 1)
+    g_series = table.as_series("xi", p_max, l_max)
+    lhs = (-(g_series.derivative("rho").shift("rho", 2))
+           - g_series.derivative("xi").shift("xi", 1))
+
+    g_order = min(s.trunc_order[0] for s in beta.ts.sectors.values())
+    eps_gxi = unit_in_cutoff_variables(f, p_max, g_order)
+    rhs = None
+    for l, s in beta.ts.sectors.items():
+        term = s.extend_to(("g", "xi"), (g_order, p_max))
+        if l:
+            term = term * eps_gxi ** l
+        rhs = term if rhs is None else rhs + term
+    rhs = rhs.substitute_var("g", g_series)
+
+    bad = []
+    for p in range(0, p_max + 1, 2):
+        for l in range(2, l_max + 1):
+            diff = lhs.coefficient((p, l)) - rhs.coefficient((p, l))
+            if not diff.is_zero():
+                bad.append((p, l, diff))
+    return bad

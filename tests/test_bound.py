@@ -9,9 +9,8 @@ from ispflow import coupling, golden
 from ispflow.bound import (BetaTransseries, beta_exact_sector_eval,
                            beta_transseries, bound_resummation_report,
                            bound_structure_fit, build_ground_state_condition,
-                           excited_state_scale, flow_ode_residual,
-                           ground_state_transseries,
-                           running_coupling_coeffs, unit_in_cutoff_variables)
+                           excited_state_scale, ground_state_transseries,
+                           running_coupling_coeffs)
 from ispflow.constexpr import ConstExpr
 from ispflow.coupling import (BOUND_COLUMNS, CouplingTable, N_PI,
                               condition_residual_box, resummation_check,
@@ -22,7 +21,8 @@ from ispflow.expansions import (growth_unit_series, log_growth_unit,
 from ispflow.series import SeriesError, TruncSeries
 from ispflow.transseries import Transseries
 
-from oracles import ground_state_residual
+from oracles import (flow_ode_residual, ground_state_residual,
+                     unit_in_cutoff_variables)
 
 
 @pytest.fixture(autouse=True, scope="module")
@@ -60,13 +60,8 @@ def test_gs_coefficients_match_closed_forms(cond):
     assert golden.gs_a7_denominator_check(order)
 
 
-def test_a0_numeric_limit(cond):
-    # a0(0) = -e^{-gamma}
-    assert abs(cond.a0_value(mp.mpf("1e-25")) + mp.e ** (-mp.euler)) < 1e-45
-
-
-def test_numeric_evaluations_ignore_global_precision(cond, f, beta):
-    """a0_value and beta_exact_sector_eval default to 60 digits, and
+def test_numeric_evaluations_ignore_global_precision(f, beta):
+    """beta_exact_sector_eval defaults to 60 digits, and
     excited_state_scale and the fixed point relations work at 60 digits,
     not at the global mpmath precision; every evaluation of an exact object
     and both flow residuals run at the dps they are given."""
@@ -83,10 +78,11 @@ def test_numeric_evaluations_ignore_global_precision(cond, f, beta):
         ref_default = {name: fn(*args)
                        for name, (fn, args) in by_default.items()}
     entry = golden.BOUND_TABLE[(0, 4)]      # pi, gamma, zeta3 and n
+    e = growth_unit_series(10)
     g, k = "0.4", "0.3"
     at_60 = {
         "ConstExpr": lambda: entry.eval_mp({"n": 1}, dps=60),
-        "TruncSeries": lambda: cond.a0_scaled.eval_mp({"g": g}, dps=60),
+        "TruncSeries": lambda: e.eval_mp({"g": g}, dps=60),
         "Transseries": lambda: f.eval_mp(g, dps=60),
         "bound beta": lambda: beta.eval_mp(g, dps=60),
         "scattering beta": lambda: scatter.eval_mp(g, {"K": k}, dps=60),
@@ -94,11 +90,9 @@ def test_numeric_evaluations_ignore_global_precision(cond, f, beta):
         "scattering residual": lambda: scattering_residual(g, 1000, k,
                                                            dps=60),
     }
-    ref_a0 = cond.a0_value("0.4", dps=60)
     ref_beta = {s: beta_exact_sector_eval("0.4", s, dps=60)
                 for s in (0, 2, 4, 6)}
     with mp.workdps(15):
-        a0 = cond.a0_value("0.4")
         exact = {s: beta_exact_sector_eval("0.4", s) for s in (0, 2, 4, 6)}
         default = {name: fn(*args) for name, (fn, args) in by_default.items()}
         # an identity: zero to the working precision of its evaluation
@@ -106,7 +100,6 @@ def test_numeric_evaluations_ignore_global_precision(cond, f, beta):
         low = {name: fn() for name, fn in at_60.items()}
     with mp.workdps(60):
         high = {name: fn() for name, fn in at_60.items()}
-        assert abs(a0 - ref_a0) < 1e-50 * abs(ref_a0)
         for s, ref in ref_beta.items():
             assert abs(exact[s] - ref) < 1e-50 * abs(ref)
         for name, ref in ref_default.items():
@@ -261,10 +254,10 @@ def test_an_unknown_sector_tag_is_refused_before_the_inversion(monkeypatch):
 
 
 def test_sector_reach_does_not_follow_the_xi_order():
-    """f reads only E, so a condition built at xi-order 3 reaches sector 7
-    and gives the sectors of the direct solve."""
+    """f reads only the g-order, so a condition built at xi-order 3 reaches
+    sector 7 and gives the sectors of the direct solve."""
     f = ground_state_transseries(build_ground_state_condition(8, 3), 7)
-    direct = solve_sector_ansatz(growth_unit_series(8), 7, "bound")
+    direct = solve_sector_ansatz(8, 7, "bound")
     assert sorted(f.sectors) == sorted(direct.sectors) == [1, 3, 5, 7]
     for l, s in direct.sectors.items():
         assert f.sectors[l] == s, l
@@ -336,7 +329,9 @@ def test_beta_refuses_sectors_past_the_division():
 
 def test_zeta_ladder_bounds_every_builder():
     """zeta19 tops the ladder: log E reaches g^19 and the conditions g^20;
-    one order more raises instead of returning a shorter series."""
+    one order more raises instead of returning a shorter series.  The
+    ground-state condition holds no zeta, so its refusal comes from the
+    sector solve that builds E."""
     assert log_growth_unit(19).trunc_order == (19,)
     assert bound_condition_series(20, 2).trunc_order == (20, 2)
     assert ConstExpr.psi(18) == ConstExpr.monomial(-factorial(18), zeta19=1)
@@ -345,7 +340,9 @@ def test_zeta_ladder_bounds_every_builder():
     for build in (lambda: log_growth_unit(20),
                   lambda: log_growth_unit_scatter(20),
                   lambda: bound_condition_series(21, 2),
-                  lambda: build_ground_state_condition(20, 8)):
+                  lambda: ground_state_transseries(
+                      build_ground_state_condition(20, 8), 3),
+                  lambda: solve_sector_ansatz(20, 3, "scattering")):
         with pytest.raises(SeriesError, match="past zeta19"):
             build()
 

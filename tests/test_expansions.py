@@ -1,18 +1,21 @@
 """The generator-free sector stage over Q against its former route in the
-constants ring (``oracles``), and its loud refusals."""
+constants ring (``oracles``), its loud refusals, and the growth unit the
+solve builds for itself and leaves for the beta."""
 
 from fractions import Fraction
 
 import pytest
 
 from ispflow import expansions, golden
-from ispflow.bound import (build_ground_state_condition,
+from ispflow.bound import (beta_transseries, build_ground_state_condition,
                            ground_state_transseries)
 from ispflow.constexpr import ConstExpr
 from ispflow.expansions import (arg_eta_over_g, imaginary_argument,
+                                log_growth_unit_scatter,
                                 odd_coefficient_family, solve_sector_ansatz)
-from ispflow.scatter import scatter_momentum_transseries
+from ispflow.scatter import scatter_beta
 from ispflow.series import SeriesError, TruncSeries
+from ispflow.transseries import FLAVORS
 
 import oracles
 
@@ -79,7 +82,8 @@ def test_scattering_image_equals_the_ring_route():
     ring_a = oracles.odd_coefficient_family(ring_arg)
     for i, a in odd_coefficient_family(g_order, x_order).items():
         _same(a * (-1) ** i, ring_a[i])
-    prefactors = scatter_momentum_transseries(g_order, max_sector).solved[0]
+    prefactors = solve_sector_ansatz(g_order, max_sector,
+                                     "scattering").solved[0]
     ring_r = oracles.sector_prefactors(ring_a, max_sector)
     assert sorted(prefactors) == sorted(ring_r) == [1, 3, 5]
     for l, r in ring_r.items():
@@ -107,18 +111,67 @@ def test_a_corrupted_prefactor_is_refused(cond, monkeypatch, j):
         ground_state_transseries(cond, 7)
 
 
-def test_the_solve_needs_a_finite_order_and_a_sector(cond):
-    with pytest.raises(SeriesError, match="finite g-order"):
-        solve_sector_ansatz(TruncSeries.const(1, ("g",), (10 ** 9,)), 3,
-                            "bound")
-    with pytest.raises(SeriesError, match="max_sector >= 1"):
-        solve_sector_ansatz(cond.a0_scaled, 0, "bound")
+def _no_stage(*args):
+    raise AssertionError("the stage over Q started")
 
 
-def test_an_unknown_flavor_is_refused_before_the_solve(cond, monkeypatch):
-    def no_stage(*args):
-        raise AssertionError("the solve started on an unknown flavor")
+def test_the_solve_needs_a_sector_and_an_order_on_the_ladder(monkeypatch):
+    """max_sector < 1, and a g-order whose log E needs a zeta past the
+    ladder, are refused before any work over Q, in both flavors."""
+    monkeypatch.setattr(expansions, "_arg_eta_over_g", _no_stage)
+    for flavor in FLAVORS:
+        with pytest.raises(SeriesError, match="max_sector >= 1"):
+            solve_sector_ansatz(8, 0, flavor)
+        with pytest.raises(SeriesError, match="past zeta19"):
+            solve_sector_ansatz(20, 3, flavor)
 
-    monkeypatch.setattr(expansions, "_arg_eta_over_g", no_stage)
+
+def test_an_unknown_flavor_is_refused_before_the_solve(monkeypatch):
+    for name in ("_arg_eta_over_g", "log_growth_unit"):
+        monkeypatch.setattr(expansions, name, _no_stage)
     with pytest.raises(ValueError, match="unknown flavor 'resonant'"):
-        solve_sector_ansatz(cond.a0_scaled, 3, "resonant")
+        solve_sector_ansatz(8, 3, "resonant")
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_sector_one_alone_forms_no_square_of_e(monkeypatch, flavor):
+    """A solve through sector 1 returns sector 1 alone, and neither it nor
+    a beta through sector 0 multiplies E by itself."""
+    squares = []
+    original = TruncSeries.__mul__
+
+    def counted(self, other):
+        if other is self:
+            squares.append(self)
+        return original(self, other)
+
+    monkeypatch.setattr(TruncSeries, "__mul__", counted)
+    f = solve_sector_ansatz(8, 1, flavor)
+    assert sorted(f.sectors) == sorted(f.solved[0]) == [1]
+    assert beta_transseries(f, 0).ts.sectors.keys() == {0}
+    assert squares == []
+
+
+def test_the_beta_takes_no_series_log(monkeypatch):
+    """The solve leaves log E on f, so the beta takes no series log: none
+    on the whole bound route (branch 1, sectors <= 6), and in
+    scatter_beta(4, 11) only the logs of the branch offset inside
+    log E_hat, which the solve builds once."""
+    calls = []
+    original = TruncSeries.log
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(TruncSeries, "log", counted)
+    beta = beta_transseries(ground_state_transseries(
+        build_ground_state_condition(19, 10, 1), 7))
+    assert sorted(beta.ts.sectors) == [0, 2, 4, 6]
+    assert calls == []
+    log_growth_unit_scatter(11)
+    offset = len(calls)
+    assert offset > 0
+    calls.clear()
+    assert sorted(scatter_beta(4, 11).ts.sectors) == [0, 2, 4]
+    assert len(calls) == offset

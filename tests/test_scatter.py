@@ -16,8 +16,7 @@ from ispflow.scatter import (analytic_continuation_check,
                              build_phase_condition, cross_sector_expansion,
                              fixed_point_relation, phase_condition_residual,
                              scatter_beta, scatter_condition_series,
-                             scatter_coupling_coeffs,
-                             scatter_momentum_transseries)
+                             scatter_coupling_coeffs)
 from ispflow.series import SeriesError, TruncSeries
 
 import oracles
@@ -102,20 +101,19 @@ def test_imaginary_argument_rejects_odd_powers():
 def test_scattering_sectors_are_signed_bound_prefactors():
     """sigma(g) solves the scattering condition built from the defining
     sum of eta~, and S_l / E_hat^l = (-1)^((l-1)/2) R_l with the bound
-    Lagrange prefactors R_l (the bound solve at E = 1)."""
+    Lagrange prefactors R_l (the bare R_l of the bound solve)."""
     g_order, max_sector = 11, 7
-    ts = scatter_momentum_transseries(g_order, max_sector)
+    ts = solve_sector_ansatz(g_order, max_sector, "scattering")
     e_hat = log_growth_unit_scatter(g_order).exp()
     osc_log = _oscillatory_eta(g_order + 1, max_sector + 1).log()
     a_scat = _even_coefficients(osc_log.imag_part().shift("g", -1)
                                 .truncate((g_order, max_sector + 1)).exp())
     assert not oracles.sector_condition_residual(e_hat, a_scat, ts).sectors
-    unit = TruncSeries.const(1, ("g",), (g_order,))
-    r_bound = solve_sector_ansatz(unit, max_sector, "bound")
-    assert sorted(ts.sectors) == sorted(r_bound.sectors) == [1, 3, 5, 7]
+    r_bound = solve_sector_ansatz(g_order, max_sector, "bound").solved[0]
+    assert sorted(ts.sectors) == sorted(r_bound) == [1, 3, 5, 7]
     for l, s_l in ts.sectors.items():
         got = (s_l * (e_hat ** l).inverse()).truncate((g_order,))
-        assert got == r_bound.sectors[l] * (-1) ** ((l - 1) // 2), f"S_{l}"
+        assert got == r_bound[l] * (-1) ** ((l - 1) // 2), f"S_{l}"
 
 
 def test_table_golden_entries(table):

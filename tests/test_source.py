@@ -72,3 +72,29 @@ def test_package_private_names_are_used():
                        if d.startswith("_") and not d.startswith("__")
                        and d not in used]
     assert unused == []
+
+
+def test_golden_is_imported_only_where_pinned():
+    """The published tables are test references: the library reads them
+    only in ``coeffs --check`` and in the closed-form sector evaluator,
+    each inside the function, so importing the package never builds
+    them."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        scopes = [(node.name, node) for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef,
+                                       ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            if not any(n.rpartition(".")[2] == "golden" for n in names):
+                continue
+            owner = [name for name, fn in scopes
+                     if fn.lineno <= node.lineno <= fn.end_lineno]
+            found.add(f"{path.stem}.{owner[-1] if owner else '<module>'}")
+    assert found == {"cli.cmd_coeffs", "bound.beta_exact_sector_eval"}

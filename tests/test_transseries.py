@@ -13,7 +13,8 @@ import pytest
 from ispflow.bound import (beta_transseries, build_ground_state_condition,
                            ground_state_transseries)
 from ispflow.constexpr import ConstExpr
-from ispflow.scatter import scatter_beta, scatter_momentum_transseries
+from ispflow.expansions import solve_sector_ansatz
+from ispflow.scatter import scatter_beta
 from ispflow.series import SeriesError, TruncSeries
 from ispflow.transseries import Transseries
 
@@ -139,7 +140,7 @@ def test_scatter_beta_equals_the_graded_division():
     assert sorted(beta.sectors) == [0, 2, 4]
     assert "K" in beta.sector(2).coefficient((4,)).generators_used()
     _assert_same_beta(beta, _graded_division(
-        scatter_momentum_transseries(11, 5), 4), mp.mpf("0.2"),
+        solve_sector_ansatz(11, 5, "scattering"), 4), mp.mpf("0.2"),
         {"K": mp.mpf("0.3")})
 
 
