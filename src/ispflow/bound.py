@@ -142,20 +142,21 @@ def beta_transseries(f: Transseries, max_sector: int | None = None) -> BetaTrans
     and flavor of f.
 
     f must come from ``solve_sector_ansatz``, which leaves its prefactors
-    R_l, log E and the growth unit E on it; any other transseries raises
-    SeriesError.  With u = E eps, f = sum_l R_l u^l and V = (log u)' =
-    (2b+1) pi/g^2 + (log E)', so f' = u sum_k b_k u^(2k) with
-    b_k = R_l' + l V R_l for l = 2k+1.  Then beta = -sum_j q_j u^(2j), where
+    R_l, log E and the square E^2 of the growth unit on it; any other
+    transseries raises SeriesError.  With u = E eps, f = sum_l R_l u^l and
+    V = (log u)' = (2b+1) pi/g^2 + (log E)', so f' = u sum_k b_k u^(2k)
+    with b_k = R_l' + l V R_l for l = 2k+1.  Then beta = -sum_j q_j u^(2j),
+    where
 
         q_0 = 1/V ,   q_j = (R_(2j+1) - sum_(i<j) q_i b_(j-i)) / V ,
 
     and sector 2j is -q_j E^(2j).  1/V = g^2/((2b+1) pi + g^2 (log E)')
-    is one series inverse of the log E that f carries, and E^2 is formed
-    only when sector 2 is asked for.  Both flavors take this one loop,
-    ``_beta_quotients``: the scattering signs are in the R_l, and the
+    is one series inverse of the log E that f carries, and the powers of
+    E^2 are those of the E^2 the solve formed.  Both flavors take this one
+    loop, ``_beta_quotients``: the scattering signs are in the R_l, and the
     branch enters only through (2b+1) pi.  The sectors and their
-    truncation orders are those of the graded division
-    (-f) / f.derivative_g(), which the tests hold this to.
+    truncation orders are those of the graded division of -f by its
+    graded derivative, which the tests hold this to.
 
     Sector f.max_sector - 1 is the last; a ``max_sector`` past it raises
     ``SeriesError``.
@@ -169,13 +170,12 @@ def beta_transseries(f: Transseries, max_sector: int | None = None) -> BetaTrans
     elif max_sector > top:
         raise SeriesError(f"f gives beta only through sector {top}, "
                           f"not {max_sector}")
-    prefactors, log_e, e = f.solved
+    prefactors, log_e, e_sq = f.solved
     g2_v = (log_e.derivative("g").shift("g", 2)
             + ConstExpr.monomial(2 * f.branch + 1, pi=1))
     q = _beta_quotients([(prefactors[l], prefactors[l].derivative("g"))
                          for l in range(1, max_sector + 2, 2)],
                         g2_v.shift("g", -2), g2_v.inverse().shift("g", 2))
-    e_sq = e * e if max_sector >= 2 else None
     e_pow = None
     sectors = {0: -q[0]}
     for j in range(1, len(q)):

@@ -133,12 +133,10 @@ def cmd_coeffs(args) -> int:
 
 def _bound_transseries(g_order: int, sector: int, branch: int = 0):
     """The ground-state f on ``branch`` through sector + 1 and its beta
-    through ``sector``.  f reads only the condition's g-order and branch:
-    the solve builds E itself, and the xi-order (3 here) is not read."""
-    from .bound import (beta_transseries, build_ground_state_condition,
-                        ground_state_transseries)
-    cond = build_ground_state_condition(g_order, 3, b=branch)
-    f = ground_state_transseries(cond, sector + 1)
+    through ``sector``."""
+    from .bound import beta_transseries
+    from .expansions import solve_sector_ansatz
+    f = solve_sector_ansatz(g_order, sector + 1, "bound", branch)
     return f, beta_transseries(f).ts
 
 

@@ -709,7 +709,7 @@ def _frac_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
 
 
-# convenience handles used across the derivation modules
+# generator handles: the derivation modules use PI, the tests the rest
 PI = ConstExpr.generator("pi")
 GAMMA = ConstExpr.generator("gamma")
 ZETA3 = ConstExpr.generator("zeta3")

@@ -23,7 +23,7 @@ independent oracle they are held to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
@@ -61,35 +61,17 @@ class CouplingTable:
         if self.p_max >= 4 and not self.entry(4, 1).is_zero():
             raise SeriesError("c_(4,1) must vanish")
 
-    def substitute_level(self, value) -> "CouplingTable":
-        """Exact substitution of the level generator n (branch covariance)."""
-        entries, heads = ({k: v.substitute("n", value) for k, v in d.items()}
-                          for d in (self.entries, self.heads))
-        return replace(self, entries=entries, heads=heads)
-
-    def as_series(self, x_var: str, p_max=None, l_max=None) -> TruncSeries:
-        p_max = self.p_max if p_max is None else p_max
-        l_max = self.l_max if l_max is None else l_max
-        if p_max > self.p_max or l_max > self.l_max:
-            raise SeriesError(f"table holds p <= {self.p_max}, l <= "
-                              f"{self.l_max}; cannot give p <= {p_max}, "
-                              f"l <= {l_max}")
-        coeffs = {(p, l): c for (p, l), c in self.entries.items()
-                  if p <= p_max and l <= l_max}
-        return TruncSeries((x_var, "rho"), coeffs, (0, 0), (p_max, l_max))
-
     def rows(self):
         for (p, l) in sorted(self.entries):
             yield p, l, self.entries[(p, l)]
 
 
-def solve_coupling_table(condition: TruncSeries, p_max: int, l_max: int,
-                         sector_tag: str) -> CouplingTable:
-    """One inversion of the gamma-free C~ = C - ladder g + s g x^2, with
-    (ladder, s) = ``LADDERS[sector_tag]``, gives the nonzero heads
-    (1/q) [g^(q-1) x^p0] C~^q (stored on ``heads``); ``predicted_entry``
-    gives from them every cell c_{p,l} of the box (even p <= p_max,
-    1 <= l <= l_max), zero cells included.
+def coupling_heads(condition: TruncSeries, p_max: int, l_max: int,
+                   sector_tag: str) -> dict:
+    """The nonzero heads (1/q) [g^(q-1) x^p0] C~^q, q <= l_max, p0 <= p_max,
+    of one inversion of the gamma-free C~ = C - ladder g + s g x^2, with
+    (ladder, s) = ``LADDERS[sector_tag]``; an unknown tag raises KeyError
+    before any work.
 
     ``condition`` is the rho-free part C(g, x) of the cutoff condition and
     must be known through g^(l_max - 1) and x^p_max.
@@ -106,36 +88,22 @@ def solve_coupling_table(condition: TruncSeries, p_max: int, l_max: int,
     c_tilde = condition.truncate(to) + TruncSeries(
         condition.variables, {(1, 0): -ladder, (1, 2): x2_sign}, None, to)
     lagrange = lagrange_coefficients(c_tilde, "g", l_max)
-    heads = {(p0, q): c for q, h in lagrange.items()
-             for (p0,), c in h.coeffs.items()}
+    return {(p0, q): c for q, h in lagrange.items()
+            for (p0,), c in h.coeffs.items()}
+
+
+def solve_coupling_table(condition: TruncSeries, p_max: int, l_max: int,
+                         sector_tag: str) -> CouplingTable:
+    """The heads of ``coupling_heads`` (stored on ``heads``), and from them
+    by ``predicted_entry`` every cell c_{p,l} of the box (even p <= p_max,
+    1 <= l <= l_max), zero cells included."""
+    heads = coupling_heads(condition, p_max, l_max, sector_tag)
+    ladder, x2_sign = LADDERS[sector_tag]
     entries = {(p, l): predicted_entry(heads, p, l, ladder, x2_sign)
                for l in range(1, l_max + 1) for p in range(0, p_max + 1, 2)}
     table = CouplingTable(sector_tag, entries, p_max, l_max, heads)
     table.check_base_invariants()
     return table
-
-
-def _condition_residual(condition: TruncSeries, entries: dict, x_var: str,
-                        p_max: int, l_max: int) -> TruncSeries:
-    g_ansatz = TruncSeries((x_var, "rho"), dict(entries), (0, 0),
-                           (p_max, l_max))
-    composed = condition.substitute_var("g", g_ansatz)
-    return composed - g_ansatz.shift("rho", -1)
-
-
-def condition_residual_box(condition: TruncSeries,
-                           table: CouplingTable) -> list:
-    """Nonzero residual cells after plugging the solved table back in."""
-    x_var = condition.variables[1]
-    resid = _condition_residual(condition, table.entries, x_var,
-                                table.p_max, table.l_max)
-    bad = []
-    for l in range(1, table.l_max + 1):
-        for p in range(0, table.p_max + 1, 2):
-            c = resid.coefficient((p, l - 1))
-            if not c.is_zero():
-                bad.append((p, l - 1, c))
-    return bad
 
 
 # ---------------------------------------------------------------------------

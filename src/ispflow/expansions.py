@@ -249,17 +249,19 @@ def solve_sector_ansatz(g_order: int, max_sector: int, flavor: str,
     E^2 is formed only when a sector past 1 is asked for.  The odd family
     is built over Q in dense integer polynomials, as far as a_{max_sector}:
     the bound one of ``odd_coefficient_family``, or for the scattering
-    flavor its image a~_{2i+1} = (-1)^i a_{2i+1}.  Each R_l is lifted into the
-    ring once, then multiplied by E^l.  An unknown flavor raises
-    ValueError, and max_sector < 1 or a g_order past the zeta ladder
-    raises SeriesError, each before any work over Q.  The solve fails
-    loudly if the R_l, plugged back into the condition with E = 1 in the
-    same arithmetic, leave a nonzero sector.  The returned transseries
-    carries ({l: R_l}, log E, E) as ``solved``, from which
-    ``bound.beta_transseries`` builds the beta.
+    flavor its image a~_{2i+1} = (-1)^i a_{2i+1}.  Each R_l is lifted into
+    the ring once, then multiplied by E^l.  An unknown flavor or a negative
+    branch raises ValueError, and max_sector < 1 or a g_order past the
+    zeta ladder raises SeriesError, each before any work over Q.  The
+    solve fails loudly if the R_l, plugged back into the condition with
+    E = 1 in the same arithmetic, leave a nonzero sector.  The returned
+    transseries carries ({l: R_l}, log E, E^2) as ``solved`` (E^2 is None
+    below sector 3), from which ``bound.beta_transseries`` builds the beta.
     """
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
+    if branch < 0:
+        raise ValueError("branches are labelled b >= 0")
     if max_sector < 1:
         raise SeriesError("the sector solve needs max_sector >= 1")
     log_e = (log_growth_unit_scatter if flavor == "scattering"
@@ -293,5 +295,5 @@ def solve_sector_ansatz(g_order: int, max_sector: int, flavor: str,
             e_pow = e_pow * e_sq
         sectors[l] = p * e_pow
     out = Transseries(sectors, branch, flavor, max_sector)
-    out.solved = (prefactors, log_e, e)
+    out.solved = (prefactors, log_e, e_sq)
     return out

@@ -32,7 +32,8 @@ import mpmath as mp
 
 from .bound import BetaTransseries, beta_transseries, bound_condition_series
 from .constexpr import DEFAULT_DPS, PI, ConstExpr, GRat
-from .coupling import CouplingTable, N_PI, solve_coupling_table
+from .coupling import (CouplingTable, N_PI, coupling_heads,
+                       solve_coupling_table)
 from .expansions import (imaginary_argument, phase_branch_offset,
                          solve_sector_ansatz)
 from .series import SeriesError, TruncSeries
@@ -51,14 +52,10 @@ class PhaseCondition:
     cutoff log ln(Lambda/p) carried by the polynomial generator ``lam``
     (u = -lam + gamma - zeta3 g^2/3 + ... + (1/g) Arg eta~).  The tangent is
     expanded about zero, so this object is the formal identity used to
-    exhibit the cancellation of the coth pole; quantitative work (the
-    residual check) re-expands the tangent about the -n pi branch where its
-    argument is small along the flow.
+    exhibit the cancellation of the coth pole.
     """
 
     series: TruncSeries
-    half_coth: TruncSeries
-    tan_argument_over_g: TruncSeries
     g_order: int
     sigma_order: int
 
@@ -102,9 +99,7 @@ def build_phase_condition(g_order: int, sigma_order: int) -> PhaseCondition:
                                 (g_order, sigma_order))
               + (hc.extend_to(("g", "sigma")) * tan_gu
                  ).truncate((g_order, sigma_order)))
-    pc = PhaseCondition(series, hc.truncate((g_order,)),
-                        u.truncate((g_order, sigma_order)),
-                        g_order, sigma_order)
+    pc = PhaseCondition(series, g_order, sigma_order)
     pc.assert_pole_free()
     return pc
 
@@ -124,32 +119,6 @@ def scatter_condition_series(g_order: int, sigma_order: int) -> TruncSeries:
 def scatter_coupling_coeffs(p_max: int, l_max: int) -> CouplingTable:
     cond = scatter_condition_series(max(l_max - 1, 3), p_max)
     return solve_coupling_table(cond, p_max, l_max, "scattering")
-
-
-def phase_condition_residual(pc: PhaseCondition,
-                             table: CouplingTable) -> TruncSeries:
-    """Plug the solved coupling table into the tangent form of the phase
-    condition (re-expanded about the -n pi branch) and return the residual
-    series in (sigma, rho); it must vanish identically on the solved box."""
-    g_ansatz = table.as_series("sigma")
-    # tangent argument g*u with lam -> 1/rho, shifted by +n pi
-    u_nolam = pc.tan_argument_over_g + ConstExpr.generator("lam")
-    gu = u_nolam.shift("g", 1).substitute_var("g", g_ansatz) \
-        - g_ansatz.shift("rho", -1)
-    w = gu + TruncSeries.const(N_PI, gu.variables, gu.trunc_order)
-    if w.constant_term():
-        raise SeriesError("branch shift failed to cancel the constant")
-    tan_w = _tan(w)
-    # (1/2) coth(pi g/2) with the ansatz: split the pole as 1/(pi g) + rest
-    pole = g_ansatz.inverse() * ConstExpr.monomial(1, pi=-1)
-    rest = (pc.half_coth - TruncSeries.var(
-        "g", ("g",), pc.half_coth.trunc_order, power=-1,
-        coef=ConstExpr.monomial(1, pi=-1))).shift("g", 1)
-    rest_sub = rest.substitute_var("g", g_ansatz) * g_ansatz.inverse()
-    k_const = TruncSeries.const(ConstExpr.generator("K"), tan_w.variables,
-                                tan_w.trunc_order)
-    return (k_const + (pole + rest_sub) * tan_w).truncate(
-        (table.p_max, table.l_max - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +152,8 @@ def cross_sector_expansion(g_order: int, max_sector: int) -> Transseries:
     """
     eps_max = 2 * max_sector
     # sigma^p0 starts at eps^p0, so the heads reach p0 = eps_max
-    heads = scatter_coupling_coeffs(eps_max, g_order + 1).heads
+    heads = coupling_heads(scatter_condition_series(max(g_order, 3), eps_max),
+                           eps_max, g_order + 1, "scattering")
 
     vars_ = ("g", "eps")
     to = (g_order + 2, eps_max)

@@ -2,11 +2,12 @@
 
 A ``TruncSeries`` is a Laurent-capable formal series in named small
 variables (g, xi, rho, sigma, ...).  Each instance carries, per variable,
-a hard lower-degree floor ``min_degree`` (capped at -2: only the coth pole
-and the transseries derivative ever need negative powers) and an inclusive
-truncation order ``trunc_order``.  Arithmetic propagates truncation
-metadata conservatively, so a coefficient is stored only when it is
-actually determined by the inputs.
+a hard lower-degree floor ``min_degree`` and an inclusive truncation order
+``trunc_order``.  The floor is capped at -2: negative powers occur in the
+coth pole, the beta's V = (log u)' (at g^-2), the cross-sector D (at
+pi/g_B) and the graded derivative the tests hold the beta to.
+Arithmetic propagates truncation metadata conservatively, so a
+coefficient is stored only when it is actually determined by the inputs.
 
 A series product groups its term pairs by output exponent and forms each
 coefficient as one ring dot product (``_products`` over ``constexpr._dot``):
@@ -20,14 +21,13 @@ sum_j w_j b_(n-j) is one ``_products`` call over all its series products,
 so only the terms inside the box are formed.
 
 ``lagrange_coefficients`` (Lagrange-Buermann inversion) solves
-y = t phi(y) in closed form for reversion, the coupling tables and the
-flow-ODE unit.  The transseries sectors do not come through here: their
-rational prefactors R_l = (1/l) [y^k] exp(-l log a(y)), k = (l-1)/2,
-carry no generator (the profile eta has rational coefficients in s = ig,
-and conj eta(g) = eta(-g) for real g), so ``expansions`` runs that stage
-over Q in dense integer polynomials and lifts it into the ring once.
-There are no tables
-of elementary functions: their users build them from exp and log, e.g.
+y = t phi(y) in closed form for the heads of the coupling tables.  The
+transseries sectors do not come through here: their rational prefactors
+R_l = (1/l) [y^k] exp(-l log a(y)), k = (l-1)/2, carry no generator (the
+profile eta has rational coefficients in s = ig, and conj eta(g) = eta(-g)
+for real g), so ``expansions`` runs that stage over Q in dense integer
+polynomials and lifts it into the ring once.  There are no tables of
+elementary functions: their users build them from exp and log, e.g.
 tan w = Im e^(iw) / Re e^(iw) and arctan w = Im log(1 + iw) for real w.
 
 Truncation orders are explicit everywhere; there is no global default.
@@ -290,7 +290,8 @@ class TruncSeries:
     # -- composition and functional ops ----------------------------------------
 
     def substitute_var(self, name, inner: "TruncSeries"):
-        """Substitute a variable by a series with no constant term.
+        """Substitute a variable by a series with no constant term (the
+        tests' plug-back oracles compose series; no library route does).
 
         The omitted tail of ``self`` (orders beyond trunc in ``name``) maps to
         composition error.  Some variable of ``inner`` must appear in every
@@ -377,29 +378,6 @@ class TruncSeries:
         return TruncSeries(self.variables,
                            {e: fn(c) for e, c in self.coeffs.items()},
                            self.min_degree, self.trunc_order)
-
-    def revert(self):
-        """Compositional inverse of a univariate series with f(0)=0 and
-        invertible linear coefficient.
-
-        h = f^(-1) solves h = t phi(h) with phi(y) = y / f(y), so by Lagrange
-        inversion [t^l] h = (1/l) [y^(l-1)] phi^l.
-        """
-        if len(self.variables) != 1:
-            raise SeriesError("reversion is univariate")
-        v = self.variables[0]
-        if self.constant_term() or self.min_degree[0] < 0 and any(
-                e[0] < 0 for e in self.coeffs):
-            raise SeriesError("reversion requires f(0) = 0")
-        if (1,) not in self.coeffs:
-            raise SeriesError("reversion requires a nonzero linear term")
-        N = self.trunc_order[0]
-        if N >= INF_ORDER:
-            raise SeriesError("reversion needs a finite truncation order")
-        phi = self.shift(v, -1).inverse()
-        coeffs = {(l,): c.constant_term()
-                  for l, c in lagrange_coefficients(phi, v, N).items()}
-        return TruncSeries((v,), coeffs, (0,), (N,))
 
     # -- evaluation / output ---------------------------------------------------
 

@@ -14,19 +14,19 @@ way because the constants add under the grading.  Products are graded:
 sector l1 times sector l2 lands in sector l1+l2 only.
 
 ``solve_sector_ansatz`` leaves its rational prefactors R_l, the growth
-exponent log E and the growth unit E it built on the transseries it
-returns (``solved``), from which ``bound``'s beta runs its closed-form
-recurrence; every other transseries carries None.
-The graded division (``derivative_g``, ``truediv_graded``) has no caller
-on the beta path.  It stays as the independent route the tests hold that
-recurrence to, exactly, sector by sector.
+exponent log E and the square E^2 of the growth unit it built on the
+transseries it returns (``solved``), from which ``bound``'s beta runs its
+closed-form recurrence; every other transseries carries None.
+The graded division (``truediv_graded``) has no caller on the beta path.
+With the graded derivative of ``tests/oracles.py`` it is the independent
+route the tests hold that recurrence to, exactly, sector by sector.
 """
 
 from __future__ import annotations
 
 import mpmath as mp
 
-from .constexpr import DEFAULT_DPS, ConstExpr, GeneratorValues
+from .constexpr import DEFAULT_DPS, GeneratorValues
 from .series import INF_ORDER, SeriesError, TruncSeries
 
 FLAVORS = ("bound", "scattering")
@@ -57,7 +57,7 @@ class Transseries:
             max_sector = max(clean) if clean else 0
         self.max_sector = max_sector
         self.sectors = {l: s for l, s in clean.items() if l <= max_sector}
-        self.solved = None      # ({l: R_l}, log E, E) of solve_sector_ansatz
+        self.solved = None      # ({l: R_l}, log E, E^2) of solve_sector_ansatz
 
     # -- basic ops ----------------------------------------------------------
 
@@ -114,20 +114,6 @@ class Transseries:
 
     __rmul__ = __mul__
 
-    def derivative_g(self) -> "Transseries":
-        """d/dg including the unit's g-dependence.
-
-        d/dg [S_l(g) eps^l] = [S_l' + l (2b+1) pi g^-2 S_l] eps^l.
-        """
-        npi = ConstExpr.monomial(2 * self.branch + 1, pi=1)
-        out = {}
-        for l, s in self.sectors.items():
-            t = s.derivative("g")
-            if l:
-                t = t + s.shift("g", -2) * npi * l
-            out[l] = t
-        return Transseries(out, self.branch, self.flavor, self.max_sector)
-
     def truediv_graded(self, other: "Transseries") -> "Transseries":
         """Graded division; the divisor's lowest sector must be invertible."""
         self._check(other)
@@ -175,12 +161,6 @@ class Transseries:
             for l in sorted(self.sectors):
                 total += self.sectors[l]._eval({"g": g}, gens) * eps ** l
             return total
-
-    def eval_sector_mp(self, l, g, assignment: dict | None = None,
-                       dps: int = DEFAULT_DPS):
-        """Sector l times eps^l at coupling g (see eval_mp)."""
-        return Transseries({l: self.sector(l)}, self.branch,
-                           self.flavor).eval_mp(g, assignment, dps=dps)
 
     # -- output ----------------------------------------------------------------
 

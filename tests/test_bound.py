@@ -13,16 +13,17 @@ from ispflow.bound import (BetaTransseries, beta_exact_sector_eval,
                            running_coupling_coeffs)
 from ispflow.constexpr import ConstExpr
 from ispflow.coupling import (BOUND_COLUMNS, CouplingTable, N_PI,
-                              condition_residual_box, resummation_check,
-                              solve_coupling_table, structure_fit)
+                              resummation_check, solve_coupling_table,
+                              structure_fit)
 from ispflow.bound import bound_condition_series
 from ispflow.expansions import (growth_unit_series, log_growth_unit,
                                 log_growth_unit_scatter, solve_sector_ansatz)
 from ispflow.series import SeriesError, TruncSeries
 from ispflow.transseries import Transseries
 
-from oracles import (flow_ode_residual, ground_state_residual,
-                     unit_in_cutoff_variables)
+from oracles import (as_series, condition_residual_box, eval_sector_mp,
+                     flow_ode_residual, ground_state_residual,
+                     substitute_level, unit_in_cutoff_variables)
 
 
 @pytest.fixture(autouse=True, scope="module")
@@ -145,7 +146,7 @@ def test_transseries_solves_condition(f, cond):
 
 def test_f_vanishes_at_weak_coupling(f):
     for l in f.sectors:
-        val = f.eval_sector_mp(l, mp.mpf("0.05"))
+        val = eval_sector_mp(f, l, mp.mpf("0.05"))
         assert abs(val) < mp.e ** (-l * mp.pi / mp.mpf("0.05") / 2)
 
 
@@ -187,7 +188,7 @@ def test_branch_covariance(table):
     its unit eps, so its sectors are the same on every branch."""
     f0 = beta0 = None
     for b in (0, 1, 2):
-        scaled = table.substitute_level(2 * b + 1)
+        scaled = substitute_level(table, 2 * b + 1)
         assert scaled.entry(0, 1) == ConstExpr.monomial(2 * b + 1, pi=1)
         fb = ground_state_transseries(build_ground_state_condition(12, 8, b),
                                       7)
@@ -239,7 +240,7 @@ def test_inverted_heads_match_the_cell_by_cell_fit(p_max, l_max):
 
 
 def test_substitute_level_carries_the_heads(table):
-    level1 = table.substitute_level(1)
+    level1 = substitute_level(table, 1)
     assert level1.heads == {k: c.substitute("n", 1)
                             for k, c in table.heads.items()}
 
@@ -314,10 +315,10 @@ def test_condition_refuses_negative_branches():
 def test_table_as_series_refuses_orders_past_the_table(table):
     """A (4, 9) table gives any sub-box, and refuses a larger one instead of
     returning the table's own box under the larger name."""
-    assert table.as_series("xi", 4, 8).trunc_order == (4, 8)
+    assert as_series(table, "xi", 4, 8).trunc_order == (4, 8)
     for p_max, l_max in ((6, 9), (4, 10)):
         with pytest.raises(SeriesError, match="table holds p <= 4, l <= 9"):
-            table.as_series("xi", p_max, l_max)
+            as_series(table, "xi", p_max, l_max)
 
 
 def test_beta_refuses_sectors_past_the_division():
@@ -356,13 +357,13 @@ def test_beta_exact_sector_eval_matches_series(beta):
     series0 = beta.ts.sector(0).eval_mp({"g": g})
     assert abs(closed0 - series0) / abs(closed0) < 1e-6
     closed2 = beta_exact_sector_eval(g, 2)
-    series2 = beta.ts.eval_sector_mp(2, g)
+    series2 = eval_sector_mp(beta.ts, 2, g)
     assert abs(closed2 - series2) / abs(closed2) < 1e-4
     closed4 = beta_exact_sector_eval(g, 4)
-    series4 = beta.ts.eval_sector_mp(4, g)
+    series4 = eval_sector_mp(beta.ts, 4, g)
     assert abs(closed4 - series4) / abs(closed4) < 1e-3
     closed6 = beta_exact_sector_eval(g, 6)
-    series6 = beta.ts.eval_sector_mp(6, g)
+    series6 = eval_sector_mp(beta.ts, 6, g)
     assert abs(closed6 - series6) / abs(closed6) < 1e-3
 
 

@@ -98,3 +98,17 @@ def test_golden_is_imported_only_where_pinned():
                      if fn.lineno <= node.lineno <= fn.end_lineno]
             found.add(f"{path.stem}.{owner[-1] if owner else '<module>'}")
     assert found == {"cli.cmd_coeffs", "bound.beta_exact_sector_eval"}
+
+
+def test_library_makes_no_series_composition():
+    """The exact derivations come from closed forms, so no module calls
+    ``substitute_var``; series composition is left to the tests' plug-back
+    oracles."""
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules, f"no modules under {PACKAGE}"
+    found = [f"{path.name}:{node.lineno}" for path in modules
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "substitute_var"]
+    assert found == []
