@@ -24,7 +24,8 @@ from .constexpr import DEFAULT_DPS, ConstExpr
 from .coupling import (BOUND_COLUMNS, CouplingTable, N_PI, resummation_check,
                        solve_coupling_table, structure_fit)
 from .expansions import (arg_eta_over_g, arg_gamma_series,
-                         odd_coefficient_family, solve_sector_ansatz)
+                         odd_coefficient_family, rational_prefactors,
+                         solve_sector_ansatz)
 from .series import SeriesError, TruncSeries
 from .specfun import arg_gamma, re_digamma
 from .transseries import Transseries
@@ -192,7 +193,7 @@ def beta_exact_sector_eval(g, sector: int, dps: int = DEFAULT_DPS):
     including its non-perturbative factor u^sector, u = E eps
     = exp((Arg Gamma(1+ig) - pi)/g).
 
-    With the exact sector prefactors R_l of ``golden.SECTOR_PREFACTORS``,
+    With the exact R_l that ``expansions.rational_prefactors`` derives,
     f = u sum_i R_{2i+1} t^i and f' = u sum_i b_i t^i in t = u^2, where
     b_i = R_l' + l V R_l (l = 2i+1) and V = (log u)' = pi/g^2 + W, with
     W = (Arg Gamma(1+ig)/g)' = (g Re psi(1+ig) - Arg Gamma(1+ig))/g^2;
@@ -202,16 +203,13 @@ def beta_exact_sector_eval(g, sector: int, dps: int = DEFAULT_DPS):
         q_j = (R_{2j+1} - sum_{i<j} q_i b_{j-i}) / V ,
 
     by ``_beta_quotients``, the loop ``beta_transseries`` runs on series,
-    and sector 2j is -q_j u^{2j}: one sector per known prefactor.
+    and sector 2j is -q_j u^{2j}, for any even sector >= 0.
 
     Evaluated at ``dps`` digits, whatever the global mpmath precision.
     """
-    # imported here: building golden's tables would slow every import of bound
-    from .golden import SECTOR_PREFACTORS
-    top = max(SECTOR_PREFACTORS) - 1
-    if sector % 2 or not 0 <= sector <= top:
+    if sector % 2 or sector < 0:
         raise ValueError(f"closed forms are available for the even sectors "
-                         f"0..{top}")
+                         f">= 0, not {sector}")
     with mp.workdps(dps):
         g = mp.mpf(g)
         if not 0 < g < 2:
@@ -220,8 +218,7 @@ def beta_exact_sector_eval(g, sector: int, dps: int = DEFAULT_DPS):
         v = mp.pi / g ** 2 + (g * re_digamma(g) - a) / g ** 2
         t = g ** 2
         prefactors = []
-        for l in range(1, sector + 2, 2):
-            num, den, scale = SECTOR_PREFACTORS[l]
+        for num, den, scale in rational_prefactors(sector + 1).values():
             # R = N(t)/(scale D(t)), D(t) = prod (c0 + c1 t), and by the
             # quotient rule with d/dg = 2g d/dt,
             # R' = 2g (N_t - N D_t/D)/(scale D)

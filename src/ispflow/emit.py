@@ -13,6 +13,7 @@ from pathlib import Path
 import mpmath as mp
 
 from .constexpr import DEFAULT_DPS, GeneratorValues
+from .tmatrix import BASIS_NAMES
 
 FLOAT_DIGITS = 30
 RESIDUAL_DIGITS = 3  # |F| at a root is rounding noise: print its size
@@ -82,13 +83,9 @@ def emit_phase(outdir, fmt, rows):
 
 
 def emit_divergence(outdir, fmt, reports, d):
-    rows = []
-    for term in sorted(reports):
-        r = reports[term].row()
-        rows.append((r["d"], r["term"], fnum(r["basis_1"]),
-                     fnum(r["basis_log"]), fnum(r["basis_lin"]),
-                     fnum(r["basis_quad"]), r["classification"],
-                     fnum(r["residual"])))
+    rows = [(r.d, r.term, *(fnum(r.fit_coefficients[b]) for b in BASIS_NAMES),
+             r.classification, fnum(r.fit_residual))
+            for _, r in sorted(reports.items())]
     return _emit(outdir, f"divergence_d{d}", fmt,
                  ("d", "term", "basis_1", "basis_log", "basis_lin",
                   "basis_quad", "classification", "residual"), rows)

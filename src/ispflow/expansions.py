@@ -9,7 +9,7 @@ Everything here is a formal series with exact coefficients:
   eta~(g, sigma) = eta(g, i sigma),
 * the generator-free stage: (1/g) Arg eta, the odd-coefficient family
   a_1, a_3, a_5, ... of exp((1/g) Arg eta), and the rational prefactors
-  R_l of the transseries sectors,
+  R_l of the transseries sectors, also in closed form N_l/D_l,
 * the sector solve of -E(g) eps + sum_i a_{2i+1} X^{2i+1} = 0, which
   builds its growth unit E from log E and its odd family, both by flavor,
   and whose sectors are rational prefactors R_l(g) times E(g)^l.
@@ -19,11 +19,11 @@ lifted into the constants ring once, at its boundary.  In s = ig the
 profile eta(s, y) = sum_m y^m prod_(j<=m) 1/(j (j+s)), y = xi^2, has
 rational coefficients, and for real g conj eta(g) = eta(-g), so
 Arg eta = sum_(t odd) (-1)^((t-1)/2) [s^t] log eta g^t.  log and exp are
-first-order recurrences in y, and R_l = (1/l) [y^k] exp(-l log a(y)),
-k = (l-1)/2, with a(y) = sum_i a_{2i+1} y^i.  Each polynomial keeps one
-common denominator and takes its content gcd once per operation (Knuth,
-TAOCP Vol. 2, 4.5.1 and 4.7).  The scattering family is the image
-y -> -y: a~_{2i+1} = (-1)^i a_{2i+1}.
+first-order recurrences in y, and R_l = (1/l) [y^k] exp(-l A(y)),
+k = (l-1)/2, with A = (1/g) Arg eta = log sum_i a_{2i+1} y^i.  Each
+polynomial keeps one common denominator and takes its content gcd once
+per operation (Knuth, TAOCP Vol. 2, 4.5.1 and 4.7).  The scattering
+family is the image y -> -y: a~_{2i+1} = (-1)^i a_{2i+1}.
 """
 
 from __future__ import annotations
@@ -200,16 +200,32 @@ def _series(p, n) -> TruncSeries:
                        (0,), (n,))
 
 
-def _sector_prefactors(a, n):
-    """R_l = (1/l) [y^j] exp(-l log a(y)), l = 2j+1, for j < len(a), with
-    a(y) = sum_i a_(2i+1) y^i: Lagrange-Buermann inversion with
-    A^(-l) = exp(-l log A) (Flajolet & Sedgewick, Analytic Combinatorics,
-    Thm A.2)."""
-    log_a = _log(a, n)
+def _sector_prefactors(log_a, n):
+    """R_l = (1/l) [y^j] exp(-l A(y)), l = 2j+1, for j < len(A), from
+    A = log sum_i a_(2i+1) y^i: Lagrange-Buermann inversion (Flajolet &
+    Sedgewick, Analytic Combinatorics, Thm A.2)."""
     out = []
-    for j in range(len(a)):
+    for j in range(len(log_a)):
         nums, den = _exp(log_a[:j + 1], n, -(2 * j + 1))[j]
         out.append(_poly(nums, den * (2 * j + 1)))
+    return out
+
+
+def rational_prefactors(max_l: int) -> dict:
+    """(N_l, D_l's factors (c0, c1), den) of R_l = N_l/(den D_l), t = g^2, for
+    l = 1, 3, .., max_l: D_l = prod_(j<=k) (j^2 + t)^(k//j), k = (l-1)/2,
+    and N_l = den D_l R_l has degree deg D_l - k, or SeriesError raises."""
+    k_max = (max_l - 1) // 2
+    n = 2 * sum(k_max // j for j in range(1, k_max + 1))
+    out = {}
+    for k, r in enumerate(_sector_prefactors(_arg_eta_over_g(n, k_max), n)):
+        factors = [(j * j, 1) for j in range(1, k + 1) for _ in range(k // j)]
+        for c0, _ in factors:
+            r = _dot([(1, r, ([c0, 0, 1], 1))], n)
+        (nums, den), top = r, 2 * (len(factors) - k)
+        if any(nums[1::2] + nums[top + 1:]):
+            raise SeriesError(f"N_{2 * k + 1} has terms past t^{top // 2}")
+        out[2 * k + 1] = nums[:top + 1:2], factors, den
     return out
 
 
@@ -241,16 +257,16 @@ def solve_sector_ansatz(g_order: int, max_sector: int, flavor: str,
     condition reads X = u / a(X^2), so Lagrange inversion gives the
     rational prefactors
 
-        R_l = (1/l) [y^k] exp(-l log a(y)) ,   k = (l-1)/2 .
+        R_l = (1/l) [y^k] exp(-l A(y)) ,   k = (l-1)/2 ,
 
-    Both inputs are built here by flavor.  The growth exponent log E is
-    ``log_growth_unit`` for the bound flavor and
-    ``log_growth_unit_scatter`` for the scattering one, and E is its exp;
-    E^2 is formed only when a sector past 1 is asked for.  The odd family
-    is built over Q in dense integer polynomials, as far as a_{max_sector}:
-    the bound one of ``odd_coefficient_family``, or for the scattering
-    flavor its image a~_{2i+1} = (-1)^i a_{2i+1}.  Each R_l is lifted into
-    the ring once, then multiplied by E^l.  An unknown flavor or a negative
+    from A = log a = (1/g) Arg eta.  Both inputs are built here by flavor.
+    The growth exponent log E is ``log_growth_unit`` for the bound flavor
+    and ``log_growth_unit_scatter`` for the scattering one, and E is its
+    exp; E^2 is formed only when a sector past 1 is asked for.  A is built
+    over Q in dense integer polynomials to y^k, or for the scattering
+    flavor as its image A(-y), which gives a~_{2i+1} = (-1)^i a_{2i+1}; a
+    is formed only for the plug-back check.  Each R_l is lifted into the
+    ring once, then multiplied by E^l.  An unknown flavor or a negative
     branch raises ValueError, and max_sector < 1 or a g_order past the
     zeta ladder raises SeriesError, each before any work over Q.  The
     solve fails loudly if the R_l, plugged back into the condition with
@@ -269,11 +285,12 @@ def solve_sector_ansatz(g_order: int, max_sector: int, flavor: str,
     e = log_e.exp()
     n = g_order
     k = (max_sector - 1) // 2
-    a = _exp(_arg_eta_over_g(n, k), n)
+    log_a = _arg_eta_over_g(n, k)
     if flavor == "scattering":
-        a = [([-x for x in nums], den) if i % 2 else (nums, den)
-             for i, (nums, den) in enumerate(a)]
-    r = _sector_prefactors(a, n)
+        log_a = [([-x for x in nums], den) if i % 2 else (nums, den)
+                 for i, (nums, den) in enumerate(log_a)]
+    r = _sector_prefactors(log_a, n)
+    a = _exp(log_a, n)
     # sum_i a_i x^(2i+1) = u at x = u rho(u^2), rho = sum_j R_(2j+1) y^j,
     # is rho(y) sum_i a_i z^i = 1 with z = y rho^2, by Horner in z
     z = [_const(0, n)] + _ymul(r, r, n, k - 1)

@@ -15,7 +15,7 @@ flow covariance and the beta transseries); see the repository notes:
 * the printed closed form of beta sector 4 carries a spurious global factor
   (1+g^2)^4/(4+g^2)^2: its weak-coupling limit 3/(32 pi) g^2 contradicts
   the printed transseries lead 3/(2 pi) g^2.  ``bound.beta_exact_sector_eval``
-  generates the sector from SECTOR_PREFACTORS instead.
+  generates the sector from derived R_l, equal to SECTOR_PREFACTORS, instead.
 """
 
 from __future__ import annotations

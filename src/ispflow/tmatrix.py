@@ -345,17 +345,6 @@ class DivergenceReport:
     classification: str
     part_classifications: dict = field(default_factory=dict)
 
-    def row(self):
-        return {
-            "d": self.d, "term": self.term,
-            "basis_1": self.fit_coefficients["1"],
-            "basis_log": self.fit_coefficients["lnL"],
-            "basis_lin": self.fit_coefficients["L"],
-            "basis_quad": self.fit_coefficients["L^2"],
-            "classification": self.classification,
-            "residual": self.fit_residual,
-        }
-
 
 def _lstsq_basis(lams, ys):
     import numpy as np

@@ -408,9 +408,26 @@ def test_beta_exact_sectors_through_6_match_numeric_beta(g0):
         assert abs(sol.beta() - mp.fsum(sectors)) <= 1e-3 * abs(sectors[-1])
 
 
-@pytest.mark.parametrize("sector", [8, 3, -2])
+@pytest.mark.parametrize("g0,band", [("0.8", 4.3e-19), ("1.01", 8.7e-16)])
+def test_beta_exact_sectors_through_8_match_numeric_beta(g0, band):
+    """With R_9 derived, the closed sectors 0..8 sum to the numeric beta
+    within ``band`` of it, 10x the measured 4.3e-20 and 8.7e-17 (sectors
+    0..6 alone leave 2.5e-16 and 1.1e-13); sectors 10 and 12 evaluate,
+    each smaller than the one before."""
+    from ispflow.rgnumeric import solve_running_coupling
+    with mp.workdps(70):
+        ratio = mp.e ** (mp.pi / mp.mpf(g0) + mp.euler)
+    sol = solve_running_coupling(ratio, 0)
+    sectors = [beta_exact_sector_eval(sol.g, s) for s in range(0, 13, 2)]
+    with mp.workdps(60):
+        beta = sol.beta()
+        assert abs(beta - mp.fsum(sectors[:5])) <= band * abs(beta)
+    assert abs(sectors[6]) < abs(sectors[5]) < abs(sectors[4])
+
+
+@pytest.mark.parametrize("sector", [3, -2])
 def test_beta_exact_sector_eval_rejects_unreachable_sectors(sector):
-    with pytest.raises(ValueError, match="even sectors 0..6"):
+    with pytest.raises(ValueError, match=f"even sectors >= 0, not {sector}"):
         beta_exact_sector_eval("0.5", sector)
 
 

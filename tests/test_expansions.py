@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from ispflow import expansions, golden
-from ispflow.bound import (beta_transseries, build_ground_state_condition,
+from ispflow.bound import (beta_exact_sector_eval, beta_transseries,
+                           build_ground_state_condition,
                            ground_state_transseries)
 from ispflow.constexpr import ConstExpr
 from ispflow.expansions import (arg_eta_over_g, imaginary_argument,
@@ -109,6 +110,35 @@ def test_a_corrupted_prefactor_is_refused(cond, monkeypatch, j):
     monkeypatch.setattr(expansions, "_sector_prefactors", corrupted)
     with pytest.raises(SeriesError, match=rf"sectors \[{2 * j + 1}\b"):
         ground_state_transseries(cond, 7)
+
+
+def test_rational_prefactors_are_golden_through_7_and_give_8_n9():
+    """The derived (N_l, D_l, den) are golden's typed R_1..R_7 exactly, and
+    l = 9 gives 8 N_9 = 190952 + 225835 t + 83451 t^2 + 11240 t^3 + 472 t^4
+    over (1+t)^4 (4+t)^2 (9+t) (16+t)."""
+    assert expansions.rational_prefactors(7) == golden.SECTOR_PREFACTORS
+    assert expansions.rational_prefactors(9)[9] == (
+        [190952, 225835, 83451, 11240, 472],
+        [(1, 1)] * 4 + [(4, 1)] * 2 + [(9, 1), (16, 1)], 8)
+
+
+def test_a_corrupted_r5_is_refused_by_the_closed_form(monkeypatch):
+    """A wrong R_5 leaves D_5 R_5 with a coefficient past deg N_5 = 1, so
+    neither the derived prefactors nor the closed-form beta sector 4 that
+    reads them is returned."""
+    recurrence = expansions._sector_prefactors
+
+    def corrupted(a, n):
+        out = recurrence(a, n)
+        nums, den = out[2]
+        out[2] = [nums[0] + 1] + nums[1:], den
+        return out
+
+    monkeypatch.setattr(expansions, "_sector_prefactors", corrupted)
+    with pytest.raises(SeriesError, match="N_5 has terms past t"):
+        expansions.rational_prefactors(5)
+    with pytest.raises(SeriesError, match="N_5 has terms past t"):
+        beta_exact_sector_eval("0.5", 4)
 
 
 def _no_stage(*args):

@@ -97,7 +97,7 @@ def test_golden_is_imported_only_where_pinned():
             owner = [name for name, fn in scopes
                      if fn.lineno <= node.lineno <= fn.end_lineno]
             found.add(f"{path.stem}.{owner[-1] if owner else '<module>'}")
-    assert found == {"cli.cmd_coeffs", "bound.beta_exact_sector_eval"}
+    assert found == {"cli.cmd_coeffs"}
 
 
 def test_library_makes_no_series_composition():

@@ -1,6 +1,7 @@
 """Transition-matrix elements against quadrature oracles, and the
 divergence classifier."""
 
+import json
 import math
 import warnings
 
@@ -380,12 +381,19 @@ def test_classification_stability_range_and_epsilon():
                 == eps2.classification == eps10.classification), (term, d)
 
 
-def test_report_row_schema():
+def test_report_row_schema(tmp_path):
+    """``emit_divergence`` writes one header, as the CSV's first line and
+    as the keys of each JSON row."""
+    from ispflow.emit import emit_divergence
     rep = classify_divergence("k2", 2)
-    row = rep.row()
-    assert set(row) == {"d", "term", "basis_1", "basis_log", "basis_lin",
-                        "basis_quad", "classification", "residual"}
     assert isinstance(rep, DivergenceReport)
+    header = ["d", "term", "basis_1", "basis_log", "basis_lin", "basis_quad",
+              "classification", "residual"]
+    csv = emit_divergence(tmp_path, "csv", {"k2": rep}, 2)
+    assert csv.read_text().splitlines()[0] == ",".join(header)
+    rows = json.loads(emit_divergence(tmp_path, "json", {"k2": rep},
+                                      2).read_text())
+    assert [sorted(row) for row in rows] == [sorted(header)]
 
 
 def test_needs_enough_samples():
